@@ -11,10 +11,10 @@ graphs, once per backend available in this environment:
   (Amdahl), which is exactly why the JSON rows keep both numbers;
 * the ChromLand auxiliary-graph Dijkstra — recorded.
 
-Warm-up (the first call, which for numba includes JIT compilation and
-for the C extension a one-time ``cc`` run memoized into a per-source-hash
-``.so`` cache) is timed separately from steady state and reported in its
-own ``extra_info`` field, never mixed into the speedup.
+Warm-up (the first call, which for the C extension includes a one-time
+``cc`` run memoized into a per-source-hash ``.so`` cache) is timed
+separately from steady state and reported in its own ``extra_info``
+field, never mixed into the speedup.
 
 Every row re-asserts bit-identity against numpy before any speed claim.
 The measured table lives in ``BENCH_KERNELS.md`` next to this file.

@@ -59,11 +59,11 @@ flow-sensitive rules REPRO009-REPRO013 share this catalog but live in
     cache (sessions, answer caches, the REPROIDX store).
 ``REPRO014``
     The private kernel backends (``repro.kernels._numpy`` /
-    ``._numba`` / ``._cext``) are imported only inside ``repro.kernels``
-    itself.  Everyone else goes through :func:`repro.kernels.resolve_kernel`
-    — a direct ``import repro.kernels._numba`` bypasses the memoized
-    availability probe and crashes the process when the optional
-    toolchain is absent instead of falling back to numpy.
+    ``._cext``) are imported only inside ``repro.kernels`` itself.
+    Everyone else goes through :func:`repro.kernels.resolve_kernel` — a
+    direct ``import repro.kernels._cext`` bypasses the memoized
+    availability probe and crashes the process when no C compiler is
+    present instead of falling back to numpy.
 
 Suppression: a trailing ``# noqa: REPRO00X`` comment silences the named
 rule(s) on that line.  A *bare* ``# noqa`` suppresses nothing and is itself
@@ -164,7 +164,7 @@ _PRINT_ALLOWED = (
 #: Package subtree that owns the private kernel backends (REPRO014).
 _KERNEL_OWNER_PREFIX = "kernels/"
 #: A dotted module path reaching into a private kernel backend, in both
-#: absolute (``repro.kernels._numba``) and relative (``..kernels._cext``)
+#: absolute (``repro.kernels._cext``) and relative (``..kernels._cext``)
 #: spellings.
 _KERNEL_PRIVATE_RE = re.compile(r"(?:^|\.)kernels\._\w+")
 

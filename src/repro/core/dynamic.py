@@ -29,9 +29,9 @@ order-of-magnitude speedup over a rebuild comes from.
 on some ``C``-shortest path from ``x``, which requires the tightness
 condition ``|d_C(x, u) - d_C(x, v)| = 1`` for some candidate ``C ∋ l``.
 Landmarks with no tight deleted edge keep their tables verbatim; dirty
-landmarks are re-swept from scratch with the existing wave kernel
-(:func:`~repro.core.powcov.waves.traverse_powerset_waves`).  A relabel is
-treated as delete(old label) + insert(new label).
+landmarks are re-swept from scratch with the index's own builder, so a
+re-sweep runs the same code as the build.  A relabel is treated as
+delete(old label) + insert(new label).
 
 ChromLand repair
 ----------------
@@ -41,9 +41,11 @@ the batched BFS kernel; everything else is carried over.
 
 Fallbacks
 ---------
-Directed or weighted PowCov indexes, and unbuilt indexes, rebuild in full
-(reported via :attr:`RepairStats.full_rebuild`); oracles without a build
-step (the BFS baselines) just rebind their graph.
+Directed or weighted PowCov indexes, unbuilt indexes and indexes served
+straight from a store file rebuild in full (reported via
+:attr:`RepairStats.full_rebuild`); a store-opened ChromLand index first
+copies its read-only tables.  Oracles without a build step (the BFS
+baselines) just rebind their graph.
 """
 
 from __future__ import annotations
@@ -70,9 +72,8 @@ from ..obs.metrics import registry as _metrics_registry
 from ..obs.trace import span
 from ..perf.batched import batched_constrained_bfs
 from .chromland import ChromLandIndex
-from .powcov import PowCovIndex
+from .powcov import PowCovIndex, WeightedPowCovIndex
 from .powcov.spminimal import BIG
-from .powcov.waves import traverse_powerset_waves
 from .trie import LabelSetTrie
 from .types import DistanceOracle
 
@@ -839,9 +840,10 @@ def repair_powcov(
     started = perf_counter()
     with span("dynamic.repair_powcov", ops=delta.num_ops) as repair_span:
         fine_grained = (
-            type(index) is PowCovIndex
+            index._built
             and not index.graph.directed
-            and index._built
+            and not getattr(index, "is_mapped", False)
+            and not isinstance(index, WeightedPowCovIndex)
         )
         if not fine_grained:
             index.graph = new_graph
@@ -860,7 +862,7 @@ def repair_powcov(
                 if deletions and _deletion_dirty(
                     old_graph, index._flat[i], landmark, deletions
                 ):
-                    result = traverse_powerset_waves(new_graph, landmark)
+                    result = index._build_one(landmark, new_graph)
                     index.per_landmark[i] = result
                     index._flat[i] = result.entries
                     stats.landmarks_resweep += 1
@@ -987,6 +989,14 @@ def repair_chromland(
     delta = _require_descendant(index.graph, new_graph)
     stats = RepairStats(kind="chromland", num_landmarks=index.num_landmarks)
     started = perf_counter()
+    if getattr(index, "source_store", None) is not None:
+        # Store sections are read-only memmaps (or arrays the store caches):
+        # repair a private copy, which no longer mirrors the file.
+        index.mono = np.array(index.mono)
+        index.bi = np.array(index.bi)
+        if index.mono_in is not None:
+            index.mono_in = np.array(index.mono_in)
+        index.source_store = None  # type: ignore[attr-defined]
     if not index._built:
         index.graph = new_graph
         index.build()
@@ -1112,7 +1122,9 @@ def rebuild_reference(index: DistanceOracle) -> DistanceOracle:
             [int(c) for c in index.colors],
             query_mode=index.query_mode,
         ).build()
-    if type(index) is PowCovIndex:
+    if isinstance(index, PowCovIndex) and not isinstance(
+        index, WeightedPowCovIndex
+    ):
         return PowCovIndex(
             index.graph,
             index.landmarks,

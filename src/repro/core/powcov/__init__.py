@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .index import PowCovIndex, get_default_builder, set_default_builder
+from .index import PowCovIndex, get_default_builder
 from .spminimal import (
     LandmarkSPMinimal,
     brute_force_sp_minimal,
@@ -23,7 +23,6 @@ __all__ = [
     "generate_candidates",
     "generate_candidates_apriori",
     "get_default_builder",
-    "set_default_builder",
     "traverse_powerset",
     "traverse_powerset_waves",
     "wave_schedule",

@@ -46,39 +46,20 @@ from .waves import traverse_powerset_waves
 
 __all__ = [
     "PowCovIndex",
-    "set_default_builder",
     "get_default_builder",
 ]
 
 _STORAGES = ("packed", "flat", "trie")
-_BUILDERS = ("traverse", "traverse-paper", "brute", "wave", "wave-paper")
+_BUILDERS = ("wave", "traverse", "brute")
 _ESTIMATORS = ("upper", "median")
 
-#: Process-wide default build kernel; the CLI's ``--build-kernel`` flag
-#: routes through :func:`set_default_builder` so every PowCov index built
-#: during an experiment run picks the same kernel without threading a
-#: parameter through every table function.
-_default_builder = "traverse"
-
-
-def set_default_builder(builder: str | None) -> None:
-    """Set the builder used when ``PowCovIndex(builder=None)``.
-
-    ``None`` restores the scalar default (``"traverse"``).  All builders
-    produce bit-for-bit identical indexes, so this only changes build
-    wall-clock time and memory, never output.
-    """
-    global _default_builder
-    if builder is None:
-        _default_builder = "traverse"
-        return
-    if builder not in _BUILDERS:
-        raise ValueError(f"builder must be one of {_BUILDERS}, got {builder!r}")
-    _default_builder = builder
+#: The production builder: every index built with ``builder=None`` (the
+#: serve CLI, the eval runners, delta rebuilds and re-sweeps) runs it.
+_default_builder = "wave"
 
 
 def get_default_builder() -> str:
-    """The current process-wide default build kernel."""
+    """The builder ``PowCovIndex(builder=None)`` runs (read-only)."""
     return _default_builder
 
 
@@ -91,19 +72,16 @@ class PowCovIndex(DistanceOracle):
         Landmark vertex ids (see :mod:`repro.landmarks` for selection
         strategies; Section 3.3 recommends GreedyMVC).
     builder:
-        ``"traverse"`` — Algorithm 2 with Observations 1-3 (scalar, one
-        BFS per mask);
-        ``"traverse-paper"`` — Algorithm 2 with all four pruning rules, as
-        printed in the paper;
-        ``"wave"`` — the wave-batched kernel (Observations 1-3, one
-        batched multi-source BFS per cardinality wave, ring-cached
-        Theorem 2 — see :mod:`repro.core.powcov.waves`);
-        ``"wave-paper"`` — the wave kernel with the CSR-direct
-        Observation 4 sweep on top;
+        ``"wave"`` (the default for ``None``) — Algorithm 2 with
+        Observations 1-3, one batched multi-source BFS per cardinality
+        wave and ring-cached Theorem 2 on the resolved kernel (see
+        :mod:`repro.core.powcov.waves`);
+        ``"traverse"`` — the scalar reference, one BFS per mask;
         ``"brute"`` — Algorithm 1.
-        ``None`` picks up the process-wide default (the CLI's
-        ``--build-kernel`` flag; ``"traverse"`` unless overridden).
-        All builders produce identical indexes.
+        All builders produce identical indexes.  The paper's Observation
+        4 variants are the ``use_obs4=True`` flags of
+        :func:`~repro.core.powcov.spminimal.traverse_powerset` and
+        :func:`~repro.core.powcov.waves.traverse_powerset_waves`.
     storage:
         ``"flat"`` or ``"trie"`` (see module docstring).
     estimator:
@@ -133,7 +111,7 @@ class PowCovIndex(DistanceOracle):
     ):
         super().__init__(graph)
         if builder is None:
-            builder = get_default_builder()
+            builder = _default_builder
         if builder not in _BUILDERS:
             raise ValueError(f"builder must be one of {_BUILDERS}, got {builder!r}")
         if storage not in _STORAGES:
@@ -524,15 +502,9 @@ def _build_landmark_inner(
     kernel = extra.get("kernel")
     if builder == "brute":
         return brute_force_sp_minimal(graph, landmark)
-    if builder == "traverse-paper":
-        return traverse_powerset(graph, landmark)
-    if builder == "wave":
-        return traverse_powerset_waves(
-            graph, landmark, use_obs4=False, kernel=kernel
-        )
-    if builder == "wave-paper":
-        return traverse_powerset_waves(graph, landmark, kernel=kernel)
-    return traverse_powerset(graph, landmark, use_obs4=False)
+    if builder == "traverse":
+        return traverse_powerset(graph, landmark, use_obs4=False)
+    return traverse_powerset_waves(graph, landmark, use_obs4=False, kernel=kernel)
 
 
 def _landmark_chunk_task(

@@ -27,7 +27,7 @@ class EngineConfig:
 
     ``kernel`` selects the :mod:`repro.kernels` backend sessions use for
     their compiled query loops (currently the ChromLand auxiliary-graph
-    Dijkstra): one of ``"numpy"``/``"numba"``/``"cext"``/``"auto"`` or
+    Dijkstra): one of ``"numpy"``/``"cext"``/``"auto"`` or
     ``None`` for the process default chain (``set_default_kernel`` →
     ``REPRO_KERNEL`` env → ``"auto"``).  Backends are bit-identical, so
     this only ever changes latency.

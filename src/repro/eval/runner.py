@@ -107,12 +107,11 @@ def run_powcov(
 
     ``parallel`` is forwarded to :meth:`PowCovIndex.build`; ``None`` picks
     up the process-wide default (the CLI's ``--workers`` flag), keeping the
-    built index bit-for-bit identical either way.  ``builder=None``
-    likewise defers to the process-wide default build kernel (the CLI's
-    ``--build-kernel`` flag).  ``engine`` selects the
-    query-execution path (scalar vs. batched, see
-    :func:`repro.eval.metrics.evaluate_oracle`); answers are identical,
-    only timing and engine counters change.
+    built index bit-for-bit identical either way.  ``builder=None`` runs
+    the production wave builder; ``"traverse"`` and ``"brute"`` build the
+    same index more slowly.  ``engine`` selects the query-execution path
+    (scalar vs. batched, see :func:`repro.eval.metrics.evaluate_oracle`);
+    answers are identical, only timing and engine counters change.
 
     ``index_store`` (defaulting to the process-wide store installed by the
     CLI's ``--save-index`` / ``--load-index`` flags) short-circuits the

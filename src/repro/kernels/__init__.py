@@ -5,12 +5,10 @@ loops — the bit-parallel MS-BFS sweep (:mod:`repro.perf.batched`), the
 Theorem 2 one-removed subset sweep (:mod:`repro.core.powcov.waves`), and
 the ChromLand auxiliary-graph Dijkstra (:mod:`repro.core.chromland`).
 This package puts those loops behind a :class:`KernelBackend` protocol
-with three interchangeable implementations:
+with two interchangeable implementations:
 
 * ``"numpy"`` — the existing pure-numpy path, moved here verbatim.  It is
   the always-available fallback and the bit-identity reference.
-* ``"numba"`` — ``@njit(cache=True, nogil=True)`` mirrors of the loops.
-  Optional: ``pip install .[native]``; everything works without it.
 * ``"cext"`` — the same loops as C, compiled on demand with the system C
   compiler into a per-source-hash cached shared library and loaded via
   ``ctypes``.  Optional: needs ``cc``/``gcc``/``clang`` on ``PATH``.
@@ -26,8 +24,8 @@ Selection
 ``resolve_kernel(None)`` consults, in order: the process-wide default
 installed by :func:`set_default_kernel` (the CLI's ``--kernel`` flag),
 the ``REPRO_KERNEL`` environment variable, then ``"auto"``.  ``"auto"``
-probes ``numba`` then ``cext`` once (probes are memoized) and falls back
-to ``"numpy"``.  Explicitly requesting an unavailable compiled backend
+probes ``cext`` once (the probe is memoized) and falls back to
+``"numpy"``.  Explicitly requesting an unavailable compiled backend
 falls back to numpy with a single structured
 :class:`KernelFallbackWarning` per backend name — never one per build.
 """
@@ -52,10 +50,7 @@ __all__ = [
 ]
 
 #: Names accepted by ``--kernel`` / ``REPRO_KERNEL`` / ``set_default_kernel``.
-KERNEL_CHOICES = ("auto", "numpy", "numba", "cext")
-
-#: Probe order used by ``"auto"``: fastest available compiled backend wins.
-_AUTO_ORDER = ("numba", "cext")
+KERNEL_CHOICES = ("auto", "numpy", "cext")
 
 
 @runtime_checkable
@@ -64,8 +59,8 @@ class KernelBackend(Protocol):
 
     All methods operate on the caller's CSR arrays directly (``int64``
     indptr, ``int32`` neighbors, ``int16`` edge labels) so a backend never
-    needs the graph object — which is also what keeps the numba and C
-    signatures trivial.
+    needs the graph object — which is also what keeps the C signatures
+    trivial.
     """
 
     name: str
@@ -152,8 +147,7 @@ class KernelFallbackWarning(UserWarning):
         self.reason = reason
         super().__init__(
             f"kernel backend {requested!r} is unavailable ({reason}); "
-            f"falling back to {fallback!r} — install the optional extra "
-            f"(pip install 'repro-edbt2014[native]') for the numba backend"
+            f"falling back to {fallback!r}"
         )
 
 
@@ -186,10 +180,6 @@ def _load(name: str) -> KernelBackend | None:
                 from ._numpy import NumpyKernel
 
                 backend = NumpyKernel()
-            elif name == "numba":
-                from ._numba import NumbaKernel
-
-                backend = NumbaKernel()
             elif name == "cext":
                 from ._cext import CExtensionKernel
 
@@ -230,7 +220,7 @@ def _warn_fallback(requested: str) -> None:
 def available_kernels() -> tuple[str, ...]:
     """Concrete backend names importable in this process (probes all)."""
     return tuple(
-        name for name in ("numpy", "numba", "cext") if _load(name) is not None
+        name for name in ("numpy", "cext") if _load(name) is not None
     )
 
 
@@ -271,8 +261,8 @@ def resolve_kernel(
     ``None`` follows the default chain (``set_default_kernel`` →
     ``REPRO_KERNEL`` → ``"auto"``); a backend instance passes through
     untouched (the hot-path case: callers resolve once and hand the
-    instance down).  ``"auto"`` silently picks the fastest available
-    backend; an explicit ``"numba"``/``"cext"`` request that cannot be
+    instance down).  ``"auto"`` silently picks ``cext`` when it compiles
+    and numpy otherwise; an explicit ``"cext"`` request that cannot be
     satisfied falls back to numpy with one structured warning.
     """
     if kernel is not None and not isinstance(kernel, str):
@@ -283,11 +273,7 @@ def resolve_kernel(
     if name == "numpy":
         return _require_numpy()
     if name == "auto":
-        for candidate in _AUTO_ORDER:
-            backend = _load(candidate)
-            if backend is not None:
-                return backend
-        return _require_numpy()
+        return _load("cext") or _require_numpy()
     backend = _load(name)
     if backend is not None:
         return backend
@@ -308,4 +294,4 @@ def _reset_for_tests(clear_probes: bool = False) -> None:
         _default_kernel = None
         if clear_probes:
             _probe_failures.clear()
-            _backends.pop("numba", None)
+            _backends.pop("cext", None)

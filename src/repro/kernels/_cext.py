@@ -5,12 +5,11 @@ whatever ``cc``/``gcc``/``clang`` is on ``PATH`` (``$CC`` wins) into a
 shared library cached under ``REPRO_KERNEL_CACHE`` (default
 ``$XDG_CACHE_HOME/repro-kernels``) and loaded through ``ctypes`` — which
 releases the GIL for the duration of every call, so thread-parallel
-builds overlap exactly like the numba backend's ``nogil`` kernels.
+builds overlap.
 
-This backend exists because the numba extra cannot always be installed
-(no wheels for a new Python, hermetic build environments); any machine
-with a C compiler still gets native-speed kernels and the same
-bit-identity guarantees.  The loops mirror the numpy reference exactly:
+It needs nothing beyond a C compiler — no extra Python package — and
+keeps the numpy reference's bit-identity guarantees.  The loops mirror
+the numpy reference exactly:
 BFS levels are exact integers, the Theorem 2 sweep is an integer
 min/compare, and the Dijkstra replays numpy's IEEE operation order
 (first-minimum selection, same addition order, same early-exit test).

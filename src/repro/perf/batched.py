@@ -98,7 +98,7 @@ def batched_constrained_bfs(
         unreachable.  ``None`` (default) runs every row to exhaustion.
     kernel:
         Which :mod:`repro.kernels` backend runs the sweep: a backend
-        name (``"numpy"``/``"numba"``/``"cext"``/``"auto"``), an already
+        name (``"numpy"``/``"cext"``/``"auto"``), an already
         resolved backend instance, or ``None`` for the process default
         (``set_default_kernel`` → ``REPRO_KERNEL`` → ``"auto"``).  All
         backends are bit-identical; only wall-clock time changes.

@@ -97,7 +97,7 @@ def _parser() -> argparse.ArgumentParser:
                         help="build/persist indexes, then exit without "
                              "serving (CI warm-up)")
     parser.add_argument("--kernel", default=defaults.kernel,
-                        choices=["auto", "numpy", "numba", "cext"],
+                        choices=["auto", "numpy", "cext"],
                         help="execution kernel for the query engine")
     parser.add_argument("--batch-window", type=float,
                         default=defaults.batch_window,

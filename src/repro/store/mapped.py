@@ -16,6 +16,10 @@ and neither ever materializes per-pair Python objects.  When the arrays
 are ``np.memmap`` sections, only the pages a query actually touches are
 faulted in, and N worker processes mapping the same file share one
 physical copy through the page cache.
+
+A store file describes one graph version.  Repairing a delta therefore
+rebuilds the index in memory (:meth:`MappedPowCovIndex.build`), after
+which it serves and repairs like any in-memory PowCov index.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from ..core.powcov import PowCovIndex
 from ..core.types import INF
 from ..engine.executors import OracleExecutor, PowCovExecutor
 from ..graph.labeled_graph import EdgeLabeledGraph
+from ..perf.parallel import ParallelConfig
 
 __all__ = ["MappedTable", "MappedPowCovIndex", "MappedPowCovExecutor"]
 
@@ -132,12 +137,10 @@ class MappedPowCovIndex(PowCovIndex):
 
     Query answers are bit-identical to the flat in-memory layout (asserted
     by the persistence round-trip tests); only the physical lookup differs.
-    Mapped indexes are read-only serving objects: ``per_landmark`` is never
-    materialized, so they cannot be re-saved or used as build output.
+    While mapped, ``per_landmark`` is never materialized, so the index
+    cannot be re-saved or repaired in place; :meth:`build` replaces the
+    mapped tables with an in-memory flat build.
     """
-
-    #: Marks serving-only indexes; ``save_powcov``/``save_index`` reject them.
-    is_mapped = True
 
     def __init__(
         self,
@@ -148,18 +151,32 @@ class MappedPowCovIndex(PowCovIndex):
         estimator: str = "upper",
         stored_fingerprint: int | None = None,
     ) -> None:
-        super().__init__(
-            graph, landmarks, builder="traverse", storage="flat",
-            estimator=estimator,
-        )
+        super().__init__(graph, landmarks, storage="flat", estimator=estimator)
         if graph.directed and reverse is None:
             raise ValueError("directed mapped PowCov needs the reverse table")
         self.storage = "mapped"
-        self._forward = forward
+        self._forward: MappedTable | None = forward
         self._reverse = reverse if graph.directed else None
         #: fingerprint recorded in the store file (session open re-checks it).
         self.stored_fingerprint = stored_fingerprint
         self._built = True
+
+    @property
+    def is_mapped(self) -> bool:
+        """Whether lookups still read the store arrays (then ``save_index``
+        refuses the index)."""
+        return self._forward is not None
+
+    def build(self, parallel: "ParallelConfig | int | None" = None) -> "MappedPowCovIndex":
+        """Rebuild in memory on ``self.graph`` and stop serving the file.
+
+        The delta repair path calls this: the production builder fills
+        the flat tables, and every later lookup and repair uses them.
+        """
+        self._forward = self._reverse = None
+        self.storage = "flat"
+        super().build(parallel)
+        return self
 
     # ------------------------------------------------------------------
     # Lookup: searchsorted slicing instead of dict regrouping
@@ -171,6 +188,10 @@ class MappedPowCovIndex(PowCovIndex):
         label_mask: int,
         direction: str = "from-landmark",
     ) -> float:
+        if self._forward is None:
+            return super().landmark_distance(
+                landmark_index, vertex, label_mask, direction
+            )
         self._require_built()
         if vertex == self.landmarks[landmark_index]:
             return 0.0
@@ -179,25 +200,33 @@ class MappedPowCovIndex(PowCovIndex):
             return self._reverse.lookup_one(landmark_index, vertex, label_mask)
         return self._forward.lookup_one(landmark_index, vertex, label_mask)
 
-    def make_batch_executor(self) -> "MappedPowCovExecutor":
+    def make_batch_executor(self) -> PowCovExecutor:
+        if self._forward is None:
+            return PowCovExecutor(self)
         return MappedPowCovExecutor(self)
 
     # ------------------------------------------------------------------
     # Size accounting, from the arrays (Table 2)
     # ------------------------------------------------------------------
     def index_size_entries(self) -> int:
+        if self._forward is None:
+            return super().index_size_entries()
         total = len(self._forward)
         if self._reverse is not None:
             total += len(self._reverse)
         return total
 
     def reachable_pairs(self) -> int:
+        if self._forward is None:
+            return super().reachable_pairs()
         pairs = len(self._forward.pair_counts())
         if self._reverse is not None:
             pairs += len(self._reverse.pair_counts())
         return pairs
 
     def max_entries_per_pair(self) -> int:
+        if self._forward is None:
+            return super().max_entries_per_pair()
         counts = self._forward.pair_counts()
         return int(counts.max()) if len(counts) else 0
 
@@ -214,6 +243,7 @@ class MappedPowCovExecutor(PowCovExecutor):
         # Bypass PowCovExecutor.__init__: there are no flat dicts to pack.
         OracleExecutor.__init__(self, oracle)
         oracle._require_built()  # noqa: SLF001 - engine-facing friend class
+        assert oracle._forward is not None  # noqa: SLF001
         self._forward = oracle._forward  # noqa: SLF001
         self._reverse = oracle._reverse  # noqa: SLF001
         self._landmark_index_of = dict(oracle._landmark_index_of)  # noqa: SLF001

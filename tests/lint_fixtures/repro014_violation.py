@@ -4,12 +4,12 @@
 
 from __future__ import annotations
 
-import repro.kernels._numba
+import repro.kernels._cext
 from repro.kernels import _cext
 from repro.kernels._numpy import NumpyKernel
 
-from ..kernels._numba import NumbaKernel
+from ..kernels._cext import CExtensionKernel
 
 
 def make() -> object:
-    return NumpyKernel() or NumbaKernel() or _cext or repro.kernels._numba
+    return NumpyKernel() or CExtensionKernel() or _cext or repro.kernels._cext

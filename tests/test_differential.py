@@ -50,8 +50,8 @@ from repro.perf.parallel import SERIAL, ParallelConfig
 THREADS = ParallelConfig(num_workers=2, backend="thread", chunk_size=1)
 BACKENDS = {"serial": SERIAL, "thread": THREADS}
 POWCOV_BUILDERS = ("traverse", "wave")
-#: Kernel axis: every backend importable here (numpy always; numba and the
-#: on-demand C extension when their toolchains are present).
+#: Kernel axis: every backend importable here (numpy always; the
+#: on-demand C extension when a C compiler is present).
 AVAILABLE_KERNELS = available_kernels()
 
 DIFFERENTIAL = settings(

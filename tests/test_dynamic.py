@@ -294,6 +294,30 @@ class TestPowCovRepair:
         assert execute_batch(index, queries) == scalar
         assert session.run(queries) == scalar
 
+    def test_resweep_runs_the_build_code(self, base_graph, landmarks):
+        """A deletion re-sweep yields exactly what ``_build_landmark``
+        gives with the index's builder: entries and pruning counters."""
+        from repro.core.powcov.index import _build_landmark
+
+        index = PowCovIndex(base_graph, landmarks).build()
+        u, v, label = min(undirected_edge_set(base_graph))
+        new_graph = apply_delta(
+            base_graph, GraphDelta(deletions=((u, v, label),))
+        )
+        before = list(index.per_landmark)
+        stats = repair_powcov(index, new_graph)
+        resweeps = [
+            i for i, result in enumerate(index.per_landmark)
+            if result is not before[i]
+        ]
+        assert len(resweeps) == stats.landmarks_resweep >= 1
+        extra = index._build_task_extra()
+        assert extra["builder"] == index.builder == "wave"
+        for i in resweeps:
+            assert index.per_landmark[i] == _build_landmark(
+                new_graph, index.landmarks[i], extra
+            )
+
     def test_directed_falls_back_to_full_rebuild(self):
         rng = np.random.default_rng(7)
         edges = {
@@ -310,6 +334,66 @@ class TestPowCovRepair:
         stats = repair_powcov(index, new_graph)
         assert stats.full_rebuild
         assert_repair_matches_rebuild(index, queries=sample_queries(new_graph))
+
+
+class TestStoreBackedRepair:
+    """Repairing an index opened from a store file: the mapped PowCov
+    tables and the read-only ChromLand memmaps must not keep serving."""
+
+    @pytest.fixture(scope="class")
+    def biogrid(self):
+        from repro.graph.datasets import load_dataset
+        from repro.landmarks import select_landmarks
+
+        graph, _ = load_dataset("biogrid-sim", scale=0.2, seed=7)
+        return graph, select_landmarks(graph, 16, strategy="greedy-mvc", seed=7)
+
+    def test_mapped_powcov_deletions_match_rebuild(self, tmp_path, biogrid):
+        from repro.store.cache import IndexStore
+        from repro.workloads.streams import size_skewed_stream
+
+        graph, landmarks = biogrid
+        store = IndexStore(tmp_path)
+        store.save(PowCovIndex(graph, landmarks).build())
+        opened = store.load("powcov", graph)
+        assert opened.is_mapped
+        x = landmarks[0]
+        deletions = tuple(
+            (x, int(v), int(l))
+            for v, l in list(zip(graph.neighbors_of(x), graph.labels_of(x)))[:5]
+        )
+        new_graph = apply_delta(graph, GraphDelta(deletions=deletions))
+        assert repair_index(opened, new_graph).full_rebuild
+        assert not opened.is_mapped
+        queries = size_skewed_stream(new_graph, 2000, seed=0)
+        assert_repair_matches_rebuild(opened, queries=queries)
+        assert execute_batch(opened, queries) == execute_batch(
+            rebuild_reference(opened), queries
+        )
+        # Once rebuilt in memory, the next delta repairs incrementally.
+        newer = apply_delta(new_graph, GraphDelta(insertions=(deletions[0],)))
+        assert not repair_index(opened, newer).full_rebuild
+        assert_repair_matches_rebuild(opened, queries=queries[:200])
+
+    def test_chromland_repairs_a_private_copy(self, tmp_path, biogrid):
+        from repro.core.chromland.selection import majority_colors
+        from repro.store.cache import IndexStore
+
+        graph, landmarks = biogrid
+        store = IndexStore(tmp_path)
+        colors = majority_colors(graph, landmarks)
+        built = ChromLandIndex(graph, landmarks, colors).build()
+        store.save(built)
+        opened = store.load("chromland", graph)
+        assert not opened.mono.flags.writeable
+        u, v, label = min(undirected_edge_set(graph))
+        new_graph = apply_delta(graph, GraphDelta(deletions=((u, v, label),)))
+        assert repair_index(opened, new_graph).sweeps_rerun > 0
+        assert_repair_matches_rebuild(opened, queries=sample_queries(new_graph))
+        # The file still holds the pre-delta tables.
+        reopened = store.load("chromland", graph)
+        assert np.array_equal(reopened.mono, built.mono)
+        assert np.array_equal(reopened.bi, built.bi)
 
 
 # ----------------------------------------------------------------------

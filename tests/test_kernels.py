@@ -1,8 +1,7 @@
 """Property tests for :mod:`repro.kernels`: bit-identity and the registry.
 
-Each compiled backend (numba when importable, the on-demand C extension
-when a C compiler is on ``PATH``) is tested *in isolation* against the
-numpy reference for all four protocol methods — directed and undirected
+The compiled backend (the on-demand C extension, when a C compiler is on
+``PATH``) is tested *in isolation* against the numpy reference for all four protocol methods — directed and undirected
 graphs, weighted auxiliary graphs, and the PR-4 edge cases (empty graphs,
 a trailing vertex with no in-arcs, whose reversed-CSR segment is empty).
 Every comparison is exact ``==``: the kernels contract is bit-identity,
@@ -56,12 +55,10 @@ KERNEL_SETTINGS = settings(
 )
 
 
-@pytest.fixture(params=["numba", "cext"])
+@pytest.fixture(params=["cext"])
 def compiled(request):
     """One compiled backend, skipping when its toolchain is absent."""
     name = request.param
-    if name == "numba":
-        pytest.importorskip("numba")
     if name not in available_kernels():
         pytest.skip(f"{name} kernel backend unavailable in this environment")
     return resolve_kernel(name)
@@ -315,16 +312,16 @@ class TestRegistry:
         real_import = builtins.__import__
 
         def counting_import(name, *args, **kwargs):
-            if "_numba" in name:
+            if "_cext" in name:
                 attempts.append(name)
                 raise ImportError("forced by test")
             return real_import(name, *args, **kwargs)
 
         monkeypatch.setattr(builtins, "__import__", counting_import)
         try:
-            assert kernels._load("numba") is None
-            assert kernels._load("numba") is None
-            assert "numba" not in available_kernels()
+            assert kernels._load("cext") is None
+            assert kernels._load("cext") is None
+            assert "cext" not in available_kernels()
         finally:
             kernels._reset_for_tests(clear_probes=True)
         assert len(attempts) == 1
@@ -334,23 +331,23 @@ class TestRegistry:
         one structured warning — not one per build."""
         kernels._reset_for_tests()
         monkeypatch.setitem(
-            kernels._probe_failures, "numba", "ImportError: forced by test"
+            kernels._probe_failures, "cext", "ImportError: forced by test"
         )
-        monkeypatch.delitem(kernels._backends, "numba", raising=False)
+        monkeypatch.delitem(kernels._backends, "cext", raising=False)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            first = resolve_kernel("numba")
-            second = resolve_kernel("numba")
+            first = resolve_kernel("cext")
+            second = resolve_kernel("cext")
         assert first.name == "numpy" and second.name == "numpy"
         fallbacks = [
             w for w in caught if issubclass(w.category, KernelFallbackWarning)
         ]
         assert len(fallbacks) == 1
         message = fallbacks[0].message
-        assert message.requested == "numba"
+        assert message.requested == "cext"
         assert message.fallback == "numpy"
         assert "forced by test" in message.reason
-        assert "[native]" in str(message)
+        assert "falling back to 'numpy'" in str(message)
 
     def test_default_kernel_flows_into_builds(self):
         """``set_default_kernel`` steers ``batched_constrained_bfs`` when
@@ -407,9 +404,9 @@ class TestSpanAttribution:
         waves = collect(spans, "powcov.wave")
         assert waves, "wave builder emitted no powcov.wave spans"
         for s in waves:
-            assert str(s.tags.get("kernel")) in ("numpy", "numba", "cext")
+            assert str(s.tags.get("kernel")) in ("numpy", "cext")
         builds = collect(spans, "powcov.build")
         assert builds and all(
-            str(s.tags.get("kernel")) in ("numpy", "numba", "cext")
+            str(s.tags.get("kernel")) in ("numpy", "cext")
             for s in builds
         )

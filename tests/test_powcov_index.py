@@ -152,7 +152,7 @@ class TestStorageVariants:
         graph = labeled_erdos_renyi(30, 70, num_labels=3, seed=6)
         landmarks = [0, 15]
         results = {}
-        for builder in ("traverse", "traverse-paper", "brute"):
+        for builder in ("wave", "traverse", "brute"):
             index = PowCovIndex(graph, landmarks, builder=builder).build()
             results[builder] = [
                 index.query(s, t, m)
@@ -161,7 +161,7 @@ class TestStorageVariants:
                 for m in range(1, 8)
             ]
         assert results["traverse"] == results["brute"]
-        assert results["traverse"] == results["traverse-paper"]
+        assert results["traverse"] == results["wave"]
 
     def test_median_estimator_between_bounds(self):
         graph = labeled_erdos_renyi(40, 120, num_labels=3, seed=7)

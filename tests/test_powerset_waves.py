@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.powcov import (
     PowCovIndex,
     get_default_builder,
-    set_default_builder,
     traverse_powerset_waves,
     wave_schedule,
 )
@@ -143,17 +142,16 @@ class TestIndexIntegration:
         graph = labeled_erdos_renyi(32, 80, num_labels=4, seed=8)
         landmarks = [0, 11, 22]
         reference = PowCovIndex(graph, landmarks, builder="traverse").build()
-        for builder in ("wave", "wave-paper"):
-            for storage in ("flat", "packed", "trie"):
-                index = PowCovIndex(
-                    graph, landmarks, builder=builder, storage=storage
-                ).build()
-                for s in range(0, 32, 5):
-                    for t in range(1, 32, 6):
-                        for mask in range(1, 16):
-                            assert index.query(s, t, mask) == reference.query(
-                                s, t, mask
-                            ), (builder, storage, s, t, mask)
+        for storage in ("flat", "packed", "trie"):
+            index = PowCovIndex(
+                graph, landmarks, builder="wave", storage=storage
+            ).build()
+            for s in range(0, 32, 5):
+                for t in range(1, 32, 6):
+                    for mask in range(1, 16):
+                        assert index.query(s, t, mask) == reference.query(
+                            s, t, mask
+                        ), (storage, s, t, mask)
 
     @pytest.mark.parametrize(
         "parallel",
@@ -177,22 +175,22 @@ class TestIndexIntegration:
 
 
 class TestDefaultBuilder:
-    def test_default_is_traverse(self):
-        assert get_default_builder() == "traverse"
+    def test_default_is_wave(self):
+        assert get_default_builder() == "wave"
+        # An index constructed with builder=None runs the production builder.
+        graph = labeled_erdos_renyi(24, 55, num_labels=3, seed=3)
+        assert PowCovIndex(graph, [0, 12]).builder == "wave"
 
-    def test_set_and_restore(self):
-        try:
-            set_default_builder("wave")
-            assert get_default_builder() == "wave"
-            # An index constructed with builder=None picks up the default.
-            graph = labeled_erdos_renyi(24, 55, num_labels=3, seed=3)
-            index = PowCovIndex(graph, [0, 12])
-            assert index.builder == "wave"
-        finally:
-            set_default_builder(None)
-        assert get_default_builder() == "traverse"
+    def test_paper_builder_names_removed(self):
+        # Observation 4 is reachable only as the ``use_obs4`` flag of the
+        # two sweep functions, not as a builder name.
+        graph = labeled_erdos_renyi(24, 55, num_labels=3, seed=3)
+        for name in ("traverse-paper", "wave-paper"):
+            with pytest.raises(ValueError, match="builder"):
+                PowCovIndex(graph, [0, 12], builder=name)
 
     def test_rejects_unknown(self):
+        graph = labeled_erdos_renyi(24, 55, num_labels=3, seed=3)
         with pytest.raises(ValueError, match="builder"):
-            set_default_builder("psychic")
-        assert get_default_builder() == "traverse"
+            PowCovIndex(graph, [0, 12], builder="psychic")
+        assert get_default_builder() == "wave"

@@ -220,6 +220,40 @@ class TestDeltaRebind:
         with pytest.raises(UnknownGraphError):
             registry.apply_delta("nope", GraphDelta(insertions=((0, 1, 0),)))
 
+    def test_store_backed_deltas_answer_like_a_rebuild(self, tmp_path):
+        """Two deltas against store-opened PowCov and ChromLand indexes
+        (the serve CLI's ``--index`` recipe at its default scale): each
+        repair must answer exactly like a rebuild on the new graph."""
+        from repro.core.dynamic import rebuild_reference
+        from repro.engine import execute_batch
+        from repro.graph.datasets import load_dataset
+        from repro.serve.__main__ import build_oracle
+        from repro.workloads.streams import size_skewed_stream
+
+        graph, _ = load_dataset("biogrid-sim", scale=0.2, seed=7)
+        store = IndexStore(tmp_path)
+        kinds = ("powcov", "chromland")
+        for kind in kinds:
+            store.save(build_oracle(kind, graph, 16, 7))
+        registry = GraphRegistry()
+        registry.register_store("bio", graph, store, kinds=kinds)
+        warm = size_skewed_stream(graph, 200, seed=0)
+        for kind in kinds:
+            registry.session("bio", kind).run(warm)
+
+        first = GraphDelta(insertions=((231, 375, 0),))
+        u = 231
+        v, label = int(graph.neighbors_of(u)[0]), int(graph.labels_of(u)[0])
+        second = GraphDelta(deletions=((u, v, label),))
+        for delta in (first, second):
+            info = registry.apply_delta("bio", delta)
+            assert info["repaired"] == sorted(kinds)
+            queries = warm + size_skewed_stream(registry.graph("bio"), 300, seed=1)
+            for kind in kinds:
+                oracle = registry.oracle("bio", kind)
+                want = execute_batch(rebuild_reference(oracle), queries)
+                assert registry.session("bio", kind).run(queries) == want, kind
+
     def test_unloaded_store_loaders_dropped_after_delta(
         self, tmp_path, graph
     ):
