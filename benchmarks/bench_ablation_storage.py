@@ -1,8 +1,9 @@
-"""Ablation: PowCov storage layout — flat distance-sorted lists vs tries.
+"""Ablation: PowCov storage layout — the sorted table vs prefix trees.
 
-Section 3.1 proposes grouping same-distance label sets into prefix trees;
-this ablation measures the query-time and answers-identical trade-off of
-that choice against the flat layout.
+Section 3.1 proposes grouping same-distance label sets into prefix trees.
+The index keeps one sorted table; this ablation builds the paper's
+per-pair tries from that table on demand and measures the query-time and
+answers-identical trade-off of the two layouts.
 """
 
 from __future__ import annotations
@@ -10,36 +11,29 @@ from __future__ import annotations
 import pytest
 
 from repro.core.powcov import PowCovIndex
+from repro.core.trie import TrieOracle
 
 from conftest import run_queries
 
 
 @pytest.fixture(scope="module")
 def indexes(biogrid, biogrid_landmarks):
-    flat = PowCovIndex(biogrid, biogrid_landmarks, storage="flat").build()
-    trie = PowCovIndex(biogrid, biogrid_landmarks, storage="trie").build()
-    packed = PowCovIndex(biogrid, biogrid_landmarks, storage="packed").build()
-    return flat, trie, packed
+    table = PowCovIndex(biogrid, biogrid_landmarks).build()
+    return table, TrieOracle(table)
 
 
-def test_flat_queries(benchmark, indexes, biogrid_workload):
-    flat, _, _ = indexes
-    benchmark(run_queries, flat, biogrid_workload)
+def test_table_queries(benchmark, indexes, biogrid_workload):
+    table, _ = indexes
+    benchmark(run_queries, table, biogrid_workload)
 
 
 def test_trie_queries(benchmark, indexes, biogrid_workload):
-    _, trie, _ = indexes
+    _, trie = indexes
     benchmark(run_queries, trie, biogrid_workload)
 
 
-def test_packed_queries(benchmark, indexes, biogrid_workload):
-    _, _, packed = indexes
-    benchmark(run_queries, packed, biogrid_workload)
-
-
 def test_layouts_agree(indexes, biogrid_workload):
-    flat, trie, packed = indexes
+    table, trie = indexes
     for q in biogrid_workload.queries[:200]:
-        reference = flat.query(q.source, q.target, q.label_mask)
+        reference = table.query(q.source, q.target, q.label_mask)
         assert trie.query(q.source, q.target, q.label_mask) == reference
-        assert packed.query(q.source, q.target, q.label_mask) == reference

@@ -8,21 +8,21 @@ import numpy as np
 from repro.core.nearest import constrained_nearest, rank_candidates
 from repro.core.powcov import PowCovIndex, WeightedPowCovIndex
 from repro.core.reachability import LandmarkReachabilityIndex
-from repro.core.serialize import load_powcov, save_powcov
+from repro.core.serialize import load_index, save_index
 
 from conftest import BENCH_SEED
 
 
 def test_powcov_save(benchmark, biogrid, biogrid_powcov, tmp_path_factory):
-    path = tmp_path_factory.mktemp("ser") / "powcov.npz"
-    benchmark.pedantic(lambda: save_powcov(biogrid_powcov, path),
+    path = tmp_path_factory.mktemp("ser") / "powcov.repro"
+    benchmark.pedantic(lambda: save_index(biogrid_powcov, path),
                        rounds=2, iterations=1)
 
 
 def test_powcov_load(benchmark, biogrid, biogrid_powcov, tmp_path_factory):
-    path = tmp_path_factory.mktemp("ser") / "powcov.npz"
-    save_powcov(biogrid_powcov, path)
-    loaded = benchmark.pedantic(lambda: load_powcov(path, biogrid),
+    path = tmp_path_factory.mktemp("ser") / "powcov.repro"
+    save_index(biogrid_powcov, path)
+    loaded = benchmark.pedantic(lambda: load_index(path, biogrid),
                                 rounds=2, iterations=1)
     assert loaded.index_size_entries() == biogrid_powcov.index_size_entries()
 

@@ -1,15 +1,15 @@
 """Index-store benchmarks: cold start, file sizes, shared pages.
 
-The tentpole claims of the mmap store, measured:
+The claims of the mmap store, measured:
 
-* **Cold start** (open file → first query answered) of the zero-copy
-  store vs the eager npz archive — the mmap path parses a small JSON
-  header and maps the sections lazily, so it must be at least 5x faster.
-* **Size**: compressed (varint/delta) vs raw section bytes vs npz.
+* **Cold start** (open file → first query answered), raw and compressed:
+  opening parses a small JSON header and maps the sections lazily.
+* **Size**: compressed (varint/delta) vs raw section bytes.
 * **Shared pages**: two processes mapping the same store file add almost
-  no incremental RSS, because the page cache backs both mappings.
-* **Bit-identity**: npz-loaded, mmap-loaded and in-memory indexes answer
-  every workload query identically.
+  no incremental RSS, because the page cache backs both mappings — far
+  less than the private copy of the tables an eager load would make.
+* **Bit-identity**: opened (raw and compressed) and in-memory indexes
+  answer every workload query identically.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
-from time import perf_counter
 
 import pytest
 
@@ -32,14 +31,11 @@ from conftest import BENCH_SCALE, BENCH_SEED, run_queries
 def store_paths(tmp_path_factory, biogrid_powcov):
     root = tmp_path_factory.mktemp("index-store")
     paths = {
-        "npz": str(root / "index.npz"),
         "mmap": str(root / "index.repro"),
         "mmap-compressed": str(root / "index-small.repro"),
     }
-    save_index(biogrid_powcov, paths["npz"], format="npz")
-    save_index(biogrid_powcov, paths["mmap"], format="mmap")
-    save_index(biogrid_powcov, paths["mmap-compressed"], format="mmap",
-               compress=True)
+    save_index(biogrid_powcov, paths["mmap"])
+    save_index(biogrid_powcov, paths["mmap-compressed"], compress=True)
     return paths
 
 
@@ -49,11 +45,6 @@ def cold_start(path, graph, query):
         oracle = load_index(path, graph)
     with span("bench.first_query"):
         return oracle.query(query.source, query.target, query.label_mask)
-
-
-def test_cold_start_npz(benchmark, store_paths, biogrid, biogrid_workload):
-    query = biogrid_workload.queries[0]
-    benchmark(cold_start, store_paths["npz"], biogrid, query)
 
 
 def test_cold_start_mmap(benchmark, store_paths, biogrid, biogrid_workload):
@@ -78,36 +69,12 @@ def test_warm_queries_in_memory(benchmark, biogrid_powcov, biogrid_workload):
     benchmark(run_queries, biogrid_powcov, biogrid_workload)
 
 
-def test_cold_start_speedup_at_least_5x(store_paths, biogrid,
-                                        biogrid_workload):
-    """The acceptance bar: mmap open→first-query beats npz by >= 5x."""
-    query = biogrid_workload.queries[0]
-
-    def best_of(path, rounds=5):
-        best = float("inf")
-        for _ in range(rounds):
-            started = perf_counter()
-            cold_start(path, biogrid, query)
-            best = min(best, perf_counter() - started)
-        return best
-
-    npz_seconds = best_of(store_paths["npz"])
-    mmap_seconds = best_of(store_paths["mmap"])
-    speedup = npz_seconds / mmap_seconds
-    print(f"\ncold start: npz {npz_seconds * 1e3:.2f}ms, "
-          f"mmap {mmap_seconds * 1e3:.2f}ms, speedup {speedup:.1f}x")
-    assert speedup >= 5.0, (
-        f"mmap cold start only {speedup:.1f}x faster than npz"
-    )
-
-
 def test_size_ratios(store_paths):
     sizes = {name: os.path.getsize(path) for name, path in store_paths.items()}
     ratio_vs_raw = sizes["mmap-compressed"] / sizes["mmap"]
-    ratio_vs_npz = sizes["mmap-compressed"] / sizes["npz"]
-    print(f"\nsizes: npz {sizes['npz']}B, mmap raw {sizes['mmap']}B, "
+    print(f"\nsizes: mmap raw {sizes['mmap']}B, "
           f"mmap compressed {sizes['mmap-compressed']}B "
-          f"({ratio_vs_raw:.2f}x of raw, {ratio_vs_npz:.2f}x of npz)")
+          f"({ratio_vs_raw:.2f}x of raw)")
     assert sizes["mmap-compressed"] < sizes["mmap"]
 
 
@@ -127,51 +94,61 @@ import sys
 
 sys.path.insert(0, sys.argv[1])
 
-def rss_kb():
+def private_rss_kb():
+    # RssAnon: resident memory no other process can share (file-backed
+    # pages of a mapping are page-cache pages, shared by every mapper).
     with open("/proc/self/status", encoding="ascii") as handle:
         for line in handle:
-            if line.startswith("VmRSS:"):
+            if line.startswith("RssAnon:"):
                 return int(line.split()[1])
-    raise SystemExit("VmRSS not found")
+    raise SystemExit("RssAnon not found")
+
+import numpy as np
 
 from repro.core.serialize import load_index
 from repro.graph.datasets import load_dataset
+from repro.store import index_store  # noqa: F401 - imported before measuring
 
 graph, _ = load_dataset("biogrid-sim", scale=float(sys.argv[3]),
                         seed=int(sys.argv[4]))
-before = rss_kb()
+before = private_rss_kb()
 oracle = load_index(sys.argv[2], graph)
+if sys.argv[5] == "copy":
+    # What an eager load holds: a private copy of every column.
+    columns = [np.array(getattr(table, name))
+               for table in oracle.tables() for name in ("key", "dist", "mask")]
 full_mask = (1 << graph.num_labels) - 1
 oracle.query(0, graph.num_vertices - 1, full_mask)
-print(rss_kb() - before)
+print(private_rss_kb() - before)
 """
 
 
-def _child_rss_delta_kb(path):
+def _child_rss_delta_kb(path, mode="mapped"):
     src_dir = os.path.dirname(os.path.dirname(repro.__file__))
     result = subprocess.run(
         [sys.executable, "-c", _CHILD, src_dir, path,
-         str(BENCH_SCALE), str(BENCH_SEED)],
+         str(BENCH_SCALE), str(BENCH_SEED), mode],
         capture_output=True, text=True, check=True,
     )
     return int(result.stdout.strip())
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
-                    reason="needs Linux procfs for VmRSS")
+                    reason="needs Linux procfs for RssAnon")
 def test_two_processes_share_pages(store_paths):
     """Mapping the same store from two processes is nearly free in RSS.
 
-    Each child measures the RSS it gains from opening the index and
-    answering one query.  For the mapped store that gain is page-cache
-    reuse (a handful of touched pages); for npz it is a full private copy
-    of every table, so the mapped gain must be far smaller.
+    Each child measures the private (anonymous) RSS it gains from opening
+    the index and answering one query.  The mapped store's pages live in
+    the page cache, shared by every process that maps the file; a child
+    that copies the columns, as an eager load would, holds every table
+    privately, so the mapped gain must be far smaller.
     """
     mapped = [_child_rss_delta_kb(store_paths["mmap"]) for _ in range(2)]
-    eager = _child_rss_delta_kb(store_paths["npz"])
-    print(f"\nincremental RSS: mapped {mapped} kB per process, "
-          f"npz {eager} kB")
+    eager = _child_rss_delta_kb(store_paths["mmap"], mode="copy")
+    print(f"\nincremental private RSS: mapped {mapped} kB per process, "
+          f"private copy {eager} kB")
     for delta in mapped:
         assert delta < max(eager, 512), (
-            f"mapped process gained {delta} kB RSS vs {eager} kB for npz"
+            f"mapped process gained {delta} kB RSS vs {eager} kB for a copy"
         )

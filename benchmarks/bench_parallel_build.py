@@ -67,7 +67,7 @@ def test_powcov_serial_vs_parallel_speedup(benchmark, biogrid, biogrid_landmarks
         lambda: PowCovIndex(biogrid, biogrid_landmarks).build(parallel=PARALLEL_4),
         rounds=2,
     )
-    assert serial._flat == parallel._flat  # bit-identical output
+    assert serial.table == parallel.table  # bit-identical output
     benchmark.extra_info["serial_seconds"] = serial_seconds
     benchmark.extra_info["parallel_seconds"] = parallel_seconds
     benchmark.extra_info["speedup"] = serial_seconds / parallel_seconds

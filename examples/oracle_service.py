@@ -5,7 +5,8 @@ from the latency-critical serving path.  This example walks the full
 lifecycle on a BioMine-like graph:
 
 1. offline: select landmarks, build PowCov + ChromLand, save both to disk;
-2. online: load the indexes (no rebuild), answer a mixed query stream with
+2. online: open the indexes (no rebuild; the store files are mapped,
+   not parsed), answer a mixed query stream with
    a reachability prefilter (cheap certificates first, distance estimates
    only for certified-reachable pairs);
 3. report the latency budget of each stage.
@@ -26,12 +27,10 @@ import numpy as np
 from repro import (
     ChromLandIndex,
     PowCovIndex,
-    load_chromland,
     load_dataset,
-    load_powcov,
+    load_index,
     local_search_selection,
-    save_chromland,
-    save_powcov,
+    save_index,
     select_landmarks,
 )
 from repro.core.reachability import LandmarkReachabilityIndex
@@ -50,8 +49,8 @@ def offline_build(graph, k: int, directory: Path) -> dict:
     timings["chromland build"] = time.perf_counter() - started
 
     started = time.perf_counter()
-    save_powcov(powcov, directory / "powcov.npz")
-    save_chromland(chromland, directory / "chromland.npz")
+    save_index(powcov, directory / "powcov.repro")
+    save_index(chromland, directory / "chromland.repro")
     timings["serialize"] = time.perf_counter() - started
     return timings
 
@@ -59,8 +58,8 @@ def offline_build(graph, k: int, directory: Path) -> dict:
 def online_serve(graph, directory: Path, num_queries: int = 2000) -> dict:
     timings = {}
     started = time.perf_counter()
-    powcov = load_powcov(directory / "powcov.npz", graph)
-    load_chromland(directory / "chromland.npz", graph)
+    powcov = load_index(directory / "powcov.repro", graph)
+    load_index(directory / "chromland.repro", graph)
     timings["load"] = time.perf_counter() - started
 
     reach = LandmarkReachabilityIndex(graph, list(powcov.landmarks))

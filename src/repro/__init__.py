@@ -62,14 +62,10 @@ from .core import (
     WeightedPowCovIndex,
     assert_repair_matches_rebuild,
     constrained_nearest,
-    load_chromland,
     load_index,
-    load_powcov,
     rank_candidates,
     repair_index,
-    save_chromland,
     save_index,
-    save_powcov,
 )
 from .core.chromland import local_search_selection, random_selection
 from .engine import EngineConfig, QuerySession, execute_batch
@@ -111,12 +107,8 @@ __all__ = [
     "local_search_selection",
     "constrained_nearest",
     "rank_candidates",
-    "load_chromland",
     "load_index",
-    "load_powcov",
-    "save_chromland",
     "save_index",
-    "save_powcov",
     "RepairStats",
     "repair_index",
     "assert_repair_matches_rebuild",

@@ -10,8 +10,9 @@ paper's structural guarantees directly against the definitions:
   :class:`~repro.graph.labeled_graph.EdgeLabeledGraph`: consistent
   ``indptr``, in-range neighbors and labels, arc symmetry for undirected
   graphs, mask-domain limits.
-* :func:`audit_powcov` — Theorem 1 material: per-pair entries are
-  distance-sorted, duplicate-free and *mutually incomparable* (no stored
+* :func:`audit_powcov` — Theorem 1 material over the PowCov table: keys
+  in range and sorted, no landmark entry for itself, per-pair entries
+  ``(distance, mask)``-sorted, duplicate-free and *mutually incomparable* (no stored
   set is a subset of another stored set at an equal-or-smaller distance —
   otherwise the superset is not SP-minimal), plus a seeded spot-check
   that re-derives sampled entries with a constrained BFS and re-runs the
@@ -53,6 +54,7 @@ from ..graph.traversal import UNREACHABLE, constrained_bfs, constrained_distance
 if TYPE_CHECKING:
     from ..core.chromland import ChromLandIndex
     from ..core.powcov import PowCovIndex
+    from ..core.powcov.table import PowCovTable
     from ..core.types import DistanceOracle
 
 __all__ = [
@@ -210,67 +212,93 @@ def audit_graph(graph: EdgeLabeledGraph) -> list[AuditViolation]:
 # ----------------------------------------------------------------------
 # PowCov (Theorem 1 material)
 # ----------------------------------------------------------------------
-def _audit_powcov_tables(
+def _audit_powcov_table(
     graph: EdgeLabeledGraph,
-    flat: list[dict[int, list[tuple[int, int]]]],
+    table: "PowCovTable",
     landmarks: list[int],
     side: str,
 ) -> list[AuditViolation]:
-    """Structural checks over one family of flat per-landmark tables."""
+    """Structural checks over one PowCov table (forward or reverse)."""
     out: list[AuditViolation] = []
     universe = full_mask(graph.num_labels)
-
-    def where(i: int, u: int) -> str:
-        suffix = f" [{side}]" if side else ""
-        return f"landmark {i} (vertex {landmarks[i]}), vertex {u}{suffix}"
+    n = graph.num_vertices
+    k = len(landmarks)
+    suffix = f" [{side}]" if side else ""
 
     def bad(check: str, i: int, u: int, message: str) -> None:
-        out.append(AuditViolation(f"powcov.{check}", where(i, u), message))
+        location = f"landmark {i} (vertex {landmarks[i]}), vertex {u}{suffix}"
+        out.append(AuditViolation(f"powcov.{check}", location, message))
 
-    for i, entries in enumerate(flat):
-        if landmarks[i] in entries:
-            bad("self-entry", i, landmarks[i], "landmark stores entries for itself")
-        for u, pairs in entries.items():
-            if not 0 <= u < graph.num_vertices:
-                bad("vertex-range", i, u, f"vertex id outside [0, {graph.num_vertices})")
-                continue
-            if sorted(pairs) != pairs:
-                bad("entry-order", i, u, f"entries not (distance, mask)-sorted: {pairs}")
-            seen_masks: set[int] = set()
-            for d, mask in pairs:
-                if d <= 0:
-                    bad("entry-distance", i, u, f"non-positive distance {d} for mask "
-                        f"{mask_to_str(mask)}")
-                if mask <= 0 or mask & ~universe:
-                    bad("entry-mask-domain", i, u,
-                        f"mask {bin(mask)} outside the {graph.num_labels}-label universe")
-                if mask in seen_masks:
-                    bad("entry-duplicate", i, u, f"mask {mask_to_str(mask)} stored twice")
-                seen_masks.add(mask)
-            # Mutual incomparability: a stored subset at an equal-or-smaller
-            # distance makes the stored superset non-SP-minimal.
-            for a, (da, ma) in enumerate(pairs):
-                for db, mb in pairs[a + 1 :]:
-                    if ma != mb and ma & mb == ma and da <= db:
-                        bad(
-                            "incomparable", i, u,
-                            f"entry ({db}, {mask_to_str(mb)}) is dominated by "
-                            f"its stored subset ({da}, {mask_to_str(ma)}) — "
-                            "not SP-minimal",
-                        )
-                    if ma != mb and ma & mb == mb and db <= da:
-                        bad(
-                            "incomparable", i, u,
-                            f"entry ({da}, {mask_to_str(ma)}) is dominated by "
-                            f"its stored subset ({db}, {mask_to_str(mb)}) — "
-                            "not SP-minimal",
-                        )
+    key = np.asarray(table.key)
+    # -- key column: in range and sorted, or the runs mean nothing -------
+    outside = np.flatnonzero((key < 0) | (key >= table.key_of(k, 0)))
+    if len(outside):
+        row = int(outside[0])
+        out.append(AuditViolation(
+            "powcov.vertex-range", f"table row {row}{suffix}",
+            f"key {int(key[row])} outside the {k} landmarks x {n} vertices",
+        ))
+        return out
+    descending = np.flatnonzero(np.diff(key) < 0)
+    if len(descending):
+        row = int(descending[0]) + 1
+        out.append(AuditViolation(
+            "powcov.key-order", f"table row {row}{suffix}",
+            f"key {int(key[row])} follows the larger key {int(key[row - 1])}",
+        ))
+        return out
+    for i, x in enumerate(landmarks):
+        own = table.key_of(i, x)
+        lo, hi = np.searchsorted(key, [own, own + 1])
+        if hi > lo:
+            bad("self-entry", i, x, "landmark stores entries for itself")
+
+    # -- per (landmark, vertex) run: Theorem 1 order and minimality ------
+    counts = table.pair_counts()
+    starts = np.cumsum(counts) - counts
+    keys = key[starts].tolist()
+    dists = np.asarray(table.dist).tolist()
+    masks = np.asarray(table.mask).tolist()
+    for run_key, lo, count in zip(keys, starts.tolist(), counts.tolist()):
+        i, u = table.pair_of(run_key)
+        pairs = list(zip(dists[lo:lo + count], masks[lo:lo + count]))
+        if sorted(pairs) != pairs:
+            bad("entry-order", i, u, f"entries not (distance, mask)-sorted: {pairs}")
+        seen_masks: set[int] = set()
+        for d, mask in pairs:
+            if d <= 0:
+                bad("entry-distance", i, u, f"non-positive distance {d} for mask "
+                    f"{mask_to_str(mask)}")
+            if mask <= 0 or mask & ~universe:
+                bad("entry-mask-domain", i, u,
+                    f"mask {bin(mask)} outside the {graph.num_labels}-label universe")
+            if mask in seen_masks:
+                bad("entry-duplicate", i, u, f"mask {mask_to_str(mask)} stored twice")
+            seen_masks.add(mask)
+        # Mutual incomparability: a stored subset at an equal-or-smaller
+        # distance makes the stored superset non-SP-minimal.
+        for a, (da, ma) in enumerate(pairs):
+            for db, mb in pairs[a + 1 :]:
+                if ma != mb and ma & mb == ma and da <= db:
+                    bad(
+                        "incomparable", i, u,
+                        f"entry ({db}, {mask_to_str(mb)}) is dominated by "
+                        f"its stored subset ({da}, {mask_to_str(ma)}) — "
+                        "not SP-minimal",
+                    )
+                if ma != mb and ma & mb == mb and db <= da:
+                    bad(
+                        "incomparable", i, u,
+                        f"entry ({da}, {mask_to_str(ma)}) is dominated by "
+                        f"its stored subset ({db}, {mask_to_str(mb)}) — "
+                        "not SP-minimal",
+                    )
     return out
 
 
 def _spot_check_powcov(
     graph: EdgeLabeledGraph,
-    flat: list[dict[int, list[tuple[int, int]]]],
+    table: "PowCovTable",
     landmarks: list[int],
     side: str,
     samples: int,
@@ -278,18 +306,15 @@ def _spot_check_powcov(
 ) -> list[AuditViolation]:
     """Re-derive sampled entries with a constrained BFS (Theorem 2 test)."""
     out: list[AuditViolation] = []
-    population = [
-        (i, u, d, mask)
-        for i, entries in enumerate(flat)
-        for u, pairs in entries.items()
-        for d, mask in pairs
-    ]
-    if not population:
+    if len(table) == 0:
         return out
-    chosen = rng.sample(population, min(samples, len(population)))
+    rows = rng.sample(range(len(table)), min(samples, len(table)))
     # One BFS serves every sampled entry sharing a (landmark, mask) pair.
     dist_cache: dict[tuple[int, int], np.ndarray] = {}
-    for i, u, d, mask in chosen:
+    for row in rows:
+        i, u = table.pair_of(table.key[row])
+        d = table.dist[row].item()
+        mask = int(table.mask[row])
         key = (i, mask)
         dist = dist_cache.get(key)
         if dist is None:
@@ -342,20 +367,15 @@ def audit_powcov(
     if not getattr(index, "_built", False):
         raise ValueError("audit_powcov requires a built index (call build() first)")
     graph = index.graph
-    flat = index._flat  # noqa: SLF001 - the auditor is a friend module
-    out = _audit_powcov_tables(graph, flat, index.landmarks, side="")
     rng = random.Random(seed)
-    out.extend(_spot_check_powcov(graph, flat, index.landmarks, "", samples, rng))
-    if graph.directed and index._flat_reverse:  # noqa: SLF001
-        reversed_graph = graph.reversed()
-        flat_reverse = index._flat_reverse  # noqa: SLF001
+    out: list[AuditViolation] = []
+    for side, table in zip(("", "reverse"), index.tables()):
+        # The reverse table holds vertex -> landmark distances: re-derive
+        # them on the reversed graph.
+        bfs_graph = graph.reversed() if side else graph
+        out.extend(_audit_powcov_table(graph, table, index.landmarks, side))
         out.extend(
-            _audit_powcov_tables(graph, flat_reverse, index.landmarks, side="reverse")
-        )
-        out.extend(
-            _spot_check_powcov(
-                reversed_graph, flat_reverse, index.landmarks, "reverse", samples, rng
-            )
+            _spot_check_powcov(bfs_graph, table, index.landmarks, side, samples, rng)
         )
     return out
 

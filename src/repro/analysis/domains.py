@@ -288,8 +288,8 @@ class AbstractValue:
     (the value *is* a dtype object, e.g. ``np.int32`` bound to a variable),
     ``"iter"`` (an iterable whose element abstraction is ``elem``), or
     ``"unknown"``.  ``tag`` carries engine-private markers (currently
-    ``"mapped-table"`` for :class:`repro.store.mapped.MappedTable` values,
-    whose column arrays are read-only).
+    ``"mapped-table"`` for :class:`repro.core.powcov.table.PowCovTable`
+    values, whose column arrays are read-only).
     """
 
     dtypes: frozenset[DType] | None = None

@@ -21,7 +21,7 @@ replays the final states through three checkers:
 ``REPRO012`` / ``REPRO013`` (resources)
     Allocation-site lifecycle tracking for the shared-memory layer
     (``SharedGraphPack`` / ``SharedMemory`` / ``attach_graph``: REPRO012)
-    and for ``np.memmap`` handles plus read-only ``MappedTable`` columns
+    and for ``np.memmap`` handles plus read-only ``PowCovTable`` columns
     (REPRO013): use-after-close, ``unlink()`` before ``close()``, handles
     leaked on normal or exception paths, and writes into read-only views.
 
@@ -120,7 +120,8 @@ _CSR_READONLY = {
     "neighbors": AbstractValue(kind="array", domain=Domain.VERTEX, readonly=True),
     "edge_labels": AbstractValue(kind="array", readonly=True),
 }
-#: MappedTable column attributes (mmap-backed, mode="r").
+#: PowCovTable column attributes: possibly store mappings (mode="r"), and
+#: never written — a repair publishes new arrays instead.
 _MAPPED_COLUMNS = {
     "key": AbstractValue(dtypes=dtype_set(DType.INT64), kind="array", readonly=True),
     "dist": AbstractValue(
@@ -692,7 +693,7 @@ class _FunctionAnalyzer:
                     target,
                     "REPRO013",
                     "store into a read-only array view (memmap mode='r' / "
-                    "MappedTable column / CSR accessor)",
+                    "PowCovTable column / CSR accessor)",
                 )
             if (
                 report
@@ -1105,7 +1106,7 @@ class _FunctionAnalyzer:
                     node,
                     "REPRO013",
                     f".{name}() mutates a read-only array view (memmap "
-                    "mode='r' / MappedTable column / CSR accessor)",
+                    "mode='r' / PowCovTable column / CSR accessor)",
                 )
             return AbstractValue(kind="scalar")
         if name == "copy":

@@ -187,7 +187,7 @@ BUILTIN_SUMMARIES: dict[str, Summary] = {
     "SharedGraphPack": Summary((), creates="shm-pack"),
     "SharedMemory": Summary((), creates="shm-block"),
     "attach_graph": Summary(("descriptor",), creates="attached-graph"),
-    "MappedTable": Summary(
+    "PowCovTable": Summary(
         ("key", "dist", "mask", "num_landmarks", "num_vertices"),
         AbstractValue(tag="mapped-table"),
     ),

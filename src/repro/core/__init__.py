@@ -16,12 +16,8 @@ from .naive import NaivePowersetIndex
 from .nearest import constrained_nearest, rank_candidates
 from .powcov import PowCovIndex, WeightedPowCovIndex
 from .serialize import (
-    load_chromland,
     load_index,
-    load_powcov,
-    save_chromland,
     save_index,
-    save_powcov,
 )
 from .trie import LabelSetTrie
 from .types import INF, DistanceOracle, Query, QueryAnswer
@@ -47,10 +43,6 @@ __all__ = [
     "local_search_selection",
     "constrained_nearest",
     "rank_candidates",
-    "load_chromland",
     "load_index",
-    "load_powcov",
-    "save_chromland",
     "save_index",
-    "save_powcov",
 ]

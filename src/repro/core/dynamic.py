@@ -39,19 +39,24 @@ Falls back to per-landmark sweep rebuilds: only the mono/bi sweeps whose
 constraint mask intersects the delta's touched labels are re-run through
 the batched BFS kernel; everything else is carried over.
 
+Every PowCov repair publishes a new :class:`~repro.core.powcov.table.
+PowCovTable`: clean landmarks keep their slice of the old table, repaired
+and re-swept ones contribute new arrays, and one concatenation assembles
+the result — the old columns (possibly a read-only store mapping) are
+never written, so an index opened from a store file repairs exactly like
+a built one.
+
 Fallbacks
 ---------
-Directed or weighted PowCov indexes, unbuilt indexes and indexes served
-straight from a store file rebuild in full (reported via
-:attr:`RepairStats.full_rebuild`); a store-opened ChromLand index first
-copies its read-only tables.  Oracles without a build step (the BFS
+Directed or weighted PowCov indexes and unbuilt indexes rebuild in full
+(reported via :attr:`RepairStats.full_rebuild`); a store-opened ChromLand
+index first copies its read-only tables.  Oracles without a build step (the BFS
 baselines) just rebind their graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from time import perf_counter
 from typing import Any
 
@@ -74,7 +79,7 @@ from ..perf.batched import batched_constrained_bfs
 from .chromland import ChromLandIndex
 from .powcov import PowCovIndex, WeightedPowCovIndex
 from .powcov.spminimal import BIG
-from .trie import LabelSetTrie
+from .powcov.table import LandmarkArrays, PowCovTable
 from .types import DistanceOracle
 
 __all__ = [
@@ -194,27 +199,24 @@ def _flush_metrics(stats: RepairStats) -> None:
 # Theorem-1 reconstruction helpers (shared by both repair paths)
 # ----------------------------------------------------------------------
 def _endpoint_distances(
-    entries: dict[int, list[tuple[int, int]]],
+    entries: LandmarkArrays,
     landmark: int,
     vertex: int,
     masks: np.ndarray,
 ) -> np.ndarray:
     """``d_C(landmark, vertex)`` for every mask in ``masks`` (int32, BIG=∞).
 
-    Theorem 1: the minimum stored distance over subset entries; the pairs
-    are distance-sorted, so the first subset hit per mask is the minimum.
+    Theorem 1: the minimum stored distance over subset entries of the
+    vertex's run in the landmark's ``(vertex, dist, mask)``-sorted arrays.
     """
     if vertex == landmark:
         return np.zeros(len(masks), dtype=np.int32)
-    pairs = entries.get(vertex)
-    if not pairs:
+    vertices, dists, stored_masks = entries
+    lo, hi = np.searchsorted(vertices, [vertex, vertex + 1])
+    if lo == hi:
         return np.full(len(masks), BIG, dtype=np.int32)
-    pair_dists = np.fromiter(
-        (dist for dist, _ in pairs), dtype=np.int32, count=len(pairs)
-    )
-    pair_masks = np.fromiter(
-        (mask for _, mask in pairs), dtype=np.int64, count=len(pairs)
-    )
+    pair_dists = dists[lo:hi].astype(np.int32)
+    pair_masks = stored_masks[lo:hi]
     subset = (pair_masks[None, :] & masks[:, None]) == pair_masks[None, :]
     stored = np.where(subset, pair_dists[None, :], np.int32(BIG))
     return stored.min(axis=1).astype(np.int32)
@@ -295,27 +297,6 @@ def _stacked_subset_min(
     return stacked
 
 
-def _flatten_entries(
-    entries: dict[int, list[tuple[int, int]]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    counts = np.fromiter(
-        (len(pairs) for pairs in entries.values()),
-        dtype=np.int64, count=len(entries),
-    )
-    vertices = np.repeat(
-        np.fromiter(entries.keys(), dtype=np.int64, count=len(entries)),
-        counts,
-    )
-    total = int(counts.sum())
-    if total:
-        flat = np.fromiter(
-            chain.from_iterable(chain.from_iterable(entries.values())),
-            dtype=np.int64, count=2 * total,
-        ).reshape(-1, 2)
-        return vertices, flat[:, 0].astype(np.int32), flat[:, 1].copy()
-    return vertices, np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int64)
-
-
 def _decrease_only_bfs_multi(
     graph: EdgeLabeledGraph,
     masks: np.ndarray,
@@ -389,7 +370,7 @@ def _decrease_only_bfs_multi(
 # ----------------------------------------------------------------------
 def _deletion_dirty(
     graph: EdgeLabeledGraph,
-    entries: dict[int, list[tuple[int, int]]],
+    entries: LandmarkArrays,
     landmark: int,
     deletions: list[tuple[int, int, int]],
 ) -> bool:
@@ -422,7 +403,7 @@ def _deletion_dirty(
 
 def _insertion_seeds(
     new_graph: EdgeLabeledGraph,
-    entries: dict[int, list[tuple[int, int]]],
+    entries: LandmarkArrays,
     landmark: int,
     insertions: list[tuple[int, int, int]],
 ) -> tuple[dict[int, list[tuple[int, int]]], list[int]] | None:
@@ -493,7 +474,10 @@ class _LandmarkRepair:
     around that global step.
     """
 
-    entries: dict[int, list[tuple[int, int]]]
+    #: position of the landmark in ``index.landmarks``.
+    slot: int
+    #: the landmark's stored entries (its slice of the old table).
+    entries: LandmarkArrays
     landmark: int
     incident: int
     universe: int
@@ -511,18 +495,20 @@ class _LandmarkRepair:
 
 def _prepare_insertion_repair(
     new_graph: EdgeLabeledGraph,
-    entries: dict[int, list[tuple[int, int]]],
+    slot: int,
+    entries: LandmarkArrays,
     landmark: int,
     prepared: tuple[dict[int, list[tuple[int, int]]], list[int]],
     stats: RepairStats,
 ) -> _LandmarkRepair:
-    """Flatten the landmark's stored entries (everything before step 3)."""
+    """Everything before step 3, over the landmark's stored entries."""
     seeds_by_mask, dirty_sorted = prepared
-    flat_vertices, flat_dists, flat_masks = _flatten_entries(entries)
+    flat_vertices, stored_dists, flat_masks = entries
     improved = sorted(seeds_by_mask)
     stats.rows_reconstructed += len(improved)
     stats.rows_relaxed += len(improved)
     return _LandmarkRepair(
+        slot=slot,
         entries=entries,
         landmark=landmark,
         incident=new_graph.incident_label_mask(landmark),
@@ -530,7 +516,7 @@ def _prepare_insertion_repair(
         seeds_by_mask=seeds_by_mask,
         dirty_sorted=dirty_sorted,
         flat_vertices=flat_vertices,
-        flat_dists=flat_dists,
+        flat_dists=stored_dists.astype(np.int32),
         flat_masks=flat_masks,
         improved=improved,
         improved_arr=np.asarray(improved, dtype=np.int64),
@@ -543,44 +529,33 @@ def _splice_pairs(
     add_verts: np.ndarray,
     add_dists: np.ndarray,
     add_masks: np.ndarray,
-    num_vertices: int,
-) -> None:
-    """Apply exact pair-level edits to one landmark's entry lists.
+) -> LandmarkArrays:
+    """The landmark's new ``(vertex, dist, mask)`` arrays after exact edits.
 
-    ``rem_idx`` indexes the flattened stored pairs to drop; the ``add_*``
-    triples are the new pairs.  Only the lists of vertices with an actual
-    edit are rebuilt — surviving stored pairs plus the additions, one
-    lexsort restoring the (distance, mask) order.
+    ``rem_idx`` indexes the stored entries to drop; the ``add_*`` triples
+    are the new entries.  Only the runs of vertices with an actual edit
+    are re-sorted; they are merged back between the untouched runs, which
+    keep their order.  The stored arrays are never written.
     """
     if len(rem_idx) == 0 and len(add_verts) == 0:
-        return
-    entries = ctx.entries
-    flat_vertices = ctx.flat_vertices
-    touched = np.unique(np.concatenate([flat_vertices[rem_idx], add_verts]))
-    touched_lut = np.zeros(num_vertices, dtype=bool)
-    touched_lut[touched] = True
-    base_sel = touched_lut[flat_vertices]
-    base_sel[rem_idx] = False
-    all_vertices = np.concatenate([flat_vertices[base_sel], add_verts])
-    all_dists = np.concatenate([ctx.flat_dists[base_sel], add_dists])
-    all_masks = np.concatenate([ctx.flat_masks[base_sel], add_masks])
-    order = np.lexsort((all_masks, all_dists, all_vertices))
-    sorted_vertices = all_vertices[order]
-    pair_list = list(
-        zip(all_dists[order].tolist(), all_masks[order].tolist())
+        return ctx.entries
+    vertices, dists, masks = ctx.entries
+    touched = np.isin(vertices, np.concatenate([vertices[rem_idx], add_verts]))
+    rest = touched.copy()
+    rest[rem_idx] = False
+    block_vertices = np.concatenate([vertices[rest], add_verts]).astype(np.int64)
+    block_dists = np.concatenate([dists[rest], add_dists]).astype(np.int64)
+    block_masks = np.concatenate([masks[rest], add_masks]).astype(np.int64)
+    order = np.lexsort((block_masks, block_dists, block_vertices))
+    # Touched and untouched vertex runs are disjoint, so the vertex alone
+    # places each re-sorted block entry among the untouched runs.
+    kept = ~touched
+    at = np.searchsorted(vertices[kept], block_vertices[order])
+    return (
+        np.insert(vertices[kept], at, block_vertices[order]),
+        np.insert(dists[kept], at, block_dists[order]),
+        np.insert(masks[kept], at, block_masks[order]),
     )
-    for w in touched.tolist():
-        entries.pop(w, None)
-    if len(sorted_vertices):
-        boundary = np.empty(len(sorted_vertices), dtype=bool)
-        boundary[0] = True
-        np.not_equal(
-            sorted_vertices[1:], sorted_vertices[:-1], out=boundary[1:]
-        )
-        bounds = np.flatnonzero(boundary).tolist()
-        bounds.append(len(sorted_vertices))
-        for i, w in enumerate(sorted_vertices[boundary].tolist()):
-            entries[w] = pair_list[bounds[i]:bounds[i + 1]]
 
 
 def _finish_insertion_repairs(
@@ -589,14 +564,14 @@ def _finish_insertion_repairs(
     stacked: np.ndarray,
     all_rows: np.ndarray,
     stats: RepairStats,
-) -> None:
+) -> list[LandmarkArrays]:
     """Steps 4–5 for every repairable landmark in one matrix pass.
 
     ``all_rows`` must already hold the *post-delta* improved rows of all
     contexts, concatenated in context order (the global decrease-only
     relaxation ran between prepare and finish); ``stacked`` is their
     shared subset-min lattice from :func:`_stacked_subset_min`, still
-    carrying the *old* rows.
+    carrying the *old* rows.  Returns each context's new entry arrays.
     """
     num_vertices = new_graph.num_vertices
     universe = contexts[0].universe
@@ -719,37 +694,37 @@ def _finish_insertion_repairs(
     row_bounds = np.cumsum([0] + [len(ctx.improved) for ctx in contexts])
     add_pos = np.flatnonzero(add_sel)
     add_split = np.searchsorted(mask_idx[add_pos], row_bounds)
+    repaired: list[LandmarkArrays] = []
     for j, ctx in enumerate(contexts):
         rem_imp = stored_imp_idx[j][
             rem_stored[stored_bounds[j]:stored_bounds[j + 1]]
         ]
         rem_chk = check_idx[j][~survives[chk_bounds[j]:chk_bounds[j + 1]]]
         pos = add_pos[add_split[j]:add_split[j + 1]]
-        _splice_pairs(
+        repaired.append(_splice_pairs(
             ctx,
             np.concatenate([rem_imp, rem_chk]),
             vertex_idx[pos],
             emit_dists[pos],
             imp_masks[mask_idx[pos]],
-            num_vertices,
-        )
+        ))
+    return repaired
 
 
 def _finish_insertion_repair(
     new_graph: EdgeLabeledGraph, ctx: _LandmarkRepair, stats: RepairStats
-) -> None:
+) -> LandmarkArrays:
     """Lazy steps 4–5 for one landmark (no dense lattice in memory).
 
     ``ctx.work`` must already hold the *post-delta* improved rows (the
     global decrease-only relaxation ran between prepare and finish);
     every other row is reconstructed from the stored entries on demand.
+    Returns the landmark's new entry arrays.
     """
     num_vertices = new_graph.num_vertices
-    entries = ctx.entries
     landmark = ctx.landmark
     incident = ctx.incident
     dirty_sorted = ctx.dirty_sorted
-    dirty = set(dirty_sorted)
     flat_vertices = ctx.flat_vertices
     flat_dists = ctx.flat_dists
     flat_masks = ctx.flat_masks
@@ -779,8 +754,10 @@ def _finish_insertion_repair(
     # (Theorem 2 over one-removed subset rows; Observation 2's
     # ``d >= |C|`` filter is implied by minimality, so applying it keeps
     # the output identical).
-    stats.masks_dirty += len(dirty)
-    replacements: dict[int, list[tuple[int, int]]] = {}
+    stats.masks_dirty += len(dirty_sorted)
+    add_verts: list[np.ndarray] = []
+    add_dists: list[np.ndarray] = []
+    add_masks: list[np.ndarray] = []
     for mask in dirty_sorted:
         row = row_for(mask)
         assert row is not None  # dirty masks intersect ``incident``
@@ -800,30 +777,22 @@ def _finish_insertion_repair(
         minimal_1d = (
             candidate_1d if best_1d is None else candidate_1d & (row < best_1d)
         )
-        replacements[mask] = [
-            (int(u), int(row[u])) for u in np.nonzero(minimal_1d)[0]
-        ]
+        vertices = np.flatnonzero(minimal_1d)
+        add_verts.append(vertices)
+        add_dists.append(row[vertices])
+        add_masks.append(np.full(len(vertices), mask, dtype=np.int64))
 
     # Step 5: splice — drop every stored entry with a dirty mask, insert
-    # the recomputed ones, restore the per-vertex (distance, mask) order.
-    touched_vertices: set[int] = set()
-    for u in list(entries):
-        pairs = entries[u]
-        kept_pairs = [pair for pair in pairs if pair[1] not in dirty]
-        if len(kept_pairs) != len(pairs):
-            entries[u] = kept_pairs
-            touched_vertices.add(u)
-    for mask in dirty_sorted:
-        for u, dist in replacements[mask]:
-            entries.setdefault(u, []).append((dist, mask))
-            touched_vertices.add(u)
-    for u in touched_vertices:
-        if u in entries:
-            if entries[u]:
-                entries[u].sort()
-            else:
-                del entries[u]
-    return
+    # the recomputed ones.
+    dirty_lut = np.zeros(ctx.universe + 1, dtype=bool)
+    dirty_lut[np.asarray(dirty_sorted, dtype=np.int64)] = True
+    return _splice_pairs(
+        ctx,
+        np.flatnonzero(dirty_lut[flat_masks]),
+        np.concatenate(add_verts),
+        np.concatenate(add_dists),
+        np.concatenate(add_masks),
+    )
 
 
 def repair_powcov(
@@ -836,13 +805,21 @@ def repair_powcov(
     indexes that were never built) fall back to a full rebuild.
     """
     delta = _require_descendant(index.graph, new_graph)
+    if (
+        index.table is not None
+        and index.table.dist.dtype.kind == "f"
+        and not isinstance(index, WeightedPowCovIndex)
+    ):
+        raise ValueError(
+            "cannot repair a weighted PowCov index opened from a store "
+            "file: the file does not hold the arc weights"
+        )
     stats = RepairStats(kind="powcov", num_landmarks=len(index.landmarks))
     started = perf_counter()
     with span("dynamic.repair_powcov", ops=delta.num_ops) as repair_span:
         fine_grained = (
             index._built
             and not index.graph.directed
-            and not getattr(index, "is_mapped", False)
             and not isinstance(index, WeightedPowCovIndex)
         )
         if not fine_grained:
@@ -850,103 +827,8 @@ def repair_powcov(
             index.build()
             stats.full_rebuild = True
         else:
-            old_graph = index.graph
-            insertions = list(delta.insertions) + [
-                (u, v, new_label) for u, v, _old, new_label in delta.relabels
-            ]
-            deletions = list(delta.deletions) + [
-                (u, v, old_label) for u, v, old_label, _new in delta.relabels
-            ]
-            repairable: list[int] = []
-            for i, landmark in enumerate(index.landmarks):
-                if deletions and _deletion_dirty(
-                    old_graph, index._flat[i], landmark, deletions
-                ):
-                    result = index._build_one(landmark, new_graph)
-                    index.per_landmark[i] = result
-                    index._flat[i] = result.entries
-                    stats.landmarks_resweep += 1
-                else:
-                    repairable.append(i)
-            contexts: list[_LandmarkRepair] = []
-            if insertions and repairable:
-                for i in repairable:
-                    prepared = _insertion_seeds(
-                        new_graph, index._flat[i], index.landmarks[i],
-                        insertions,
-                    )
-                    if prepared is None:
-                        stats.landmarks_clean += 1
-                        continue
-                    contexts.append(
-                        _prepare_insertion_repair(
-                            new_graph, index._flat[i], index.landmarks[i],
-                            prepared, stats,
-                        )
-                    )
-                    stats.landmarks_repaired += 1
-            else:
-                stats.landmarks_clean += len(repairable)
-            if contexts:
-                num_vertices = new_graph.num_vertices
-                universe = contexts[0].universe
-                stride = universe + 1
-                stacked: np.ndarray | None = None
-                if stride * num_vertices <= _SOS_TABLE_CELLS:
-                    # One zeta transform recovers every old row of every
-                    # landmark at once; the stacked lattice is transient
-                    # (dropped as soon as the repair completes).
-                    stacked = _stacked_subset_min(
-                        contexts, num_vertices, universe
-                    )
-                    for j, ctx in enumerate(contexts):
-                        # Fancy index -> a *copy* of the old improved rows.
-                        ctx.work = stacked[j * stride + ctx.improved_arr]
-                else:
-                    for ctx in contexts:
-                        ctx.work = np.stack(
-                            [
-                                _reconstruct_row(
-                                    ctx.flat_vertices, ctx.flat_dists,
-                                    ctx.flat_masks, ctx.landmark,
-                                    num_vertices, mask,
-                                )
-                                for mask in ctx.improved
-                            ]
-                        )
-                # Step 3, globally: one decrease-only frontier relaxation
-                # over every repairable landmark's improved rows at once.
-                all_rows = np.concatenate([ctx.work for ctx in contexts])
-                all_masks = np.concatenate(
-                    [ctx.improved_arr for ctx in contexts]
-                )
-                seed_lists = [
-                    ctx.seeds_by_mask[mask]
-                    for ctx in contexts
-                    for mask in ctx.improved
-                ]
-                stats.vertices_touched += _decrease_only_bfs_multi(
-                    new_graph, all_masks, all_rows, seed_lists
-                )
-                if stacked is not None:
-                    _finish_insertion_repairs(
-                        new_graph, contexts, stacked, all_rows, stats
-                    )
-                else:
-                    offset = 0
-                    for ctx in contexts:
-                        ctx.work = all_rows[offset:offset + len(ctx.improved)]
-                        offset += len(ctx.improved)
-                        _finish_insertion_repair(new_graph, ctx, stats)
+            _repair_table(index, new_graph, delta, stats)
             index.graph = new_graph
-            if index.storage == "packed":
-                index._build_packed()
-            if index.storage == "trie":
-                index._tries = _rebuild_tries(index._flat)
-            # The engine memoizes its packed executor on the identity of
-            # ``_flat``; swap in a fresh list (same entry dicts) so the
-            # next ``executor_for`` call rebuilds its view of the tables.
-            index._flat = list(index._flat)
         repair_span.count("landmarks_resweep", stats.landmarks_resweep)
         repair_span.count("rows_relaxed", stats.rows_relaxed)
     _clear_stored_fingerprint(index)
@@ -955,21 +837,110 @@ def repair_powcov(
     return stats
 
 
-def _rebuild_tries(
-    flat: list[dict[int, list[tuple[int, int]]]],
-) -> list[dict[int, list[tuple[int, LabelSetTrie]]]]:
-    tries: list[dict[int, list[tuple[int, LabelSetTrie]]]] = []
-    for entries in flat:
-        per_vertex: dict[int, list[tuple[int, LabelSetTrie]]] = {}
-        for u, pairs in entries.items():
-            groups: list[tuple[int, LabelSetTrie]] = []
-            for dist, mask in pairs:  # pairs are distance-sorted
-                if not groups or groups[-1][0] != dist:
-                    groups.append((dist, LabelSetTrie()))
-                groups[-1][1].insert(mask)
-            per_vertex[u] = groups
-        tries.append(per_vertex)
-    return tries
+def _repair_table(
+    index: PowCovIndex,
+    new_graph: EdgeLabeledGraph,
+    delta: GraphDelta,
+    stats: RepairStats,
+) -> None:
+    """Incremental repair of an undirected, unweighted, built index."""
+    table = index.table
+    assert table is not None
+    old_graph = index.graph
+    insertions = list(delta.insertions) + [
+        (u, v, new_label) for u, v, _old, new_label in delta.relabels
+    ]
+    deletions = list(delta.deletions) + [
+        (u, v, old_label) for u, v, old_label, _new in delta.relabels
+    ]
+    parts = [table.landmark_slice(i) for i in range(len(index.landmarks))]
+    repairable: list[int] = []
+    for i, landmark in enumerate(index.landmarks):
+        if deletions and _deletion_dirty(old_graph, parts[i], landmark, deletions):
+            result = index._build_one(landmark, new_graph)
+            parts[i] = result.arrays
+            if index.per_landmark:
+                index.per_landmark[i] = result.stats_only()
+            stats.landmarks_resweep += 1
+        else:
+            repairable.append(i)
+    contexts: list[_LandmarkRepair] = []
+    if insertions and repairable:
+        for i in repairable:
+            prepared = _insertion_seeds(
+                new_graph, parts[i], index.landmarks[i], insertions
+            )
+            if prepared is None:
+                stats.landmarks_clean += 1
+                continue
+            contexts.append(
+                _prepare_insertion_repair(
+                    new_graph, i, parts[i], index.landmarks[i], prepared, stats
+                )
+            )
+            stats.landmarks_repaired += 1
+    else:
+        stats.landmarks_clean += len(repairable)
+    if contexts:
+        for ctx, repaired in zip(
+            contexts, _repair_insertions(new_graph, contexts, stats)
+        ):
+            parts[ctx.slot] = repaired
+    if stats.landmarks_resweep or contexts:
+        # Publish new arrays; the old columns are never written.
+        index.table = PowCovTable.from_landmarks(parts, new_graph.num_vertices)
+
+
+def _repair_insertions(
+    new_graph: EdgeLabeledGraph,
+    contexts: list[_LandmarkRepair],
+    stats: RepairStats,
+) -> list[LandmarkArrays]:
+    """Steps 3–5 for every repairable landmark: new arrays per context."""
+    num_vertices = new_graph.num_vertices
+    universe = contexts[0].universe
+    stride = universe + 1
+    stacked: np.ndarray | None = None
+    if stride * num_vertices <= _SOS_TABLE_CELLS:
+        # One zeta transform recovers every old row of every landmark at
+        # once; the stacked lattice is transient (dropped as soon as the
+        # repair completes).
+        stacked = _stacked_subset_min(contexts, num_vertices, universe)
+        for j, ctx in enumerate(contexts):
+            # Fancy index -> a *copy* of the old improved rows.
+            ctx.work = stacked[j * stride + ctx.improved_arr]
+    else:
+        for ctx in contexts:
+            ctx.work = np.stack(
+                [
+                    _reconstruct_row(
+                        ctx.flat_vertices, ctx.flat_dists, ctx.flat_masks,
+                        ctx.landmark, num_vertices, mask,
+                    )
+                    for mask in ctx.improved
+                ]
+            )
+    # Step 3, globally: one decrease-only frontier relaxation over every
+    # repairable landmark's improved rows at once.
+    all_rows = np.concatenate([ctx.work for ctx in contexts])
+    all_masks = np.concatenate([ctx.improved_arr for ctx in contexts])
+    seed_lists = [
+        ctx.seeds_by_mask[mask] for ctx in contexts for mask in ctx.improved
+    ]
+    stats.vertices_touched += _decrease_only_bfs_multi(
+        new_graph, all_masks, all_rows, seed_lists
+    )
+    if stacked is not None:
+        return _finish_insertion_repairs(
+            new_graph, contexts, stacked, all_rows, stats
+        )
+    repaired: list[LandmarkArrays] = []
+    offset = 0
+    for ctx in contexts:
+        ctx.work = all_rows[offset:offset + len(ctx.improved)]
+        offset += len(ctx.improved)
+        repaired.append(_finish_insertion_repair(new_graph, ctx, stats))
+    return repaired
 
 
 # ----------------------------------------------------------------------
@@ -1129,10 +1100,29 @@ def rebuild_reference(index: DistanceOracle) -> DistanceOracle:
             index.graph,
             index.landmarks,
             builder=index.builder,
-            storage=index.storage,
             estimator=index.estimator,
         ).build()
     raise TypeError(f"no rebuild reference for {type(index).__name__}")
+
+
+def _assert_same_table(
+    landmarks: list[int], got: PowCovTable, want: PowCovTable, side: str
+) -> None:
+    """Raise with the first diverging landmark's vertices unless equal."""
+    if got == want:
+        return
+    for i, landmark in enumerate(landmarks):
+        ours = set(zip(*(col.tolist() for col in got.landmark_slice(i))))
+        theirs = set(zip(*(col.tolist() for col in want.landmark_slice(i))))
+        if ours != theirs:
+            vertices = sorted({u for u, _dist, _mask in ours ^ theirs})
+            raise AssertionError(
+                f"repair diverged: landmark {landmark} entries differ at "
+                f"vertices {vertices[:5]}{side}"
+            )
+    raise AssertionError(
+        f"repair diverged: table dtypes or shape differ from rebuild{side}"
+    )
 
 
 def assert_repair_matches_rebuild(
@@ -1141,7 +1131,7 @@ def assert_repair_matches_rebuild(
 ) -> None:
     """Differential check: a repaired index must equal a fresh rebuild.
 
-    Compares the stored tables bit-for-bit (PowCov entry dicts, ChromLand
+    Compares the stored tables bit-for-bit (PowCov tables, ChromLand
     matrices) and, when ``queries`` are given, asserts exact answer
     equality.  Raises ``AssertionError`` with a located diagnosis on the
     first divergence.
@@ -1164,17 +1154,10 @@ def assert_repair_matches_rebuild(
             )
     elif isinstance(index, PowCovIndex):
         assert isinstance(reference, PowCovIndex)
-        for i, landmark in enumerate(index.landmarks):
-            if index._flat[i] != reference._flat[i]:
-                diff = {
-                    u
-                    for u in set(index._flat[i]) | set(reference._flat[i])
-                    if index._flat[i].get(u) != reference._flat[i].get(u)
-                }
-                raise AssertionError(
-                    f"repair diverged: landmark {landmark} entries differ at "
-                    f"vertices {sorted(diff)[:5]}"
-                )
+        for side, got, want in zip(
+            ("", " [reverse]"), index.tables(), reference.tables()
+        ):
+            _assert_same_table(index.landmarks, got, want, side)
     else:
         raise TypeError(f"no differential check for {type(index).__name__}")
     if queries:

@@ -8,25 +8,12 @@ the minimum stored distance over entries whose label set is a subset of
 the classic landmark triangle inequality over those exact reconstructed
 distances.
 
-Three physical layouts are provided (Section 3.1 suggests grouping equal
--distance label sets into a prefix tree):
-
-* ``storage="flat"`` (default) — per pair, a distance-sorted list of
-  ``(d, mask)`` tuples; the subset probe is a linear scan with
-  ``mask & C == mask`` that exits at the first (= minimum-distance) hit.
-  The early exit makes this the fastest layout at realistic entry counts
-  (see the storage ablation benchmark).
-* ``storage="packed"`` — all entries of all landmarks in three parallel
-  numpy arrays sorted by ``(vertex, distance)`` with a CSR offset per
-  vertex; a query resolves *every* landmark's constrained distance to an
-  endpoint in a handful of vectorized operations.  Wins only when ``k``
-  times the per-pair entry count is large.
-* ``storage="trie"`` — per pair, distance-ascending groups each holding a
-  :class:`~repro.core.trie.LabelSetTrie`; the probe asks each group
-  ``contains_subset_of(C)``.
-
-All layouts answer identically; the storage ablation benchmark measures
-their space/time trade-offs.
+The entries live in one :class:`~repro.core.powcov.table.PowCovTable`
+(a second one holds the reversed-graph entries of a directed index),
+whether the index was built in memory or opened from a store file.
+Section 3.1's prefix-tree grouping of equal-distance label sets is
+measured by the storage ablation benchmark, which builds its tries from
+the table on demand.
 """
 
 from __future__ import annotations
@@ -39,9 +26,9 @@ from ...graph.labeled_graph import EdgeLabeledGraph
 from ...kernels import kernel_name
 from ...obs.trace import span
 from ...perf.parallel import ParallelConfig, resolve_parallel, run_tasks
-from ..trie import LabelSetTrie
 from ..types import INF, DistanceOracle, QueryAnswer
 from .spminimal import LandmarkSPMinimal, brute_force_sp_minimal, traverse_powerset
+from .table import PowCovTable
 from .waves import traverse_powerset_waves
 
 __all__ = [
@@ -49,7 +36,6 @@ __all__ = [
     "get_default_builder",
 ]
 
-_STORAGES = ("packed", "flat", "trie")
 _BUILDERS = ("wave", "traverse", "brute")
 _ESTIMATORS = ("upper", "median")
 
@@ -82,8 +68,6 @@ class PowCovIndex(DistanceOracle):
         4 variants are the ``use_obs4=True`` flags of
         :func:`~repro.core.powcov.spminimal.traverse_powerset` and
         :func:`~repro.core.powcov.waves.traverse_powerset_waves`.
-    storage:
-        ``"flat"`` or ``"trie"`` (see module docstring).
     estimator:
         ``"upper"`` — the paper's estimate, ``min_x d_C(x,s) + d_C(x,t)``;
         ``"median"`` — the median of the per-landmark upper bounds
@@ -91,12 +75,8 @@ class PowCovIndex(DistanceOracle):
 
     Notes
     -----
-    **Directed graphs support** ``storage="flat"`` **only.**  A directed
-    index keeps two tables per landmark (forward and reversed-graph
-    entries) and the query path resolves the reverse leg through the flat
-    per-vertex lists; the ``"packed"`` and ``"trie"`` layouts only
-    materialize the forward table, so requesting them for a directed graph
-    raises ``ValueError`` at construction time.
+    A directed index keeps a second table, built on the reversed graph,
+    holding the vertex → landmark distances (the Section 2 remark).
     """
 
     name = "powcov"
@@ -106,7 +86,6 @@ class PowCovIndex(DistanceOracle):
         graph: EdgeLabeledGraph,
         landmarks: Sequence[int],
         builder: str | None = None,
-        storage: str = "flat",
         estimator: str = "upper",
     ):
         super().__init__(graph)
@@ -114,8 +93,6 @@ class PowCovIndex(DistanceOracle):
             builder = _default_builder
         if builder not in _BUILDERS:
             raise ValueError(f"builder must be one of {_BUILDERS}, got {builder!r}")
-        if storage not in _STORAGES:
-            raise ValueError(f"storage must be one of {_STORAGES}, got {storage!r}")
         if estimator not in _ESTIMATORS:
             raise ValueError(f"estimator must be one of {_ESTIMATORS}, got {estimator!r}")
         self.landmarks = list(landmarks)
@@ -125,28 +102,35 @@ class PowCovIndex(DistanceOracle):
             if not 0 <= x < graph.num_vertices:
                 raise ValueError(f"landmark {x} out of range")
         self.builder = builder
-        self.storage = storage
         self.estimator = estimator
-        #: per-landmark build output (kept for stats/inspection).
+        #: per-landmark build statistics (the entries live in ``table``);
+        #: empty for an index opened from a store file.
         self.per_landmark: list[LandmarkSPMinimal] = []
-        # flat: list over landmarks of {u: [(d, mask), ...]}
-        self._flat: list[dict[int, list[tuple[int, int]]]] = []
-        # trie: list over landmarks of {u: [(d, LabelSetTrie), ...]}
-        self._tries: list[dict[int, list[tuple[int, LabelSetTrie]]]] = []
-        # packed: parallel arrays sorted by (vertex, distance) + offsets.
-        self._packed_offsets: np.ndarray | None = None
-        self._packed_dist: np.ndarray | None = None
-        self._packed_mask: np.ndarray | None = None
-        self._packed_landmark: np.ndarray | None = None
+        #: landmark → vertex entries, and for directed graphs the
+        #: vertex → landmark entries of the reversed graph.
+        self.table: PowCovTable | None = None
+        self.reverse_table: PowCovTable | None = None
         #: landmark index of each landmark vertex (for distance-0 fixups).
         self._landmark_index_of = {x: i for i, x in enumerate(self.landmarks)}
-        # Directed graphs additionally store vertex->landmark distances
-        # (computed on the reversed graph) — the Section 2 remark.
-        if graph.directed and storage != "flat":
-            raise ValueError("directed PowCov supports storage='flat' only")
-        self.per_landmark_reverse: list[LandmarkSPMinimal] = []
-        self._flat_reverse: list[dict[int, list[tuple[int, int]]]] = []
         self._built = False
+
+    @classmethod
+    def from_tables(
+        cls,
+        graph: EdgeLabeledGraph,
+        landmarks: Sequence[int],
+        table: PowCovTable,
+        reverse_table: PowCovTable | None = None,
+        estimator: str = "upper",
+    ) -> "PowCovIndex":
+        """A built index over existing tables (e.g. a store file's columns)."""
+        if graph.directed and reverse_table is None:
+            raise ValueError("a directed PowCov index needs the reverse table")
+        index = cls(graph, landmarks, estimator=estimator)
+        index.table = table
+        index.reverse_table = reverse_table if graph.directed else None
+        index._built = True
+        return index
 
     # ------------------------------------------------------------------
     # Build
@@ -166,7 +150,7 @@ class PowCovIndex(DistanceOracle):
         return _build_landmark(graph, landmark, self._build_task_extra())
 
     def build(self, parallel: "ParallelConfig | int | None" = None) -> "PowCovIndex":
-        """Compute SP-minimal sets for every landmark and lay out storage.
+        """Compute SP-minimal sets for every landmark and lay out the table.
 
         Parameters
         ----------
@@ -183,7 +167,6 @@ class PowCovIndex(DistanceOracle):
         with span(
             "powcov.build",
             builder=self.builder,
-            storage=self.storage,
             backend=config.backend,
             kernel=kernel_name(),
         ) as build_span:
@@ -201,86 +184,37 @@ class PowCovIndex(DistanceOracle):
                 config=config,
             )
             k = len(self.landmarks)
-            self.per_landmark = results[:k]
-            self._flat = [result.entries for result in self.per_landmark]
+            n = self.graph.num_vertices
+            # Each landmark's block is (vertex, dist, mask)-sorted, so
+            # concatenating them in landmark order is the key-sorted table.
+            self.table = PowCovTable.from_landmarks(
+                [r.arrays for r in results[:k]], n
+            )
+            self.per_landmark = [r.stats_only() for r in results[:k]]
             if self.graph.directed:
-                self.per_landmark_reverse = results[k:]
-                self._flat_reverse = [r.entries for r in self.per_landmark_reverse]
-            if self.storage == "packed":
-                self._build_packed()
-            if self.storage == "trie":
-                self._tries = []
-                for entries in self._flat:
-                    per_vertex: dict[int, list[tuple[int, LabelSetTrie]]] = {}
-                    for u, pairs in entries.items():
-                        groups: list[tuple[int, LabelSetTrie]] = []
-                        for dist, mask in pairs:  # pairs are distance-sorted
-                            if not groups or groups[-1][0] != dist:
-                                groups.append((dist, LabelSetTrie()))
-                            groups[-1][1].insert(mask)
-                        per_vertex[u] = groups
-                    self._tries.append(per_vertex)
+                self.reverse_table = PowCovTable.from_landmarks(
+                    [r.arrays for r in results[k:]], n
+                )
             self._built = True
             build_span.count("entries", self.index_size_entries())
             build_span.count("sssp", sum(r.num_sssp for r in results))
         return self
 
-    def _build_packed(self) -> None:
-        """Concatenate every pair's entries into (vertex, distance)-sorted arrays."""
-        total = sum(result.total_entries for result in self.per_landmark)
-        vertex = np.empty(total, dtype=np.int64)
-        dist = np.empty(total, dtype=np.int32)
-        mask = np.empty(total, dtype=np.int64)
-        landmark = np.empty(total, dtype=np.int32)
-        pos = 0
-        for i, entries in enumerate(self._flat):
-            for u, pairs in entries.items():
-                for d, m in pairs:
-                    vertex[pos] = u
-                    dist[pos] = d
-                    mask[pos] = m
-                    landmark[pos] = i
-                    pos += 1
-        order = np.lexsort((dist, vertex))
-        vertex = vertex[order]
-        self._packed_dist = dist[order]
-        self._packed_mask = mask[order]
-        self._packed_landmark = landmark[order]
-        offsets = np.zeros(self.graph.num_vertices + 1, dtype=np.int64)
-        np.add.at(offsets, vertex + 1, 1)
-        np.cumsum(offsets, out=offsets)
-        self._packed_offsets = offsets
-
     def _require_built(self) -> None:
         if not self._built:
             raise RuntimeError("call build() before querying the index")
 
+    def tables(self) -> list[PowCovTable]:
+        """The forward table, then (directed graphs) the reverse table."""
+        self._require_built()
+        assert self.table is not None
+        if self.reverse_table is None:
+            return [self.table]
+        return [self.table, self.reverse_table]
+
     # ------------------------------------------------------------------
     # Landmark-distance reconstruction (Theorem 1)
     # ------------------------------------------------------------------
-    def _packed_lookup(self, vertex: int, label_mask: int) -> np.ndarray:
-        """``d_C(x, vertex)`` for every landmark at once (float64, inf=none).
-
-        One slice of the packed arrays + a subset filter; entries within a
-        vertex are distance-sorted, so the first match per landmark (found
-        by ``np.unique``'s first-occurrence semantics) is the minimum.
-        """
-        out = np.full(len(self.landmarks), INF, dtype=np.float64)
-        lo = self._packed_offsets[vertex]
-        hi = self._packed_offsets[vertex + 1]
-        if hi > lo:
-            masks = self._packed_mask[lo:hi]
-            ok = (masks & label_mask) == masks
-            if ok.any():
-                landmarks = self._packed_landmark[lo:hi][ok]
-                dists = self._packed_dist[lo:hi][ok]
-                first_landmarks, first_pos = np.unique(landmarks, return_index=True)
-                out[first_landmarks] = dists[first_pos]
-        own = self._landmark_index_of.get(vertex)
-        if own is not None:
-            out[own] = 0.0
-        return out
-
     def landmark_distance(
         self,
         landmark_index: int,
@@ -292,38 +226,40 @@ class PowCovIndex(DistanceOracle):
 
         ``direction`` matters for directed graphs only: ``"from-landmark"``
         is ``d_C(x → u)``, ``"to-landmark"`` is ``d_C(u → x)`` (served from
-        the reversed-graph tables).  Undirected graphs ignore it.
+        the reversed-graph table).  Undirected graphs ignore it.
         """
-        self._require_built()
         if vertex == self.landmarks[landmark_index]:
+            self._require_built()
             return 0.0
-        if direction == "to-landmark" and self.graph.directed:
-            pairs = self._flat_reverse[landmark_index].get(vertex)
-            return self._first_subset_distance(pairs, label_mask)
-        if self.storage == "packed":
-            return float(self._packed_lookup(vertex, label_mask)[landmark_index])
-        if self.storage == "trie":
-            groups = self._tries[landmark_index].get(vertex)
-            if groups is None:
-                return INF
-            for dist, trie in groups:
-                if trie.contains_subset_of(label_mask):
-                    return float(dist)
-            return INF
-        return self._first_subset_distance(
-            self._flat[landmark_index].get(vertex), label_mask
+        return self._table_for(direction).lookup_one(
+            landmark_index, vertex, label_mask
         )
 
-    @staticmethod
-    def _first_subset_distance(
-        pairs: list[tuple[int, int]] | None, label_mask: int
-    ) -> float:
-        if pairs is None:
-            return INF
-        for dist, mask in pairs:
-            if mask & label_mask == mask:
-                return float(dist)
-        return INF
+    def landmark_rows(
+        self,
+        vertices: np.ndarray,
+        label_mask: int,
+        direction: str = "from-landmark",
+    ) -> np.ndarray:
+        """:meth:`landmark_distance` for every vertex × every landmark.
+
+        Returns a ``(len(vertices), k)`` float64 matrix, ``inf`` where no
+        stored label set is a subset of ``label_mask``.
+        """
+        rows = self._table_for(direction).lookup_many(vertices, label_mask)
+        for row, u in enumerate(np.asarray(vertices).tolist()):
+            own = self._landmark_index_of.get(u)
+            if own is not None:
+                rows[row, own] = 0.0
+        return rows
+
+    def _table_for(self, direction: str) -> PowCovTable:
+        self._require_built()
+        table = self.table
+        if direction == "to-landmark" and self.graph.directed:
+            table = self.reverse_table
+        assert table is not None
+        return table
 
     # ------------------------------------------------------------------
     # Query processing
@@ -346,91 +282,32 @@ class PowCovIndex(DistanceOracle):
             return QueryAnswer(estimate=0.0, lower=0.0, upper=0.0)
         if label_mask == 0:
             return QueryAnswer(estimate=INF, lower=INF, upper=INF)
-        if self.graph.directed:
-            return self._directed_query_answer(source, target, label_mask)
-        if self.storage == "packed":
-            return self._packed_query_answer(source, target, label_mask)
-        upper = INF
+        endpoints = np.asarray([source, target], dtype=np.int64)
+        # from_x[0] = d_C(x, s), from_x[1] = d_C(x, t), for every landmark.
+        from_x = self.landmark_rows(endpoints, label_mask)
+        if not self.graph.directed:
+            sums = from_x[0] + from_x[1]
+            finite = np.isfinite(sums)
+            gaps = np.abs(from_x[0][finite] - from_x[1][finite])
+            return self._answer(sums[finite], float(gaps.max()) if len(gaps) else 0.0)
+        to_x = self.landmark_rows(endpoints, label_mask, "to-landmark")
+        sums = to_x[0] + from_x[1]
+        # One-sided lower bounds: d(s,t) >= d(x,t) - d(x,s) and
+        # d(s,t) >= d(s,x) - d(t,x), over landmarks seeing both sides.
         lower = 0.0
-        sums: list[float] = []
-        for i in range(len(self.landmarks)):
-            ds = self.landmark_distance(i, source, label_mask)
-            if ds == INF:
-                continue
-            dt = self.landmark_distance(i, target, label_mask)
-            if dt == INF:
-                continue
-            total = ds + dt
-            sums.append(total)
-            if total < upper:
-                upper = total
-            gap = abs(ds - dt)
-            if gap > lower:
-                lower = gap
-        if not sums:
-            return QueryAnswer(estimate=INF, lower=0.0, upper=INF)
-        if self.estimator == "median":
-            sums.sort()
-            estimate = sums[len(sums) // 2]
-        else:
-            estimate = upper
-        return QueryAnswer(estimate=estimate, lower=lower, upper=upper)
+        for near, far in ((from_x[1], from_x[0]), (to_x[0], to_x[1])):
+            both = np.isfinite(near) & np.isfinite(far)
+            if both.any():
+                lower = max(lower, float((near[both] - far[both]).max()))
+        return self._answer(sums[np.isfinite(sums)], lower)
 
-    def _directed_query_answer(
-        self, source: int, target: int, label_mask: int
-    ) -> QueryAnswer:
-        """Directed triangle bounds: source→landmark then landmark→target."""
-        upper = INF
-        lower = 0.0
-        sums: list[float] = []
-        for i in range(len(self.landmarks)):
-            source_to_x = self.landmark_distance(
-                i, source, label_mask, direction="to-landmark"
-            )
-            x_to_target = self.landmark_distance(
-                i, target, label_mask, direction="from-landmark"
-            )
-            if source_to_x != INF and x_to_target != INF:
-                total = source_to_x + x_to_target
-                sums.append(total)
-                upper = min(upper, total)
-            # One-sided lower bounds: d(s,t) >= d(x,t) - d(x,s) and
-            # d(s,t) >= d(s,x) - d(t,x).
-            x_to_source = self.landmark_distance(
-                i, source, label_mask, direction="from-landmark"
-            )
-            if x_to_source != INF and x_to_target != INF:
-                lower = max(lower, x_to_target - x_to_source)
-            target_to_x = self.landmark_distance(
-                i, target, label_mask, direction="to-landmark"
-            )
-            if source_to_x != INF and target_to_x != INF:
-                lower = max(lower, source_to_x - target_to_x)
-        if not sums:
-            return QueryAnswer(estimate=INF, lower=max(lower, 0.0), upper=INF)
-        if self.estimator == "median":
-            sums.sort()
-            estimate = sums[len(sums) // 2]
-        else:
-            estimate = upper
-        return QueryAnswer(estimate=estimate, lower=max(lower, 0.0), upper=upper)
-
-    def _packed_query_answer(
-        self, source: int, target: int, label_mask: int
-    ) -> QueryAnswer:
-        """Vectorized triangle bounds over all landmarks (packed layout)."""
-        to_source = self._packed_lookup(source, label_mask)
-        to_target = self._packed_lookup(target, label_mask)
-        sums = to_source + to_target
-        finite = np.isfinite(sums)
-        if not finite.any():
-            return QueryAnswer(estimate=INF, lower=0.0, upper=INF)
-        finite_sums = sums[finite]
+    def _answer(self, finite_sums: np.ndarray, lower: float) -> QueryAnswer:
+        """The estimate over the per-landmark upper bounds that exist."""
+        if not len(finite_sums):
+            return QueryAnswer(estimate=INF, lower=lower, upper=INF)
         upper = float(finite_sums.min())
-        lower = float(np.abs(to_source[finite] - to_target[finite]).max())
         if self.estimator == "median":
-            finite_sums.sort()
-            estimate = float(finite_sums[len(finite_sums) // 2])
+            estimate = float(np.sort(finite_sums)[len(finite_sums) // 2])
         else:
             estimate = upper
         return QueryAnswer(estimate=estimate, lower=lower, upper=upper)
@@ -440,17 +317,11 @@ class PowCovIndex(DistanceOracle):
     # ------------------------------------------------------------------
     def index_size_entries(self) -> int:
         """Total stored ``(label set, distance)`` entries across all pairs."""
-        self._require_built()
-        total = sum(result.total_entries for result in self.per_landmark)
-        total += sum(result.total_entries for result in self.per_landmark_reverse)
-        return total
+        return sum(len(table) for table in self.tables())
 
     def reachable_pairs(self) -> int:
         """Landmark-vertex pairs with at least one stored entry."""
-        self._require_built()
-        pairs = sum(len(result.entries) for result in self.per_landmark)
-        pairs += sum(len(result.entries) for result in self.per_landmark_reverse)
-        return pairs
+        return sum(len(table.pair_counts()) for table in self.tables())
 
     def average_entries_per_pair(self) -> float:
         """Table 2's measure: avg stored distances per reachable pair."""
@@ -459,16 +330,13 @@ class PowCovIndex(DistanceOracle):
 
     def max_entries_per_pair(self) -> int:
         """The paper's ``H`` (bounded by Proposition 1)."""
-        self._require_built()
-        return max(
-            (result.max_entries_per_vertex() for result in self.per_landmark),
-            default=0,
-        )
+        counts = self.tables()[0].pair_counts()
+        return int(counts.max()) if len(counts) else 0
 
     def describe(self) -> str:
         return (
-            f"{self.name}(k={len(self.landmarks)}, builder={self.builder}, "
-            f"storage={self.storage}) on {self.graph!r}"
+            f"{self.name}(k={len(self.landmarks)}, builder={self.builder}) "
+            f"on {self.graph!r}"
         )
 
 

@@ -33,7 +33,7 @@ in running time, which is what Table 3 measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -51,9 +51,11 @@ from ...graph.traversal import (
     constrained_bfs_tree,
     monochromatic_sp_labels,
 )
+from .table import run_lengths
 
 __all__ = [
     "BIG",
+    "EntryParts",
     "LandmarkSPMinimal",
     "generate_candidates",
     "generate_candidates_apriori",
@@ -65,31 +67,89 @@ __all__ = [
 BIG = np.int32(2**30)
 
 
-@dataclass
+def _no_entries() -> np.ndarray:
+    return np.empty(0, dtype=np.int64)
+
+
+class EntryParts:
+    """Entries as the builders emit them, mask by mask, before
+    :meth:`LandmarkSPMinimal.set_entries` sorts them."""
+
+    __slots__ = ("vertex", "dist", "mask")
+
+    def __init__(self) -> None:
+        self.vertex: list[np.ndarray] = []
+        self.dist: list[np.ndarray] = []
+        self.mask: list[np.ndarray] = []
+
+    def add(self, vertices: np.ndarray, dists: np.ndarray, masks: "np.ndarray | int") -> None:
+        """Emit ``(vertices[i], dists[i], masks[i])``; a scalar mask is shared."""
+        self.vertex.append(vertices.astype(np.int64, copy=False))
+        self.dist.append(dists)
+        self.mask.append(np.broadcast_to(np.asarray(masks, dtype=np.int64), vertices.shape))
+
+
+@dataclass(eq=False)
 class LandmarkSPMinimal:
     """SP-minimal sets of one landmark, plus build statistics.
 
-    ``entries[u]`` is the list of ``(distance, label_mask)`` pairs for all
-    SP-minimal label sets w.r.t. ``(landmark, u)``, sorted by distance (ties
-    by mask).  The landmark itself has no entries.
+    ``vertex``, ``dist`` and ``mask`` are parallel arrays holding one
+    entry per SP-minimal label set w.r.t. ``(landmark, vertex)``, sorted
+    by ``(vertex, dist, mask)`` — one landmark's block of the
+    :class:`~repro.core.powcov.table.PowCovTable`.  The landmark itself has
+    no entries.
     """
 
     landmark: int
-    entries: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
+    vertex: np.ndarray = field(default_factory=_no_entries)
+    dist: np.ndarray = field(default_factory=_no_entries)
+    mask: np.ndarray = field(default_factory=_no_entries)
     num_sssp: int = 0
     num_full_tests: int = 0
     num_auto_minimal: int = 0
 
+    def set_entries(self, parts: "EntryParts") -> None:
+        """Store the emitted entries in ``(vertex, dist, mask)`` order."""
+        if not parts.vertex:
+            return
+        vertex = np.concatenate(parts.vertex)
+        dist = np.concatenate(parts.dist)
+        if dist.dtype.kind in "iu":
+            dist = dist.astype(np.int64)
+        mask = np.concatenate(parts.mask)
+        order = np.lexsort((mask, dist, vertex))
+        self.vertex, self.dist, self.mask = vertex[order], dist[order], mask[order]
+
+    @property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(vertex, dist, mask)``, the input of ``PowCovTable.from_landmarks``."""
+        return self.vertex, self.dist, self.mask
+
+    def stats_only(self) -> "LandmarkSPMinimal":
+        """A copy keeping the build counters and dropping the entries."""
+        return replace(
+            self, vertex=_no_entries(), dist=_no_entries(), mask=_no_entries()
+        )
+
+    @property
+    def entries(self) -> dict[int, list[tuple[int, int]]]:
+        """Per vertex, the ``(distance, mask)`` pairs (derived, read-only)."""
+        out: dict[int, list[tuple[int, int]]] = {}
+        for u, d, m in zip(
+            self.vertex.tolist(), self.dist.tolist(), self.mask.tolist()
+        ):
+            out.setdefault(u, []).append((d, m))
+        return out
+
     @property
     def total_entries(self) -> int:
         """Total SP-minimal sets stored for this landmark."""
-        return sum(len(pairs) for pairs in self.entries.values())
+        return len(self.vertex)
 
     def max_entries_per_vertex(self) -> int:
         """The paper's ``H`` for this landmark (Proposition 1 bound)."""
-        if not self.entries:
-            return 0
-        return max(len(pairs) for pairs in self.entries.values())
+        counts = run_lengths(self.vertex)
+        return int(counts.max()) if len(counts) else 0
 
 
 def _clean(dist: np.ndarray) -> np.ndarray:
@@ -177,7 +237,7 @@ def brute_force_sp_minimal(
     if distances_out is not None:
         distances_out.update(distances)
 
-    collected: dict[int, list[tuple[int, int]]] = {}
+    parts = EntryParts()
     for mask in range(1, universe + 1):
         dist_c = distances[mask]
         best_subset = None
@@ -192,11 +252,9 @@ def brute_force_sp_minimal(
             minimal = (dist_c < BIG) & (dist_c < best_subset)
         minimal[landmark] = False
         result.num_full_tests += int((dist_c < BIG).sum())
-        for u in np.nonzero(minimal)[0]:
-            collected.setdefault(int(u), []).append((int(dist_c[u]), mask))
-    for u, pairs in collected.items():
-        pairs.sort()
-    result.entries = collected
+        vertices = np.flatnonzero(minimal)
+        parts.add(vertices, dist_c[vertices], mask)
+    result.set_entries(parts)
     return result
 
 
@@ -236,7 +294,7 @@ def traverse_powerset(
     # Per-mask shortest-path DAG arcs come from the BFS itself and are
     # discarded right after the sweep, keeping memory at O(2^|L| n).
     distances: dict[int, np.ndarray] = {}
-    collected: dict[int, list[tuple[int, int]]] = {}
+    parts = EntryParts()
     flagged = np.zeros(graph.num_vertices, dtype=bool)  # reused across masks
 
     for mask in candidates:
@@ -301,8 +359,8 @@ def traverse_powerset(
                     np.minimum(best, arr[indices], out=best)
                 minimal = np.zeros(graph.num_vertices, dtype=bool)
                 minimal[indices[dist_c[indices] < best]] = True
-            for u in np.nonzero(minimal)[0]:
-                collected.setdefault(int(u), []).append((int(dist_c[u]), mask))
+            vertices = np.flatnonzero(minimal)
+            parts.add(vertices, dist_c[vertices], mask)
             continue
 
         # --- Observation 4: level sweep over the C-constrained BFS DAG ---
@@ -332,10 +390,8 @@ def traverse_powerset(
             passed = needs_test[full_test(needs_test)]
             is_min[passed] = True
 
-        for u in np.nonzero(is_min)[0]:
-            collected.setdefault(int(u), []).append((int(dist_c[u]), mask))
+        vertices = np.flatnonzero(is_min)
+        parts.add(vertices, dist_c[vertices], mask)
 
-    for pairs in collected.values():
-        pairs.sort()
-    result.entries = collected
+    result.set_entries(parts)
     return result

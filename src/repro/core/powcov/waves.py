@@ -50,7 +50,7 @@ from ...obs.metrics import metrics_enabled
 from ...obs.metrics import registry as _metrics_registry
 from ...obs.trace import span, tracing_enabled
 from ...perf.batched import batched_constrained_bfs
-from .spminimal import BIG, LandmarkSPMinimal, generate_candidates
+from .spminimal import BIG, EntryParts, LandmarkSPMinimal, generate_candidates
 
 __all__ = ["wave_schedule", "traverse_powerset_waves"]
 
@@ -174,7 +174,7 @@ def traverse_powerset_waves(
     in_graph = graph.reversed() if (use_obs4 and graph.directed) else graph
 
     n = graph.num_vertices
-    collected: dict[int, list[tuple[int, int]]] = {}
+    parts = EntryParts()
     flagged = np.zeros(n, dtype=bool)  # Obs-4 scratch, reused across masks
     # Ring cache: only the previous wave's distance rows stay alive, with a
     # trailing all-BIG pad row standing in for Obs-1-pruned subsets.
@@ -202,6 +202,7 @@ def traverse_powerset_waves(
                 )
                 dist[lo : lo + len(chunk)] = np.where(raw == UNREACHABLE, BIG, raw)
             result.num_sssp += len(wave)
+            wave_masks = np.asarray(wave, dtype=np.int64)
 
             candidate = dist < BIG
             candidate[:, landmark] = False
@@ -210,8 +211,7 @@ def traverse_powerset_waves(
                 candidate &= dist >= size
             if use_obs3 and size >= 2 and mono is not None:
                 # A monochromatic SP label inside C makes C ⊋ {l_u} non-minimal.
-                mask_arr = np.asarray(wave, dtype=np.int64)
-                candidate &= (mono[None, :] & mask_arr[:, None]) == 0
+                candidate &= (mono[None, :] & wave_masks[:, None]) == 0
             pruned = visited - int(np.count_nonzero(candidate)) if observing else 0
 
             # Theorem 2, one stacked sweep: gather each mask's one-removed
@@ -231,17 +231,13 @@ def traverse_powerset_waves(
                 # singletons have no nonzero subsets: every candidate passes
                 passes_theorem2 = candidate
 
-            emitted = 0
             if not use_obs4:
                 result.num_full_tests += int(candidate.sum())
-                minimal = candidate & passes_theorem2
-                for i, mask in enumerate(wave):
-                    dist_row = dist[i]
-                    minima = np.nonzero(minimal[i])[0].tolist()
-                    emitted += len(minima)
-                    for u in minima:
-                        collected.setdefault(u, []).append((int(dist_row[u]), mask))
+                rows, vertices = np.nonzero(candidate & passes_theorem2)
+                parts.add(vertices, dist[rows, vertices], wave_masks[rows])
+                emitted = len(vertices)
             else:
+                emitted = 0
                 for i, mask in enumerate(wave):
                     is_min = _obs4_row(
                         in_graph,
@@ -252,11 +248,9 @@ def traverse_powerset_waves(
                         flagged,
                         result,
                     )
-                    dist_row = dist[i]
-                    minima = np.nonzero(is_min)[0].tolist()
-                    emitted += len(minima)
-                    for u in minima:
-                        collected.setdefault(u, []).append((int(dist_row[u]), mask))
+                    vertices = np.flatnonzero(is_min)
+                    parts.add(vertices, dist[i, vertices], mask)
+                    emitted += len(vertices)
 
             wave_span.count("masks", len(wave))
             wave_span.count("emitted", emitted)
@@ -287,7 +281,5 @@ def traverse_powerset_waves(
         for width, count in sorted(width_counts.items()):
             hist.observe(float(width), count=count)
 
-    for pairs in collected.values():
-        pairs.sort()
-    result.entries = collected
+    result.set_entries(parts)
     return result

@@ -29,7 +29,7 @@ from ...graph.labeled_graph import EdgeLabeledGraph
 from ...graph.labelsets import full_mask, iter_one_removed, popcount
 from ...graph.traversal import constrained_dijkstra
 from .index import PowCovIndex
-from .spminimal import LandmarkSPMinimal, generate_candidates
+from .spminimal import EntryParts, LandmarkSPMinimal, generate_candidates
 
 __all__ = ["weighted_sp_minimal", "WeightedPowCovIndex"]
 
@@ -42,8 +42,8 @@ def weighted_sp_minimal(
 ) -> LandmarkSPMinimal:
     """SP-minimal label sets under non-negative arc ``weights``.
 
-    ``weights`` is parallel to the graph's arc arrays.  Entries are
-    ``(distance, mask)`` with float distances.
+    ``weights`` is parallel to the graph's arc arrays.  Distances are
+    float64.
     """
     if len(weights) != graph.num_arcs:
         raise ValueError("weights must be parallel to the arc arrays")
@@ -59,7 +59,7 @@ def weighted_sp_minimal(
 
     apply_obs2 = bool((np.asarray(weights) >= 1.0).all())
     distances: dict[int, np.ndarray] = {}
-    collected: dict[int, list[tuple[float, int]]] = {}
+    parts = EntryParts()
     for mask in candidates:
         dist_c = constrained_dijkstra(graph, landmark, mask, weights=weights)
         distances[mask] = dist_c
@@ -85,19 +85,17 @@ def weighted_sp_minimal(
             minimal = finite & (dist_c < best)
         else:
             minimal = finite
-        for u in np.nonzero(minimal)[0]:
-            collected.setdefault(int(u), []).append((float(dist_c[u]), mask))
-    for pairs in collected.values():
-        pairs.sort()
-    result.entries = collected
+        vertices = np.flatnonzero(minimal)
+        parts.add(vertices, dist_c[vertices].astype(np.float64), mask)
+    result.set_entries(parts)
     return result
 
 
 class WeightedPowCovIndex(PowCovIndex):
     """PowCov over a weighted edge-labeled graph.
 
-    Identical query processing to :class:`PowCovIndex` (the flat layout
-    works unchanged with float distances); only the build step differs.
+    Identical query processing to :class:`PowCovIndex` (its table holds
+    float64 distances); only the build step differs.
     """
 
     name = "powcov-weighted"
@@ -113,10 +111,7 @@ class WeightedPowCovIndex(PowCovIndex):
             # The reversed-graph pass would need the weights re-permuted to
             # the reversed arc order; not implemented yet.
             raise ValueError("weighted PowCov supports undirected graphs only")
-        super().__init__(
-            graph, landmarks, builder="traverse", storage="flat",
-            estimator=estimator,
-        )
+        super().__init__(graph, landmarks, builder="traverse", estimator=estimator)
         if len(weights) != graph.num_arcs:
             raise ValueError("weights must be parallel to the arc arrays")
         self.weights = np.asarray(weights, dtype=np.float64)

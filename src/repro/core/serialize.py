@@ -1,60 +1,34 @@
 """Index persistence: save and load built oracles without rebuilding.
 
 Index construction is the expensive step (minutes for PowCov on the larger
-stand-ins); a deployed oracle builds once and serves forever.  This module
-round-trips both indexes through numpy ``.npz`` archives — no pickle, so
-the files are portable and safe to load.
-
-Formats
--------
-PowCov: the per-(landmark, vertex) SP-minimal entries are flattened into
-four parallel arrays (``landmark_idx``, ``vertex``, ``distance``, ``mask``)
-plus the landmark list and metadata; loading regroups them.  Directed
-indexes store the reversed-table arrays alongside.
-
-ChromLand: the ``mono`` / ``bi`` (and directed ``mono_in``) matrices plus
-landmark/color arrays are stored verbatim.
+stand-ins); a deployed oracle builds once and serves forever.  Both
+indexes persist in the one mmap-able store format of :mod:`repro.store`:
+a PowCov index writes its sorted table columns as they are, ChromLand its
+``mono`` / ``bi`` (and directed ``mono_in``) matrices, and opening a file
+maps the sections back without regrouping anything (see
+``docs/FORMATS.md``).
 
 The graph itself is *not* embedded — the caller supplies it on load (it
-has its own persistence in :mod:`repro.graph.io`) and a fingerprint check
-rejects mismatched graphs.
-
-The ``.npz`` archives here are the *eager* format: loading regroups the
-arrays into Python dicts before the first query.  The mmap-able store
-format (:mod:`repro.store`) skips that cold-start cost entirely;
-:func:`save_index` / :func:`load_index` dispatch between the two (the
-loader sniffs the file magic, so either format round-trips through the
-same call).  Malformed or version-skewed payloads raise
-:class:`~repro.store.format.FormatError` from either path.
+has its own persistence in :mod:`repro.graph.io` and
+:func:`repro.store.save_graph`) and a fingerprint check rejects
+mismatched graphs.  Malformed or version-skewed files raise
+:class:`~repro.store.format.FormatError`.
 """
 
 from __future__ import annotations
 
 import os
 
-import numpy as np
-
 from ..graph.fingerprint import graph_fingerprint
 from ..graph.labeled_graph import EdgeLabeledGraph
-from ..store.format import FormatError, is_store_file
 from .chromland import ChromLandIndex
 from .powcov import PowCovIndex
-from .powcov.spminimal import LandmarkSPMinimal
 
 __all__ = [
-    "NPZ_FORMAT_VERSION",
     "graph_fingerprint",
-    "save_powcov",
-    "load_powcov",
-    "save_chromland",
-    "load_chromland",
     "save_index",
     "load_index",
 ]
-
-#: Version stamped into every ``.npz`` payload; bumped on layout changes so
-#: stale files fail with a clear :class:`FormatError`, not a ``KeyError``.
-NPZ_FORMAT_VERSION = 1
 
 
 # ``graph_fingerprint`` moved down into :mod:`repro.graph.fingerprint` so
@@ -62,222 +36,29 @@ NPZ_FORMAT_VERSION = 1
 # it is re-imported above and stays part of this module's public API.
 
 
-def _entries_to_arrays(per_landmark: list[LandmarkSPMinimal]):
-    total = sum(r.total_entries for r in per_landmark)
-    landmark_idx = np.empty(total, dtype=np.int32)
-    vertex = np.empty(total, dtype=np.int64)
-    distance = np.empty(total, dtype=np.float64)
-    mask = np.empty(total, dtype=np.int64)
-    pos = 0
-    for i, result in enumerate(per_landmark):
-        for u, pairs in result.entries.items():
-            for d, m in pairs:
-                landmark_idx[pos] = i
-                vertex[pos] = u
-                distance[pos] = d
-                mask[pos] = m
-                pos += 1
-    return landmark_idx, vertex, distance, mask
-
-
-def _arrays_to_entries(
-    num_landmarks: int,
-    landmark_idx: np.ndarray,
-    vertex: np.ndarray,
-    distance: np.ndarray,
-    mask: np.ndarray,
-    landmarks: list[int],
-) -> list[LandmarkSPMinimal]:
-    per_landmark = [
-        LandmarkSPMinimal(landmark=landmarks[i]) for i in range(num_landmarks)
-    ]
-    integral = np.all(distance == np.floor(distance))
-    for i, u, d, m in zip(landmark_idx, vertex, distance, mask):
-        value = int(d) if integral else float(d)
-        per_landmark[int(i)].entries.setdefault(int(u), []).append((value, int(m)))
-    for result in per_landmark:
-        for pairs in result.entries.values():
-            pairs.sort()
-    return per_landmark
-
-
-def _check_npz_version(path: str | os.PathLike, data) -> None:
-    """Reject payloads with a missing or unknown format-version field."""
-    if "format_version" not in data:
-        raise FormatError(
-            f"{path} has no format-version field "
-            "(pre-versioned payload or not a repro index file)"
-        )
-    version = int(data["format_version"])
-    if version != NPZ_FORMAT_VERSION:
-        raise FormatError(
-            f"{path}: unsupported npz index format version {version} "
-            f"(this build reads version {NPZ_FORMAT_VERSION})"
-        )
-
-
-def _reject_mapped(index: PowCovIndex | ChromLandIndex) -> None:
-    if getattr(index, "is_mapped", False):
-        raise ValueError(
-            "mapped indexes are serving-only; save the originally built index"
-        )
-
-
-def save_powcov(index: PowCovIndex, path: str | os.PathLike) -> None:
-    """Serialize a built PowCov index (flat storage layouts only)."""
-    _reject_mapped(index)
-    if not index._built:  # noqa: SLF001 - serialization is a friend module
-        raise ValueError("build the index before saving it")
-    forward = _entries_to_arrays(index.per_landmark)
-    payload = {
-        "kind": np.str_("powcov"),
-        "format_version": np.int64(NPZ_FORMAT_VERSION),
-        "fingerprint": graph_fingerprint(index.graph),
-        "landmarks": np.asarray(index.landmarks, dtype=np.int64),
-        "estimator": np.str_(index.estimator),
-        "fwd_landmark": forward[0],
-        "fwd_vertex": forward[1],
-        "fwd_distance": forward[2],
-        "fwd_mask": forward[3],
-        "directed": np.bool_(index.graph.directed),
-    }
-    if index.graph.directed:
-        reverse = _entries_to_arrays(index.per_landmark_reverse)
-        payload.update(
-            rev_landmark=reverse[0], rev_vertex=reverse[1],
-            rev_distance=reverse[2], rev_mask=reverse[3],
-        )
-    np.savez_compressed(path, **payload)
-
-
-def load_powcov(path: str | os.PathLike, graph: EdgeLabeledGraph) -> PowCovIndex:
-    """Load a PowCov index saved by :func:`save_powcov` for ``graph``."""
-    with np.load(path, allow_pickle=False) as data:
-        _check_npz_version(path, data)
-        if str(data["kind"]) != "powcov":
-            raise FormatError(f"{path} is not a PowCov index file")
-        if np.int64(data["fingerprint"]) != graph_fingerprint(graph):
-            raise FormatError("index file was built for a different graph")
-        landmarks = [int(x) for x in data["landmarks"]]
-        index = PowCovIndex(
-            graph, landmarks, storage="flat", estimator=str(data["estimator"])
-        )
-        index.per_landmark = _arrays_to_entries(
-            len(landmarks), data["fwd_landmark"], data["fwd_vertex"],
-            data["fwd_distance"], data["fwd_mask"], landmarks,
-        )
-        index._flat = [r.entries for r in index.per_landmark]
-        if bool(data["directed"]):
-            index.per_landmark_reverse = _arrays_to_entries(
-                len(landmarks), data["rev_landmark"], data["rev_vertex"],
-                data["rev_distance"], data["rev_mask"], landmarks,
-            )
-            index._flat_reverse = [r.entries for r in index.per_landmark_reverse]
-        index._built = True
-        #: checked by the engine session against the live graph on open.
-        index.stored_fingerprint = int(data["fingerprint"])
-        return index
-
-
-def save_chromland(index: ChromLandIndex, path: str | os.PathLike) -> None:
-    """Serialize a built ChromLand index."""
-    _reject_mapped(index)
-    if index.mono is None:
-        raise ValueError("build the index before saving it")
-    payload = {
-        "kind": np.str_("chromland"),
-        "format_version": np.int64(NPZ_FORMAT_VERSION),
-        "fingerprint": graph_fingerprint(index.graph),
-        "landmarks": index.landmarks,
-        "colors": index.colors,
-        "query_mode": np.str_(index.query_mode),
-        "mono": index.mono,
-        "bi": index.bi,
-        "directed": np.bool_(index.graph.directed),
-    }
-    if index.mono_in is not None:
-        payload["mono_in"] = index.mono_in
-    np.savez_compressed(path, **payload)
-
-
-def load_chromland(
-    path: str | os.PathLike, graph: EdgeLabeledGraph
-) -> ChromLandIndex:
-    """Load a ChromLand index saved by :func:`save_chromland` for ``graph``."""
-    with np.load(path, allow_pickle=False) as data:
-        _check_npz_version(path, data)
-        if str(data["kind"]) != "chromland":
-            raise FormatError(f"{path} is not a ChromLand index file")
-        if np.int64(data["fingerprint"]) != graph_fingerprint(graph):
-            raise FormatError("index file was built for a different graph")
-        index = ChromLandIndex(
-            graph,
-            [int(x) for x in data["landmarks"]],
-            [int(c) for c in data["colors"]],
-            query_mode=str(data["query_mode"]),
-        )
-        index.mono = data["mono"]
-        index.bi = data["bi"]
-        if "mono_in" in data:
-            index.mono_in = data["mono_in"]
-        index._built = True  # noqa: SLF001
-        #: checked by the engine session against the live graph on open.
-        index.stored_fingerprint = int(data["fingerprint"])
-        return index
-
-
-# ----------------------------------------------------------------------
-# Format-agnostic entry points (npz fallback + mmap store)
-# ----------------------------------------------------------------------
 def save_index(
     index: PowCovIndex | ChromLandIndex,
     path: str | os.PathLike,
-    format: str | None = None,
     compress: bool = False,
 ) -> None:
-    """Persist a built index in either format.
+    """Persist a built index as a store file.
 
-    ``format`` is ``"npz"``, ``"mmap"``, or ``None`` to infer from the
-    path suffix (``.npz`` → npz, anything else → the mmap store format).
-    ``compress`` applies to the store format only (varint/delta sections).
+    ``compress`` varint/delta-encodes the integer sections (smaller file,
+    eager decode on open).
     """
-    if format is None:
-        format = "npz" if os.fspath(path).endswith(".npz") else "mmap"
-    if format == "npz":
-        if isinstance(index, PowCovIndex):
-            save_powcov(index, path)
-        elif isinstance(index, ChromLandIndex):
-            save_chromland(index, path)
-        else:
-            raise TypeError(f"cannot save index of type {type(index).__name__}")
-        return
-    if format == "mmap":
-        from ..store.index_store import save_index as store_save
+    from ..store.index_store import save_index as store_save
 
-        store_save(index, path, compress=compress)
-        return
-    raise ValueError(f"format must be 'npz', 'mmap' or None, got {format!r}")
+    store_save(index, path, compress=compress)
 
 
 def load_index(
     path: str | os.PathLike, graph: EdgeLabeledGraph
 ) -> PowCovIndex | ChromLandIndex:
-    """Load any persisted index for ``graph``, autodetecting the format.
+    """Open a persisted index for ``graph``.
 
-    Store files (sniffed by magic) open as zero-copy mapped indexes;
-    ``.npz`` archives deserialize eagerly through :func:`load_powcov` /
-    :func:`load_chromland`.  Either way the loaded index carries
-    ``stored_fingerprint`` and has been verified against ``graph``.
+    The loaded index carries ``stored_fingerprint`` and has been verified
+    against ``graph``.
     """
-    if is_store_file(path):
-        from ..store.index_store import open_index
+    from ..store.index_store import open_index
 
-        return open_index(path, graph)
-    with np.load(path, allow_pickle=False) as data:
-        _check_npz_version(path, data)
-        kind = str(data["kind"])
-    if kind == "powcov":
-        return load_powcov(path, graph)
-    if kind == "chromland":
-        return load_chromland(path, graph)
-    raise FormatError(f"{path} holds an unknown index kind {kind!r}")
+    return open_index(path, graph)

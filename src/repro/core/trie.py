@@ -8,7 +8,10 @@ sequences; common prefixes share nodes, and the query the PowCov index needs
 descends into children whose label is in ``C``.
 
 The trie also supports exact-match lookups and enumeration, and exposes
-``node_count`` for the storage-ablation benchmark.
+``node_count`` for the storage-ablation benchmark.  ``TrieOracle`` regroups
+a built PowCov table into those per-pair tries on demand and answers the
+upper-bound estimate from them, as a second layout to check the table
+against.
 """
 
 from __future__ import annotations
@@ -16,8 +19,9 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from ..graph.labelsets import label_bit, labels_from_mask
+from .types import INF
 
-__all__ = ["LabelSetTrie"]
+__all__ = ["LabelSetTrie", "TrieOracle"]
 
 
 class _Node:
@@ -149,3 +153,44 @@ class LabelSetTrie:
             count += 1
             stack.extend(node.children.values())
         return count
+
+
+class TrieOracle:
+    """The upper-bound estimate answered from per-pair prefix trees.
+
+    Built from a PowCov index's table: per landmark and vertex, the
+    distance-ascending ``(d, trie)`` groups of Section 3.1.
+    """
+
+    def __init__(self, index) -> None:
+        self.landmarks = index.landmarks
+        self.views: list[dict[int, list[tuple[float, LabelSetTrie]]]] = []
+        for i in range(len(index.landmarks)):
+            per_vertex: dict[int, list[tuple[float, LabelSetTrie]]] = {}
+            vertex, dist, mask = index.table.landmark_slice(i)
+            for u, d, m in zip(vertex.tolist(), dist.tolist(), mask.tolist()):
+                groups = per_vertex.setdefault(u, [])
+                if not groups or groups[-1][0] != d:
+                    groups.append((d, LabelSetTrie()))
+                groups[-1][1].insert(m)
+            self.views.append(per_vertex)
+
+    def _distance(self, i: int, vertex: int, label_mask: int) -> float:
+        if vertex == self.landmarks[i]:
+            return 0.0
+        for dist, trie in self.views[i].get(vertex, ()):
+            if trie.contains_subset_of(label_mask):
+                return float(dist)
+        return INF
+
+    def query(self, source: int, target: int, label_mask: int) -> float:
+        if source == target:
+            return 0.0
+        if label_mask == 0:
+            return INF
+        best = INF
+        for i in range(len(self.landmarks)):
+            ds = self._distance(i, source, label_mask)
+            if ds != INF:
+                best = min(best, ds + self._distance(i, target, label_mask))
+        return best

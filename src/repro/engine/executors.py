@@ -8,11 +8,10 @@ therefore *reorganizations* of the scalar arithmetic — same lookups, same
 additions, same minima — with the per-mask work hoisted out of the per-
 query loop:
 
-* :class:`PowCovExecutor` packs the flat SP-minimal tables into CSR-style
-  numpy arrays once, then resolves the Theorem 1 reconstruction for *all*
-  unique endpoints of a mask group in one subset-filter sweep; per-vertex
-  landmark rows are cached on the mask plan so repeated-mask streams never
-  re-scan a vertex's entries.
+* :class:`PowCovExecutor` resolves the Theorem 1 reconstruction for *all*
+  unique endpoints of a mask group in one subset-filter sweep over the
+  index's sorted table; per-vertex landmark rows are cached on the mask
+  plan so repeated-mask streams never re-scan a vertex's entries.
 * :class:`ChromLandExecutor` computes the usable-landmark filter and (for
   the Theorem 5 strategy) the masked auxiliary adjacency once per mask,
   then evaluates every pair in the group against the shared plan; the
@@ -100,79 +99,6 @@ class ScalarLoopExecutor(OracleExecutor[DistanceOracle, int]):
 # ----------------------------------------------------------------------
 # PowCov
 # ----------------------------------------------------------------------
-class _PackedView:
-    """CSR-packed view of flat SP-minimal tables, for vectorized probes.
-
-    Rebuild of :meth:`PowCovIndex._build_packed` usable for *any* storage
-    layout (every layout retains the flat per-landmark dicts) and for the
-    reversed-graph tables of a directed index.  Distances are float64 so
-    weighted indexes round-trip exactly.
-    """
-
-    __slots__ = ("offsets", "dist", "mask", "landmark", "k")
-
-    def __init__(
-        self, flat: list[dict[int, list[tuple[int, int]]]], num_vertices: int
-    ) -> None:
-        self.k = len(flat)
-        total = sum(len(pairs) for entries in flat for pairs in entries.values())
-        vertex = np.empty(total, dtype=np.int64)
-        dist = np.empty(total, dtype=np.float64)
-        mask = np.empty(total, dtype=np.int64)
-        landmark = np.empty(total, dtype=np.int32)
-        pos = 0
-        for i, entries in enumerate(flat):
-            for u, pairs in entries.items():
-                for d, m in pairs:
-                    vertex[pos] = u
-                    dist[pos] = d
-                    mask[pos] = m
-                    landmark[pos] = i
-                    pos += 1
-        order = np.lexsort((dist, vertex))
-        vertex = vertex[order]
-        self.dist = dist[order]
-        self.mask = mask[order]
-        self.landmark = landmark[order]
-        offsets = np.zeros(num_vertices + 1, dtype=np.int64)
-        np.add.at(offsets, vertex + 1, 1)
-        np.cumsum(offsets, out=offsets)
-        self.offsets = offsets
-
-    def lookup_many(self, vertices: np.ndarray, label_mask: int) -> np.ndarray:
-        """``d_C(x, u)`` for every landmark × every vertex in one sweep.
-
-        Returns a ``(len(vertices), k)`` float64 matrix with ``inf`` where
-        no stored label set is a subset of ``label_mask``.  Entries within
-        a vertex are distance-sorted, so the first surviving entry per
-        ``(vertex, landmark)`` (via ``np.unique`` first-occurrence
-        semantics) is the Theorem 1 minimum — exactly the scalar scan.
-        """
-        out = np.full((len(vertices), self.k), INF, dtype=np.float64)
-        lo = self.offsets[vertices]
-        counts = self.offsets[vertices + 1] - lo
-        total = int(counts.sum())
-        if total == 0:
-            return out
-        # Flat entry indices of every vertex's slice, concatenated.
-        starts = np.repeat(lo, counts)
-        within = np.arange(total, dtype=np.int64)
-        within -= np.repeat(np.cumsum(counts) - counts, counts)
-        idx = starts + within
-        rows = np.repeat(np.arange(len(vertices), dtype=np.int64), counts)
-        masks = self.mask[idx]
-        ok = (masks & label_mask) == masks
-        if not ok.any():
-            return out
-        rows = rows[ok]
-        landmarks = self.landmark[idx][ok]
-        dists = self.dist[idx][ok]
-        keys = rows * self.k + landmarks
-        first_keys, first_pos = np.unique(keys, return_index=True)
-        out[first_keys // self.k, first_keys % self.k] = dists[first_pos]
-        return out
-
-
 class _RowCache:
     """Resolved per-vertex landmark rows for one (mask, table) pair.
 
@@ -216,36 +142,27 @@ class PowCovExecutor(OracleExecutor[PowCovIndex, _PowCovMaskPlan]):
     def __init__(self, oracle: PowCovIndex) -> None:
         super().__init__(oracle)
         oracle._require_built()  # noqa: SLF001 - engine is a friend module
-        n = oracle.graph.num_vertices
-        self._forward = _PackedView(oracle._flat, n)  # noqa: SLF001
-        self._reverse = (
-            _PackedView(oracle._flat_reverse, n)  # noqa: SLF001
-            if oracle.graph.directed
-            else None
-        )
-        self._landmark_index_of = dict(oracle._landmark_index_of)  # noqa: SLF001
+        self._directed = oracle.graph.directed
 
     def prepare_mask(self, label_mask: int) -> _PowCovMaskPlan:
         return _PowCovMaskPlan(
-            label_mask, len(self.oracle.landmarks), self._reverse is not None
+            label_mask, len(self.oracle.landmarks), self._directed
         )
 
     def _gather(
         self,
         label_mask: int,
         unique_vertices: np.ndarray,
-        view: _PackedView,
+        direction: str,
         cache: _RowCache,
     ) -> np.ndarray:
         """Landmark rows for ``unique_vertices``, resolving any new ones."""
         row_of = cache.row_of
         missing = [u for u in unique_vertices.tolist() if u not in row_of]
         if missing:
-            table = view.lookup_many(np.asarray(missing, dtype=np.int64), label_mask)
-            for offset, u in enumerate(missing):
-                own = self._landmark_index_of.get(u)
-                if own is not None:
-                    table[offset, own] = 0.0
+            table = self.oracle.landmark_rows(
+                np.asarray(missing, dtype=np.int64), label_mask, direction
+            )
             cache.append(table, missing)
         idx = np.fromiter(
             (row_of[u] for u in unique_vertices.tolist()),
@@ -268,18 +185,20 @@ class PowCovExecutor(OracleExecutor[PowCovIndex, _PowCovMaskPlan]):
         sources = group.sources[live]
         targets = group.targets[live]
         mask = mask_plan.label_mask
-        if self._reverse is not None:
+        if mask_plan.rows_reverse is not None:
             # Directed estimate: min_x d_C(s → x) + d_C(x → t); the s-leg
-            # comes from the reversed-graph tables.
+            # comes from the reversed-graph table.
             su, s_inv = np.unique(sources, return_inverse=True)
             tu, t_inv = np.unique(targets, return_inverse=True)
-            ds = self._gather(mask, su, self._reverse, mask_plan.rows_reverse)[s_inv]
-            dt = self._gather(mask, tu, self._forward, mask_plan.rows)[t_inv]
+            ds = self._gather(
+                mask, su, "to-landmark", mask_plan.rows_reverse
+            )[s_inv]
+            dt = self._gather(mask, tu, "from-landmark", mask_plan.rows)[t_inv]
         else:
             endpoints, inverse = np.unique(
                 np.concatenate([sources, targets]), return_inverse=True
             )
-            matrix = self._gather(mask, endpoints, self._forward, mask_plan.rows)
+            matrix = self._gather(mask, endpoints, "from-landmark", mask_plan.rows)
             ds = matrix[inverse[: len(sources)]]
             dt = matrix[inverse[len(sources):]]
         sums = ds + dt
@@ -397,21 +316,14 @@ class NaiveExecutor(OracleExecutor[NaivePowersetIndex, "np.ndarray | None"]):
 def executor_for(oracle: DistanceOracle) -> OracleExecutor[Any, Any]:
     """Pick the batch executor for ``oracle`` (scalar loop as fallback).
 
-    The PowCov executor packs the whole flat table at construction, so it
-    is memoized on the oracle instance; the memo is keyed on the identity
-    of ``_flat`` so a rebuilt index gets a fresh executor.  The other
-    executors read the oracle's tables live and are cheap to construct.
+    Every executor reads the oracle's tables live, so constructing one is
+    cheap and a repaired index needs no invalidation.
     """
     maker = getattr(oracle, "make_batch_executor", None)
     if maker is not None:
         return maker()
     if isinstance(oracle, PowCovIndex):
-        cached = oracle.__dict__.get("_engine_executor")
-        if cached is not None and cached[0] is oracle._flat:  # noqa: SLF001
-            return cached[1]
-        executor = PowCovExecutor(oracle)
-        oracle._engine_executor = (oracle._flat, executor)  # noqa: SLF001
-        return executor
+        return PowCovExecutor(oracle)
     if isinstance(oracle, ChromLandIndex):
         return ChromLandExecutor(oracle)
     if isinstance(oracle, NaivePowersetIndex):

@@ -47,13 +47,33 @@ def as_triple(query: QueryLike | tuple[int, ...]) -> tuple[int, int, int]:
     return int(source), int(target), int(mask)
 
 
-def to_triple_array(queries: Sequence[Any] | np.ndarray) -> np.ndarray:
+def to_triple_array(
+    queries: Sequence[Any] | np.ndarray, num_labels: int | None = None
+) -> np.ndarray:
     """Normalize a batch to an ``(n, 3)`` int64 array of (s, t, mask) rows.
 
     Plain tuple/list batches convert in one C-level pass; batches of
     ``Query`` / ``LabeledQuery`` objects fall back to per-item attribute
-    access.
+    access.  With ``num_labels``, every mask must lie in the label
+    domain ``[0, 2**num_labels)``; a query outside it raises
+    ``ValueError`` rather than reaching an oracle.
     """
+    try:
+        arr = _triples(queries)
+    except OverflowError:
+        raise ValueError("query field outside the int64 range") from None
+    if num_labels is not None and len(arr):
+        masks = arr[:, 2]
+        outside = (masks < 0) | (masks >> min(num_labels, 63) != 0)
+        if outside.any():
+            raise ValueError(
+                f"label mask {int(masks[outside][0])} outside the "
+                f"{num_labels}-label domain [0, 2**{num_labels})"
+            )
+    return arr
+
+
+def _triples(queries: Sequence[Any] | np.ndarray) -> np.ndarray:
     if isinstance(queries, np.ndarray):
         if queries.ndim == 2 and queries.shape[1] >= 3:
             return np.ascontiguousarray(queries[:, :3], dtype=np.int64)

@@ -274,13 +274,15 @@ class QuerySession:
         Accepts ``Query`` objects, ``LabeledQuery`` objects, plain
         ``(source, target, mask)`` triples, or an ``(n, 3)`` int array;
         returns answers in submission order, bit-identical to the scalar
-        loop.
+        loop.  A mask outside the graph's label domain raises
+        ``ValueError``.
         """
         with self.stats.timed("total_seconds"), span(
             "engine.run", oracle=self.oracle.name
         ) as run_span:
+            num_labels = self.oracle.graph.num_labels
             if not self.cache_size:
-                arr = to_triple_array(queries)
+                arr = to_triple_array(queries, num_labels)
                 self.stats.count("queries", len(arr))
                 _count_logical_queries(len(arr))
                 self.stats.count("batches")
@@ -319,7 +321,7 @@ class QuerySession:
             run_span.count("cache_misses", len(miss_positions))
             if miss_positions:
                 misses = [queries[i] for i in miss_positions]
-                values = self._execute(to_triple_array(misses))
+                values = self._execute(to_triple_array(misses, num_labels))
                 for i, value in zip(miss_positions, values.tolist()):
                     answers[i] = value
                     self._cache_put(keys[i], value)
@@ -420,9 +422,10 @@ def execute_batch(
 
     This is what ``DistanceOracle.batch_query`` delegates to; results are
     bit-identical to ``[oracle.query(s, t, m) for s, t, m in queries]``.
+    A mask outside the graph's label domain raises ``ValueError``.
     """
     executor = executor_for(oracle)
-    plan = plan_batch(queries)
+    plan = plan_batch(to_triple_array(queries, oracle.graph.num_labels))
     _count_logical_queries(plan.num_queries)
     out = np.empty(plan.num_queries, dtype=np.float64)
     for group in plan.groups:

@@ -106,14 +106,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--load-index", metavar="DIR", default=None,
                         help="like --save-index but read-only: reuse cached "
                         "indexes from DIR without ever writing to it")
-    parser.add_argument("--index-format", choices=["mmap", "npz"],
-                        default="mmap",
-                        help="on-disk index format for --save-index: 'mmap' "
-                        "is the zero-copy store format (lazy, page-cache-"
-                        "shared cold start), 'npz' the eager archive; "
-                        "loading autodetects either")
     parser.add_argument("--index-compress", action="store_true",
-                        help="with --save-index and the mmap format: varint/"
+                        help="with --save-index: varint/"
                         "delta-compress the integer index sections (smaller "
                         "files, eager decode on open)")
     parser.add_argument("--selfcheck", action="store_true",
@@ -188,7 +182,6 @@ def main(argv: list[str] | None = None) -> int:
 
         set_default_index_store(IndexStore(
             args.save_index or args.load_index,
-            format=args.index_format,
             compress=args.index_compress,
             writable=args.save_index is not None,
         ))

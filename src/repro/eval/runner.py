@@ -98,7 +98,6 @@ def run_powcov(
     seed: int | None = 0,
     baseline_seconds: float | None = None,
     builder: str | None = None,
-    storage: str = "flat",
     parallel: "ParallelConfig | int | None" = None,
     engine: "EngineConfig | bool | None" = None,
     index_store: "IndexStore | None" = None,
@@ -119,9 +118,8 @@ def run_powcov(
     loaded instead of rebuilt — ``build_seconds`` then measures the load —
     and a freshly built index is persisted back.  Loaded indexes answer
     queries bit-identically to freshly built ones, so the evaluated
-    metrics are unchanged; a store-format load serves through the mapped
-    (zero-copy) query path, whose layout the loader picks, superseding
-    ``storage``.
+    metrics are unchanged; a loaded index serves straight off the mapped
+    file.
     """
     store = index_store if index_store is not None else get_default_index_store()
     tag = f"k{k}-{strategy}-s{seed}"
@@ -132,9 +130,9 @@ def run_powcov(
         with span("eval.powcov_build", k=k, strategy=strategy), profile_phase(
             f"powcov-build-k{k}"
         ):
-            index = PowCovIndex(
-                graph, landmarks, builder=builder, storage=storage
-            ).build(parallel=parallel)
+            index = PowCovIndex(graph, landmarks, builder=builder).build(
+                parallel=parallel
+            )
         if store is not None:
             store.save(index, tag=tag)
     build_seconds = time.perf_counter() - started

@@ -315,7 +315,7 @@ def render_trace(spans: list[Span] | None = None, title: str = "trace") -> str:
     return "\n".join(lines)
 
 
-def _flatten(
+def _preorder(
     span_obj: Span, parent_id: int | None, next_id: list[int], out: list[dict[str, Any]]
 ) -> None:
     span_id = next_id[0]
@@ -326,7 +326,7 @@ def _flatten(
     record["parent_id"] = parent_id
     out.append(record)
     for child in span_obj.children:
-        _flatten(child, span_id, next_id, out)
+        _preorder(child, span_id, next_id, out)
 
 
 def trace_to_jsonl(spans: list[Span] | None = None) -> str:
@@ -335,7 +335,7 @@ def trace_to_jsonl(spans: list[Span] | None = None) -> str:
     records: list[dict[str, Any]] = []
     next_id = [0]
     for root in spans:
-        _flatten(root, None, next_id, records)
+        _preorder(root, None, next_id, records)
     return "\n".join(json.dumps(record, sort_keys=True) for record in records)
 
 

@@ -208,6 +208,12 @@ class ServeApp:
             mask = item["mask"]
             if isinstance(mask, bool) or not isinstance(mask, int) or mask < 0:
                 raise HttpError(400, "'mask' must be a non-negative integer")
+            if mask >> num_labels:
+                raise HttpError(
+                    400,
+                    f"'mask' {mask} outside the label domain "
+                    f"[0, 2**{num_labels}) (graph has {num_labels} labels)",
+                )
             return mask
         if "labels" in item:
             labels = item["labels"]
@@ -217,6 +223,13 @@ class ServeApp:
             ):
                 raise HttpError(
                     400, "'labels' must be a list of non-negative label ids"
+                )
+            outside = [x for x in labels if x >= num_labels]
+            if outside:
+                raise HttpError(
+                    400,
+                    f"label id {outside[0]} out of range "
+                    f"(graph has {num_labels} labels)",
                 )
             return mask_from_labels(labels)
         return full_mask(num_labels)  # unconstrained query

@@ -3,9 +3,8 @@
 An :class:`IndexStore` names files by ``{kind}-{fingerprint:016x}-{tag}``
 inside one directory, so a cached index can never be served against the
 wrong graph — a different graph hashes to a different filename, and the
-loader re-verifies the embedded fingerprint anyway.  ``format`` picks the
-on-disk representation: ``"mmap"`` (the zero-copy store format, default)
-or ``"npz"`` (the eager fallback in :mod:`repro.core.serialize`).
+loader re-verifies the embedded fingerprint anyway.  Files are in the
+zero-copy store format of :mod:`repro.store.index_store`.
 
 The process-wide default mirrors the other opt-in defaults
 (:func:`repro.perf.parallel.set_default_parallel`,
@@ -32,8 +31,7 @@ __all__ = [
     "get_default_index_store",
 ]
 
-_FORMATS = ("mmap", "npz")
-_SUFFIX_OF = {"mmap": ".repro", "npz": ".npz"}
+_SUFFIX = ".repro"
 _LINEAGE_FILE = "lineage.jsonl"
 
 
@@ -44,10 +42,8 @@ class IndexStore:
     ----------
     directory:
         Where the files live; created on first save.
-    format:
-        ``"mmap"`` (store format, lazy open) or ``"npz"`` (eager fallback).
     compress:
-        Store format only: varint/delta-compress the integer sections.
+        Varint/delta-compress the integer sections.
     writable:
         ``False`` makes :meth:`save` a no-op — the CLI's pure
         ``--load-index`` mode, where a read-only cache directory (e.g. a
@@ -64,17 +60,13 @@ class IndexStore:
     def __init__(
         self,
         directory: str | os.PathLike[str],
-        format: str = "mmap",
         compress: bool = False,
         writable: bool = True,
         capacity: int | None = None,
     ) -> None:
-        if format not in _FORMATS:
-            raise ValueError(f"format must be one of {_FORMATS}, got {format!r}")
         if capacity is not None and capacity < 1:
             raise ValueError("capacity must be >= 1 (or None for unbounded)")
         self.directory = os.fspath(directory)
-        self.format = format
         self.compress = compress
         self.writable = writable
         self.capacity = capacity
@@ -84,26 +76,18 @@ class IndexStore:
     def path_for(
         self, kind: str, graph: "EdgeLabeledGraph", tag: str = "default"
     ) -> str:
-        """Canonical path for (kind, graph, tag) in the configured format."""
+        """Canonical path for (kind, graph, tag)."""
         from ..core.serialize import graph_fingerprint  # local: avoids cycle
 
         name = f"{kind}-{int(graph_fingerprint(graph)):016x}-{tag}"
-        return os.path.join(self.directory, name + _SUFFIX_OF[self.format])
+        return os.path.join(self.directory, name + _SUFFIX)
 
     def find(
         self, kind: str, graph: "EdgeLabeledGraph", tag: str = "default"
     ) -> str | None:
-        """An existing file for (kind, graph, tag), preferring the
-        configured format but accepting the other one."""
-        from ..core.serialize import graph_fingerprint  # local: avoids cycle
-
-        name = f"{kind}-{int(graph_fingerprint(graph)):016x}-{tag}"
-        preferred = _SUFFIX_OF[self.format]
-        for suffix in (preferred, *(s for s in _SUFFIX_OF.values() if s != preferred)):
-            candidate = os.path.join(self.directory, name + suffix)
-            if os.path.isfile(candidate):
-                return candidate
-        return None
+        """The existing file for (kind, graph, tag), if any."""
+        path = self.path_for(kind, graph, tag)
+        return path if os.path.isfile(path) else None
 
     def load(
         self, kind: str, graph: "EdgeLabeledGraph", tag: str = "default"
@@ -112,9 +96,9 @@ class IndexStore:
         path = self.find(kind, graph, tag)
         if path is None:
             return None
-        from ..core.serialize import load_index  # local: avoids cycle
+        from .index_store import open_index  # local: avoids cycle
 
-        index = load_index(path, graph)
+        index = open_index(path, graph)
         if self.capacity is not None and self.writable:
             try:
                 os.utime(path)  # refresh recency so the LRU cap spares it
@@ -129,12 +113,12 @@ class IndexStore:
         if not self.writable:
             return None
         from ..core.chromland import ChromLandIndex  # local: avoids cycle
-        from ..core.serialize import save_index  # local: avoids cycle
+        from .index_store import save_index  # local: avoids cycle
 
         kind = "chromland" if isinstance(index, ChromLandIndex) else "powcov"
         os.makedirs(self.directory, exist_ok=True)
         path = self.path_for(kind, index.graph, tag)
-        save_index(index, path, format=self.format, compress=self.compress)
+        save_index(index, path, compress=self.compress)
         self._record_lineage(index.graph)
         self._enforce_capacity(keep=path)
         return path
@@ -143,7 +127,6 @@ class IndexStore:
     # LRU capacity
     # ------------------------------------------------------------------
     def _index_files(self) -> list[str]:
-        suffixes = tuple(_SUFFIX_OF.values())
         try:
             names = os.listdir(self.directory)
         except FileNotFoundError:
@@ -151,7 +134,7 @@ class IndexStore:
         return [
             os.path.join(self.directory, name)
             for name in sorted(names)
-            if name.endswith(suffixes)
+            if name.endswith(_SUFFIX)
         ]
 
     def _enforce_capacity(self, keep: str) -> None:
@@ -243,7 +226,7 @@ class IndexStore:
 
     def __repr__(self) -> str:
         return (
-            f"IndexStore({self.directory!r}, format={self.format!r}, "
+            f"IndexStore({self.directory!r}, "
             f"compress={self.compress}, writable={self.writable}, "
             f"capacity={self.capacity})"
         )

@@ -8,11 +8,12 @@ the serving structures:
   int64, ``neighbors`` int32, ``edge_labels`` int16), so
   :class:`~repro.graph.labeled_graph.EdgeLabeledGraph` adopts the memmap
   views without copying.
-* ``kind="powcov"`` — the PowCov entries as flat parallel arrays globally
-  sorted by ``key = landmark_index * n + vertex`` (distance, then mask,
-  within a key).  :func:`open_index` wraps them in a
-  :class:`~repro.store.mapped.MappedPowCovIndex`; no per-landmark dicts are
-  ever rebuilt.
+* ``kind="powcov"`` — the index's
+  :class:`~repro.core.powcov.table.PowCovTable` columns verbatim (``key``
+  sorted, distance then mask within a key).  :func:`open_index` wraps
+  the mapped columns in a plain
+  :class:`~repro.core.powcov.PowCovIndex`, which serves, repairs and
+  saves like a built one.
 * ``kind="chromland"`` — the ``mono`` / ``bi`` (and directed ``mono_in``)
   matrices verbatim; a regular :class:`ChromLandIndex` serves directly off
   the mapped matrices.
@@ -38,10 +39,10 @@ import numpy as np
 
 from ..core.chromland import ChromLandIndex
 from ..core.powcov import PowCovIndex
+from ..core.powcov.table import PowCovTable
 from ..graph.labeled_graph import EdgeLabeledGraph
 from ..graph.labelsets import LabelUniverse
 from .format import FormatError, Store, write_store
-from .mapped import MappedPowCovIndex, MappedTable
 
 __all__ = [
     "STORE_SUFFIX",
@@ -85,32 +86,13 @@ def _check_fingerprint(store: Store, graph: EdgeLabeledGraph) -> int:
 def _powcov_sections(
     index: PowCovIndex, compress: bool
 ) -> list[tuple[str, np.ndarray, str | None]]:
-    from ..core.serialize import _entries_to_arrays  # local: avoids cycle
-
-    n = index.graph.num_vertices
-    tables = [("fwd", index.per_landmark)]
-    if index.graph.directed:
-        tables.append(("rev", index.per_landmark_reverse))
     sections: list[tuple[str, np.ndarray, str | None]] = []
-    for prefix, per_landmark in tables:
-        landmark_idx, vertex, distance, mask = _entries_to_arrays(per_landmark)
-        key = landmark_idx.astype(np.int64) * n + vertex
-        # Global sort by (key, distance, mask): within one (landmark,
-        # vertex) pair this is exactly the flat layout's list order, so the
-        # mapped first-subset-hit scan returns the Theorem 1 minimum.
-        order = np.lexsort((mask, distance, key))
-        key = key[order]
-        distance = distance[order]
-        mask = mask[order]
-        integral = bool(np.all(distance == np.floor(distance)))
-        sections.append((f"{prefix}_key", key, _codec(compress, sorted_values=True)))
-        if integral:
-            sections.append(
-                (f"{prefix}_dist", distance.astype(np.int64), _codec(compress))
-            )
-        else:
-            sections.append((f"{prefix}_dist", distance, None))
-        sections.append((f"{prefix}_mask", mask, _codec(compress)))
+    for prefix, table in zip(("fwd", "rev"), index.tables()):
+        sections.append((f"{prefix}_key", table.key, _codec(compress, sorted_values=True)))
+        # Float distances (weighted indexes) always stay raw.
+        integral = table.dist.dtype.kind == "i"
+        sections.append((f"{prefix}_dist", table.dist, _codec(compress and integral)))
+        sections.append((f"{prefix}_mask", table.mask, _codec(compress)))
     return sections
 
 
@@ -122,10 +104,6 @@ def save_index(
     """Write a built index as a store file (see the module docstring)."""
     from ..core.serialize import graph_fingerprint  # local: avoids cycle
 
-    if getattr(index, "is_mapped", False):
-        raise ValueError(
-            "mapped indexes are serving-only; save the originally built index"
-        )
     fingerprint = int(graph_fingerprint(index.graph))
     if isinstance(index, PowCovIndex):
         if not index._built:  # noqa: SLF001 - store is a friend module
@@ -169,7 +147,7 @@ def save_index(
 def open_index(
     path: str | os.PathLike[str], graph: EdgeLabeledGraph
 ) -> PowCovIndex | ChromLandIndex:
-    """Open a store file for ``graph``: mapped PowCov or ChromLand index.
+    """Open a store file for ``graph``: a PowCov or ChromLand index.
 
     Opening reads the header only; index sections fault in lazily as
     queries touch them (compressed sections decode on first access).
@@ -180,21 +158,19 @@ def open_index(
         landmarks = [int(x) for x in store.array("landmarks")]
         n = graph.num_vertices
         k = len(landmarks)
-        forward = MappedTable(
-            store.array("fwd_key"), store.array("fwd_dist"),
-            store.array("fwd_mask"), k, n,
-        )
-        reverse = None
-        if "rev_key" in store:
-            reverse = MappedTable(
-                store.array("rev_key"), store.array("rev_dist"),
-                store.array("rev_mask"), k, n,
+        tables = [
+            PowCovTable(
+                store.array(f"{prefix}_key"), store.array(f"{prefix}_dist"),
+                store.array(f"{prefix}_mask"), k, n,
             )
+            for prefix in ("fwd", "rev")
+            if f"{prefix}_key" in store
+        ]
         (estimator,) = _require_meta(store, "estimator")
-        index: PowCovIndex | ChromLandIndex = MappedPowCovIndex(
-            graph, landmarks, forward, reverse,
-            estimator=str(estimator), stored_fingerprint=stored,
+        index: PowCovIndex | ChromLandIndex = PowCovIndex.from_tables(
+            graph, landmarks, *tables, estimator=str(estimator)
         )
+        index.stored_fingerprint = stored
         index.source_store = store
         return index
     if store.kind == "chromland":

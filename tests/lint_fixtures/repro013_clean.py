@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.store.mapped import MappedTable
+from repro.core.powcov.table import PowCovTable
 
 
 def _read_only_probe(path: str) -> "np.ndarray":
@@ -19,7 +19,7 @@ def _escaped_map(path: str) -> "np.ndarray":
 
 
 def _mutate_a_copy(key: object, payload: object, bits: object) -> "np.ndarray":
-    table = MappedTable(key, payload, bits, 4, 16)
+    table = PowCovTable(key, payload, bits, 4, 16)
     scratch = table.dist.copy()  # a private copy is writable
     scratch[0] = 0.0
     return scratch

@@ -25,6 +25,7 @@ from repro.analysis.audit import (
 from repro.core.chromland import ChromLandIndex
 from repro.core.chromland.selection import majority_colors
 from repro.core.powcov import PowCovIndex
+from repro.core.powcov.table import PowCovTable
 from repro.engine import QuerySession
 from repro.graph.labeled_graph import EdgeLabeledGraph
 from repro.graph.generators import chromatic_cluster_graph
@@ -172,23 +173,37 @@ def test_graph_broken_symmetry(graph):
 # PowCov corruptions
 # ----------------------------------------------------------------------
 def entry_site(index):
-    """A (landmark, vertex, pairs) triple with at least one stored entry."""
-    for i, entries in enumerate(index._flat):
-        for u, pairs in entries.items():
-            if pairs:
-                return i, u, pairs
-    raise AssertionError("index stores no entries")
+    """``(landmark index, vertex, end row)`` of the table's first pair."""
+    table = index.table
+    assert len(table), "index stores no entries"
+    key = int(table.key[0])
+    i, u = divmod(key, table.num_vertices)
+    return i, u, int(np.searchsorted(table.key, key, side="right"))
+
+
+def insert_entry(index, row, dist, mask, key=None):
+    """Corrupt the table: a new ``(key, dist, mask)`` row before ``row``
+    (``key`` defaults to the key of the row above)."""
+    table = index.table
+    key = int(table.key[row - 1]) if key is None else key
+    index.table = PowCovTable(
+        np.insert(table.key, row, key),
+        np.insert(table.dist, row, dist),
+        np.insert(table.mask, row, mask),
+        table.num_landmarks,
+        table.num_vertices,
+    )
 
 
 def test_powcov_dominated_entry_reported(powcov, graph):
-    i, u, pairs = entry_site(powcov)
-    d0, m0 = pairs[0]
+    i, u, end = entry_site(powcov)
+    m0 = int(powcov.table.mask[0])
     extra = next(
         b for b in range(graph.num_labels) if not m0 & (1 << b)
     )
     # A superset of the first entry's mask at a larger distance can never be
     # SP-minimal next to its stored subset.
-    pairs.append((pairs[-1][0] + 1, m0 | (1 << extra)))
+    insert_entry(powcov, end, int(powcov.table.dist[end - 1]) + 1, m0 | (1 << extra))
     violations = audit_powcov(powcov, samples=0)
     hit = next(v for v in violations if v.check == "powcov.incomparable")
     assert f"landmark {i} (vertex {powcov.landmarks[i]}), vertex {u}" == hit.location
@@ -196,8 +211,10 @@ def test_powcov_dominated_entry_reported(powcov, graph):
 
 
 def test_powcov_duplicate_entry_reported(powcov):
-    i, u, pairs = entry_site(powcov)
-    pairs.append((pairs[-1][0], pairs[-1][1]))
+    i, u, end = entry_site(powcov)
+    insert_entry(
+        powcov, end, int(powcov.table.dist[end - 1]), int(powcov.table.mask[end - 1])
+    )
     violations = audit_powcov(powcov, samples=0)
     hit = next(v for v in violations if v.check == "powcov.entry-duplicate")
     assert f"vertex {u}" in hit.location
@@ -205,9 +222,8 @@ def test_powcov_duplicate_entry_reported(powcov):
 
 
 def test_powcov_wrong_distance_reported(powcov):
-    i, u, pairs = entry_site(powcov)
-    d0, m0 = pairs[-1]
-    pairs[-1] = (d0 + 1, m0)
+    i, u, end = entry_site(powcov)
+    powcov.table.dist[end - 1] += 1
     # Exhaustive sampling guarantees the doctored entry is re-derived.
     violations = audit_powcov(powcov, samples=10_000)
     hits = checks_of(violations)
@@ -217,10 +233,40 @@ def test_powcov_wrong_distance_reported(powcov):
 
 
 def test_powcov_mask_domain_reported(powcov, graph):
-    i, u, pairs = entry_site(powcov)
-    pairs.append((pairs[-1][0] + 1, full_mask(graph.num_labels) + 1))
+    i, u, end = entry_site(powcov)
+    insert_entry(
+        powcov, end, int(powcov.table.dist[end - 1]) + 1, full_mask(graph.num_labels) + 1
+    )
     violations = audit_powcov(powcov, samples=0)
     assert "powcov.entry-mask-domain" in checks_of(violations)
+
+
+def test_powcov_entry_order_reported(powcov):
+    i, u, end = entry_site(powcov)
+    # A smaller distance after the run's last entry breaks (dist, mask) order.
+    insert_entry(powcov, end, 0, int(powcov.table.mask[0]))
+    violations = audit_powcov(powcov, samples=0)
+    hit = next(v for v in violations if v.check == "powcov.entry-order")
+    assert f"vertex {u}" in hit.location
+
+
+def test_powcov_key_order_reported(powcov):
+    table = powcov.table
+    # Swap the first two distinct keys: the key column is no longer sorted.
+    _i, _u, end = entry_site(powcov)
+    table.key[0], table.key[end] = table.key[end], table.key[0]
+    violations = audit_powcov(powcov, samples=0)
+    hit = next(v for v in violations if v.check == "powcov.key-order")
+    assert "table row" in hit.location
+
+
+def test_powcov_self_entry_reported(powcov):
+    x = powcov.landmarks[0]
+    row = int(np.searchsorted(powcov.table.key, x, side="left"))
+    insert_entry(powcov, row, 1, 1, key=x)  # landmark 0 -> its own vertex
+    violations = audit_powcov(powcov, samples=0)
+    hit = next(v for v in violations if v.check == "powcov.self-entry")
+    assert hit.location == f"landmark 0 (vertex {x}), vertex {x}"
 
 
 # ----------------------------------------------------------------------
@@ -275,8 +321,10 @@ def test_assert_clean_and_format_report(powcov):
     assert_clean([])  # no violations, no raise
     assert format_report([]) == "audit: all invariants hold"
 
-    i, u, pairs = entry_site(powcov)
-    pairs.append((pairs[-1][0], pairs[-1][1]))
+    i, u, end = entry_site(powcov)
+    insert_entry(
+        powcov, end, int(powcov.table.dist[end - 1]), int(powcov.table.mask[end - 1])
+    )
     violations = audit_powcov(powcov, samples=0)
     report = format_report(violations)
     assert "violation(s)" in report
@@ -294,8 +342,10 @@ def test_session_audit_flag(powcov):
     mask = full_mask(powcov.graph.num_labels)
     assert session.query(x, x, mask) == 0.0
 
-    i, u, pairs = entry_site(powcov)
-    pairs.append((pairs[-1][0], pairs[-1][1]))
+    i, u, end = entry_site(powcov)
+    insert_entry(
+        powcov, end, int(powcov.table.dist[end - 1]), int(powcov.table.mask[end - 1])
+    )
     with pytest.raises(AuditError):
         QuerySession(powcov, audit=True)
     # The flag is opt-in: an unaudited session still constructs.

@@ -17,7 +17,9 @@ asserting that
   (estimate ≥ exact, with ``inf`` agreement), and all ChromLand
   configurations report the *identical* set of bound-violating
   (approximate) queries — build backend and executor path must never
-  change which queries are approximated, nor by how much.
+  change which queries are approximated, nor by how much;
+* a mask outside the graph's label domain is rejected on every engine
+  path and on the wire, for every oracle family.
 
 ``test_harness_detects_executor_divergence`` proves the harness has teeth:
 a deliberately corrupted executor must trip the consistency assertions.
@@ -145,7 +147,7 @@ def _http_server_teardown():
         _HTTP["server"] = _HTTP["registry"] = None
 
 
-def _answers_via_http(oracle, queries) -> list[float]:
+def _post_via_http(oracle, queries) -> tuple[int, dict]:
     import http.client
     import json
 
@@ -162,10 +164,14 @@ def _answers_via_http(oracle, queries) -> list[float]:
             {"Content-Type": "application/json"},
         )
         response = conn.getresponse()
-        payload = json.loads(response.read())
-        assert response.status == 200, payload
+        return response.status, json.loads(response.read())
     finally:
         conn.close()
+
+
+def _answers_via_http(oracle, queries) -> list[float]:
+    status, payload = _post_via_http(oracle, queries)
+    assert status == 200, payload
     return [math.inf if d is None else d for d in payload["distances"]]
 
 
@@ -327,6 +333,31 @@ class TestDifferential:
                     assert got == reference, (
                         f"{builder} builder diverged from {POWCOV_BUILDERS[0]}"
                     )
+
+
+    @DIFFERENTIAL
+    @given(small_graphs(), st.sampled_from(["2^L", "2^L+1", "2^70"]))
+    def test_out_of_domain_masks_rejected_on_every_path(self, graph, which):
+        """Out-of-domain axis: a mask outside ``[0, 2**num_labels)`` never
+        reaches an oracle — the engine paths raise ``ValueError`` and the
+        wire answers 400, for every oracle family."""
+        top = 1 << graph.num_labels
+        mask = {"2^L": top, "2^L+1": top + 1, "2^70": 2**70}[which]
+        queries = [(0, 1, top - 1), (0, 1, mask)]
+        k = min(4, graph.num_vertices)
+        oracles = {
+            "powcov": PowCovIndex(graph, range(graph.num_vertices)).build(),
+            "chromland": ChromLandIndex(
+                graph, range(k), [i % graph.num_labels for i in range(k)]
+            ).build(),
+            "naive": NaivePowersetIndex(graph, range(k)).build(),
+        }
+        for name, oracle in oracles.items():
+            for path in ("batch", "session"):
+                with pytest.raises(ValueError, match="domain|int64"):
+                    answers_via(oracle, queries, path)
+            status, payload = _post_via_http(oracle, queries)
+            assert status == 400, (name, payload)
 
 
 # ----------------------------------------------------------------------

@@ -45,18 +45,10 @@ def setup():
 
 
 class TestDirectedPowCov:
-    @pytest.mark.parametrize("storage", ["packed", "trie"])
-    def test_rejects_non_flat_storage(self, storage):
-        # Documented in the PowCovIndex docstring: directed graphs keep a
-        # reversed-graph table that only the flat layout serves, so the
-        # restriction must surface at construction time for both layouts.
-        graph = directed_random(seed=1)
-        with pytest.raises(ValueError, match="flat"):
-            PowCovIndex(graph, [0], storage=storage)
-
-    def test_flat_storage_accepted(self):
-        graph = directed_random(seed=1)
-        PowCovIndex(graph, [0], storage="flat")  # must not raise
+    def test_reverse_table_holds_vertex_to_landmark_entries(self, setup):
+        graph, landmarks, powcov, _ = setup
+        reverse = PowCovIndex(graph.reversed(), landmarks).build()
+        assert powcov.reverse_table == reverse.table
 
     def test_landmark_distance_both_directions(self, setup):
         graph, landmarks, powcov, _ = setup
@@ -111,7 +103,7 @@ class TestDirectedPowCov:
 
     def test_size_accounting_includes_reverse(self, setup):
         graph, landmarks, powcov, _ = setup
-        forward_only = sum(r.total_entries for r in powcov.per_landmark)
+        forward_only = len(powcov.table)
         assert powcov.index_size_entries() > forward_only
 
 

@@ -2,8 +2,8 @@
 
 Covers ``GraphDelta``/``apply_delta`` semantics (validation, copy-on-write
 adoption, lineage fingerprints), the PowCov repair paths (decrease-only
-insertion repair, dirty-landmark re-sweeps for deletions/relabels, all
-three storage layouts), ChromLand per-sweep repair (undirected and
+insertion repair, dirty-landmark re-sweeps for deletions/relabels, built
+and store-opened tables), ChromLand per-sweep repair (undirected and
 directed), the differential harness itself, and a hypothesis-driven
 randomized mutation-sequence check asserting bit-identity with a
 from-scratch rebuild after every delta — the PR's acceptance bar.
@@ -192,9 +192,19 @@ class TestGraphDelta:
 class TestPowCovRepair:
     @pytest.mark.parametrize("storage", ["flat", "packed", "trie"])
     def test_insertion_repair_matches_rebuild(
-        self, base_graph, landmarks, storage
+        self, base_graph, landmarks, storage, tmp_path
     ):
-        index = PowCovIndex(base_graph, landmarks, storage=storage).build()
+        """Built ("flat") and store-opened ("packed") tables repair
+        incrementally; the repaired table regrouped into per-pair tries
+        ("trie") still answers like the rebuild."""
+        from repro.core.trie import TrieOracle
+        from repro.store.index_store import open_index, save_index
+
+        index = PowCovIndex(base_graph, landmarks).build()
+        if storage == "packed":
+            save_index(index, tmp_path / "p.repro")
+            index = open_index(tmp_path / "p.repro", base_graph)
+            assert isinstance(index.table.key, np.memmap)
         missing = next(
             (u, v, 1)
             for u in range(base_graph.num_vertices)
@@ -206,7 +216,13 @@ class TestPowCovRepair:
         assert index.graph is new_graph
         assert stats.kind == "powcov"
         assert not stats.full_rebuild
-        assert_repair_matches_rebuild(index, queries=sample_queries(new_graph))
+        queries = sample_queries(new_graph)
+        assert_repair_matches_rebuild(index, queries=queries)
+        if storage == "trie":
+            trie = TrieOracle(index)
+            assert [trie.query(s, t, m) for s, t, m in queries] == execute_batch(
+                rebuild_reference(index), queries
+            )
 
     def test_insertion_repair_lazy_fallback_matches_rebuild(
         self, base_graph, landmarks, monkeypatch
@@ -278,9 +294,9 @@ class TestPowCovRepair:
             repair_powcov(index, two)
 
     def test_engine_paths_agree_after_repair(self, base_graph, landmarks):
-        # Regression: the engine memoizes its packed executor on the
-        # oracle's table identity; repair must invalidate it.
-        index = PowCovIndex(base_graph, landmarks, storage="packed").build()
+        # A session's plans cache resolved landmark rows; rebinding after
+        # a repair must not serve rows of the old table.
+        index = PowCovIndex(base_graph, landmarks).build()
         queries = sample_queries(base_graph, seed=3)
         session = QuerySession(index)
         session.run(queries)
@@ -296,7 +312,7 @@ class TestPowCovRepair:
 
     def test_resweep_runs_the_build_code(self, base_graph, landmarks):
         """A deletion re-sweep yields exactly what ``_build_landmark``
-        gives with the index's builder: entries and pruning counters."""
+        gives with the index's builder: table slice and pruning counters."""
         from repro.core.powcov.index import _build_landmark
 
         index = PowCovIndex(base_graph, landmarks).build()
@@ -314,9 +330,15 @@ class TestPowCovRepair:
         extra = index._build_task_extra()
         assert extra["builder"] == index.builder == "wave"
         for i in resweeps:
-            assert index.per_landmark[i] == _build_landmark(
-                new_graph, index.landmarks[i], extra
+            expected = _build_landmark(new_graph, index.landmarks[i], extra)
+            got = index.per_landmark[i]
+            assert (got.num_sssp, got.num_full_tests, got.num_auto_minimal) == (
+                expected.num_sssp, expected.num_full_tests,
+                expected.num_auto_minimal,
             )
+            for column, want in zip(index.table.landmark_slice(i), expected.arrays):
+                assert column.dtype == want.dtype
+                assert np.array_equal(column, want)
 
     def test_directed_falls_back_to_full_rebuild(self):
         rng = np.random.default_rng(7)
@@ -337,8 +359,8 @@ class TestPowCovRepair:
 
 
 class TestStoreBackedRepair:
-    """Repairing an index opened from a store file: the mapped PowCov
-    tables and the read-only ChromLand memmaps must not keep serving."""
+    """Repairing an index opened from a store file: the PowCov table takes
+    the incremental path, and neither index writes into the mapped file."""
 
     @pytest.fixture(scope="class")
     def biogrid(self):
@@ -356,24 +378,52 @@ class TestStoreBackedRepair:
         store = IndexStore(tmp_path)
         store.save(PowCovIndex(graph, landmarks).build())
         opened = store.load("powcov", graph)
-        assert opened.is_mapped
+        assert isinstance(opened.table.key, np.memmap)
         x = landmarks[0]
         deletions = tuple(
             (x, int(v), int(l))
             for v, l in list(zip(graph.neighbors_of(x), graph.labels_of(x)))[:5]
         )
         new_graph = apply_delta(graph, GraphDelta(deletions=deletions))
-        assert repair_index(opened, new_graph).full_rebuild
-        assert not opened.is_mapped
+        stats = repair_index(opened, new_graph)
+        assert not stats.full_rebuild
+        assert stats.landmarks_resweep >= 1
         queries = size_skewed_stream(new_graph, 2000, seed=0)
         assert_repair_matches_rebuild(opened, queries=queries)
         assert execute_batch(opened, queries) == execute_batch(
             rebuild_reference(opened), queries
         )
-        # Once rebuilt in memory, the next delta repairs incrementally.
         newer = apply_delta(new_graph, GraphDelta(insertions=(deletions[0],)))
         assert not repair_index(opened, newer).full_rebuild
         assert_repair_matches_rebuild(opened, queries=queries[:200])
+        # The file still holds the pre-delta table.
+        assert store.load("powcov", graph).table == PowCovIndex(
+            graph, landmarks
+        ).build().table
+
+    def test_mapped_powcov_insertion_repairs_incrementally(
+        self, tmp_path, biogrid
+    ):
+        from repro.store.index_store import open_index, save_index
+
+        graph, landmarks = biogrid
+        save_index(PowCovIndex(graph, landmarks).build(), tmp_path / "p.repro")
+        opened = open_index(tmp_path / "p.repro", graph)
+        edges = undirected_edge_set(graph)
+        missing = next(
+            (u, v, 0)
+            for u in landmarks
+            for v in range(graph.num_vertices)
+            if u != v and (min(u, v), max(u, v), 0) not in edges
+        )
+        new_graph = apply_delta(graph, GraphDelta(insertions=(missing,)))
+        stats = repair_index(opened, new_graph)
+        assert stats.full_rebuild is False
+        assert stats.landmarks_repaired >= 1
+        assert_repair_matches_rebuild(opened, queries=sample_queries(new_graph))
+        save_index(opened, tmp_path / "q.repro")
+        reopened = open_index(tmp_path / "q.repro", new_graph)
+        assert reopened.table == opened.table
 
     def test_chromland_repairs_a_private_copy(self, tmp_path, biogrid):
         from repro.core.chromland.selection import majority_colors

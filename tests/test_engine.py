@@ -4,7 +4,8 @@ The engine's contract is *bit-identity*: for every oracle, batch
 execution — with or without answer caching — returns exactly what the
 scalar ``oracle.query`` loop returns, including the edge cases
 (``s == t``, empty constraint masks, unreachable pairs).  The tests here
-sweep that contract across every oracle family and storage layout, then
+sweep that contract across every oracle family (PowCov's table built,
+store-opened and regrouped into tries alike), then
 cover the planning layer, session caches, counters, and config plumbing.
 """
 
@@ -106,9 +107,25 @@ def landmarks():
 
 class TestBitIdentity:
     @pytest.mark.parametrize("storage", ["flat", "packed", "trie"])
-    def test_powcov_storages(self, undirected, landmarks, storage):
-        index = PowCovIndex(undirected, landmarks, storage=storage).build()
-        assert_engine_matches_scalar(index, mixed_batch(undirected))
+    def test_powcov_storages(self, undirected, landmarks, storage, tmp_path):
+        """The one table held three ways: built in memory ("flat"),
+        memmapped from a store file ("packed"), and regrouped into the
+        paper's per-pair prefix trees ("trie"), whose answers must equal
+        the engine's."""
+        from repro.core.trie import TrieOracle
+        from repro.store.index_store import open_index, save_index
+
+        index = PowCovIndex(undirected, landmarks).build()
+        if storage == "packed":
+            save_index(index, tmp_path / "p.repro")
+            index = open_index(tmp_path / "p.repro", undirected)
+            assert isinstance(index.table.key, np.memmap)
+        batch = mixed_batch(undirected)
+        assert_engine_matches_scalar(index, batch)
+        if storage == "trie":
+            assert execute_batch(index, batch) == scalar_answers(
+                TrieOracle(index), batch
+            )
 
     def test_powcov_median_estimator(self, undirected, landmarks):
         index = PowCovIndex(undirected, landmarks, estimator="median").build()
@@ -213,6 +230,59 @@ class TestPlanning:
         plan = plan_batch([])
         assert plan.num_queries == 0
         assert plan.groups == ()
+
+
+class TestMaskDomain:
+    """One query domain for every oracle: a mask outside
+    ``[0, 2**num_labels)`` is rejected before any oracle sees it."""
+
+    @pytest.fixture(scope="class")
+    def oracles(self, undirected, landmarks):
+        from repro.core import ExactDijkstraOracle
+
+        colors = [i % undirected.num_labels for i in range(len(landmarks))]
+        return {
+            "powcov": PowCovIndex(undirected, landmarks).build(),
+            "chromland": ChromLandIndex(undirected, landmarks, colors).build(),
+            "naive": NaivePowersetIndex(undirected, landmarks).build(),
+            "exact": ExactDijkstraOracle(undirected),
+            "bidirectional": BidirectionalBFSBaseline(undirected),
+            "ch": LabelConstrainedCH(undirected).build(),
+        }
+
+    @pytest.mark.parametrize(
+        "kind", ["powcov", "chromland", "naive", "exact", "bidirectional", "ch"]
+    )
+    @pytest.mark.parametrize("mask", [1 << 4, 129, 2**70, -1])
+    def test_out_of_domain_mask_rejected(self, oracles, kind, mask):
+        oracle = oracles[kind]
+        assert oracle.graph.num_labels == 4
+        batch = [(1, 7, 3), (1, 7, mask)]
+        with pytest.raises(ValueError, match="domain|int64"):
+            execute_batch(oracle, batch)
+        with pytest.raises(ValueError, match="domain|int64"):
+            QuerySession(oracle, cache_size=0).run(batch)
+        session = QuerySession(oracle, cache_size=64)
+        session.run(batch[:1])  # a warm cache must not let it through
+        with pytest.raises(ValueError, match="domain|int64"):
+            session.run(batch)
+
+    def test_domain_edges_accepted(self, oracles):
+        top = full_mask(4)
+        for oracle in oracles.values():
+            batch = [(1, 7, 0), (1, 7, top)]
+            assert execute_batch(oracle, batch) == scalar_answers(oracle, batch)
+
+    def test_triple_coercion_checks_masks(self):
+        assert to_triple_array([(0, 1, 7)], num_labels=3).tolist() == [[0, 1, 7]]
+        with pytest.raises(ValueError, match="domain"):
+            to_triple_array([(0, 1, 8)], num_labels=3)
+        with pytest.raises(ValueError, match="domain"):
+            to_triple_array(np.asarray([[0, 1, 8]]), num_labels=3)
+        with pytest.raises(ValueError, match="int64"):
+            to_triple_array([(0, 1, 2**70)])
+        # Without a label count only the shape is checked.
+        assert to_triple_array([(0, 1, 8)]).tolist() == [[0, 1, 8]]
 
 
 class TestQuerySession:

@@ -1,8 +1,8 @@
 """Tests for the parallel index-construction engine (`repro.perf`).
 
 The contract under test: ``build(parallel=...)`` produces **bit-for-bit**
-the same index as the serial build — same ``_flat``/``_packed`` layouts,
-same query answers — for every backend and worker count, on undirected,
+the same index as the serial build — the same PowCov table, the same
+query answers — for every backend and worker count, on undirected,
 directed and weighted graphs; and the shared-memory blocks backing the
 process pool are always released, also when a worker raises.
 """
@@ -113,18 +113,7 @@ class TestPowCovParallel:
         landmarks = [0, 9, 23, 41, 66]
         serial = PowCovIndex(graph, landmarks).build()
         par = PowCovIndex(graph, landmarks).build(parallel=config)
-        assert serial._flat == par._flat
-        assert_same_answers(serial, par, graph)
-
-    def test_packed_layout_identical(self):
-        graph = labeled_erdos_renyi(70, 200, num_labels=4, seed=3)
-        landmarks = [2, 11, 30, 55]
-        serial = PowCovIndex(graph, landmarks, storage="packed").build()
-        par = PowCovIndex(graph, landmarks, storage="packed").build(parallel=PROCESS_2)
-        assert np.array_equal(serial._packed_offsets, par._packed_offsets)
-        assert np.array_equal(serial._packed_dist, par._packed_dist)
-        assert np.array_equal(serial._packed_mask, par._packed_mask)
-        assert np.array_equal(serial._packed_landmark, par._packed_landmark)
+        assert serial.table == par.table
         assert_same_answers(serial, par, graph)
 
     @pytest.mark.parametrize("config", [PROCESS_2, THREAD_3], ids=["process", "thread"])
@@ -133,8 +122,8 @@ class TestPowCovParallel:
         landmarks = [0, 7, 14, 21]
         serial = PowCovIndex(graph, landmarks).build()
         par = PowCovIndex(graph, landmarks).build(parallel=config)
-        assert serial._flat == par._flat
-        assert serial._flat_reverse == par._flat_reverse
+        assert serial.table == par.table
+        assert serial.reverse_table == par.reverse_table
         assert_same_answers(serial, par, graph)
 
     @pytest.mark.parametrize("config", [PROCESS_2, THREAD_3], ids=["process", "thread"])
@@ -145,7 +134,7 @@ class TestPowCovParallel:
         landmarks = [3, 19, 37]
         serial = WeightedPowCovIndex(graph, landmarks, weights).build()
         par = WeightedPowCovIndex(graph, landmarks, weights).build(parallel=config)
-        assert serial._flat == par._flat
+        assert serial.table == par.table
         assert_same_answers(serial, par, graph)
 
     def test_build_one_matches_task_path(self):
@@ -154,7 +143,10 @@ class TestPowCovParallel:
         graph = labeled_erdos_renyi(40, 100, num_labels=3, seed=9)
         index = PowCovIndex(graph, [5])
         built = index.build()
-        assert built.per_landmark[0].entries == index._build_one(5).entries
+        one = index._build_one(5)
+        for column, want in zip(built.table.landmark_slice(0), one.arrays):
+            assert np.array_equal(column, want)
+        assert built.per_landmark[0].num_sssp == one.num_sssp
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.powcov import PowCovIndex
@@ -34,8 +35,10 @@ class TestConstruction:
             PowCovIndex(random_graph, [0], builder="magic")
 
     def test_bad_storage(self, random_graph):
-        with pytest.raises(ValueError, match="storage"):
-            PowCovIndex(random_graph, [0], storage="csv")
+        # The storage knob is gone: the sorted table is the only layout,
+        # and a leftover ``storage=`` argument fails loudly.
+        with pytest.raises(TypeError, match="storage"):
+            PowCovIndex(random_graph, [0], storage="flat")
 
     def test_bad_estimator(self, random_graph):
         with pytest.raises(ValueError, match="estimator"):
@@ -108,45 +111,63 @@ class TestQueryBounds:
 
 
 class TestStorageVariants:
-    def test_trie_and_packed_match_flat(self):
-        graph = labeled_erdos_renyi(35, 90, num_labels=4, seed=5)
-        landmarks = [0, 10, 20]
-        flat = PowCovIndex(graph, landmarks, storage="flat").build()
-        trie = PowCovIndex(graph, landmarks, storage="trie").build()
-        packed = PowCovIndex(graph, landmarks, storage="packed").build()
-        for s in range(0, 35, 3):
-            for t in range(1, 35, 4):
-                for mask in range(1, 16):
-                    reference = flat.query_answer(s, t, mask)
-                    for other in (trie, packed):
-                        answer = other.query_answer(s, t, mask)
-                        assert answer.estimate == reference.estimate
-                        assert answer.upper == reference.upper
-                    assert packed.query_answer(s, t, mask).lower == reference.lower
-
-    def test_packed_landmark_distance_matches_flat(self):
+    def test_landmark_rows_match_landmark_distance(self):
+        # The vectorized probe and the scalar first-subset scan read the
+        # same table; every (landmark, vertex, mask) must agree.
         graph = labeled_erdos_renyi(30, 80, num_labels=3, seed=9)
         landmarks = [0, 15, 29]
-        flat = PowCovIndex(graph, landmarks, storage="flat").build()
-        packed = PowCovIndex(graph, landmarks, storage="packed").build()
-        for i in range(3):
-            for u in range(30):
-                for mask in range(1, 8):
-                    assert packed.landmark_distance(i, u, mask) == (
-                        flat.landmark_distance(i, u, mask)
-                    )
+        index = PowCovIndex(graph, landmarks).build()
+        vertices = np.arange(30)
+        for mask in range(8):
+            rows = index.landmark_rows(vertices, mask)
+            for i in range(3):
+                for u in range(30):
+                    assert rows[u, i] == index.landmark_distance(i, u, mask)
 
-    def test_packed_median_matches_flat_median(self):
-        graph = labeled_erdos_renyi(30, 90, num_labels=3, seed=10)
-        landmarks = [0, 7, 14, 21, 28]
-        flat = PowCovIndex(graph, landmarks, storage="flat",
-                           estimator="median").build()
-        packed = PowCovIndex(graph, landmarks, storage="packed",
-                             estimator="median").build()
-        for s in range(0, 30, 4):
-            for t in range(1, 30, 5):
-                for mask in (1, 3, 7):
-                    assert flat.query(s, t, mask) == packed.query(s, t, mask)
+    @pytest.mark.parametrize("estimator", ["upper", "median"])
+    def test_query_answer_matches_landmark_loop(self, estimator):
+        # Reference: the triangle bounds spelled out landmark by landmark
+        # over the scalar Theorem 1 reconstruction.
+        graph = labeled_erdos_renyi(35, 90, num_labels=4, seed=5)
+        landmarks = [0, 10, 20, 30]
+        index = PowCovIndex(graph, landmarks, estimator=estimator).build()
+        for s in range(0, 35, 3):
+            for t in range(1, 35, 4):
+                if s == t:
+                    continue
+                for mask in range(1, 16):
+                    sums, gaps = [], []
+                    for i in range(len(landmarks)):
+                        ds = index.landmark_distance(i, s, mask)
+                        dt = index.landmark_distance(i, t, mask)
+                        if ds != math.inf and dt != math.inf:
+                            sums.append(ds + dt)
+                            gaps.append(abs(ds - dt))
+                    answer = index.query_answer(s, t, mask)
+                    if not sums:
+                        assert answer.estimate == answer.upper == math.inf
+                        continue
+                    assert answer.upper == min(sums)
+                    assert answer.lower == max(gaps)
+                    expected = (
+                        sorted(sums)[len(sums) // 2]
+                        if estimator == "median" else min(sums)
+                    )
+                    assert answer.estimate == expected
+
+    def test_table_is_the_landmark_blocks_in_order(self):
+        from repro.core.powcov import traverse_powerset
+        from repro.core.powcov.table import PowCovTable
+
+        graph = labeled_erdos_renyi(30, 80, num_labels=3, seed=2)
+        landmarks = [7, 3, 22]
+        index = PowCovIndex(graph, landmarks).build()
+        blocks = [traverse_powerset(graph, x).arrays for x in landmarks]
+        assert index.table == PowCovTable.from_landmarks(blocks, 30)
+        assert np.all(np.diff(index.table.key) >= 0)
+        for i, block in enumerate(blocks):
+            for column, want in zip(index.table.landmark_slice(i), block):
+                assert np.array_equal(column, want)
 
     def test_builders_match(self):
         graph = labeled_erdos_renyi(30, 70, num_labels=3, seed=6)

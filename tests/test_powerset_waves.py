@@ -4,7 +4,7 @@ The contract under test is *bit-identity*: the wave builder must produce
 exactly the entries (and pruning counters) of the scalar
 ``traverse_powerset`` and of ``brute_force_sp_minimal``, on undirected and
 directed graphs, under every Observation-flag combination, and through
-every ``PowCovIndex`` storage layout and parallel backend.
+``PowCovIndex`` under every parallel backend.
 """
 
 from __future__ import annotations
@@ -138,20 +138,18 @@ class TestBitIdentity:
 
 
 class TestIndexIntegration:
-    def test_wave_builders_match_scalar_across_storages(self):
+    def test_wave_builders_match_scalar(self):
         graph = labeled_erdos_renyi(32, 80, num_labels=4, seed=8)
         landmarks = [0, 11, 22]
         reference = PowCovIndex(graph, landmarks, builder="traverse").build()
-        for storage in ("flat", "packed", "trie"):
-            index = PowCovIndex(
-                graph, landmarks, builder="wave", storage=storage
-            ).build()
-            for s in range(0, 32, 5):
-                for t in range(1, 32, 6):
-                    for mask in range(1, 16):
-                        assert index.query(s, t, mask) == reference.query(
-                            s, t, mask
-                        ), (storage, s, t, mask)
+        index = PowCovIndex(graph, landmarks, builder="wave").build()
+        assert index.table == reference.table
+        for s in range(0, 32, 5):
+            for t in range(1, 32, 6):
+                for mask in range(1, 16):
+                    assert index.query(s, t, mask) == reference.query(
+                        s, t, mask
+                    ), (s, t, mask)
 
     @pytest.mark.parametrize(
         "parallel",

@@ -7,15 +7,11 @@ import pytest
 
 from repro.core.chromland import ChromLandIndex
 from repro.core.powcov import PowCovIndex
-from repro.core.serialize import (
-    graph_fingerprint,
-    load_chromland,
-    load_powcov,
-    save_chromland,
-    save_powcov,
-)
+from repro.core.serialize import graph_fingerprint, load_index, save_index
 from repro.graph.generators import labeled_erdos_renyi
 from repro.graph.labeled_graph import EdgeLabeledGraph
+from repro.store import FormatError
+from repro.store.index_store import save_graph
 
 
 @pytest.fixture(scope="module")
@@ -85,9 +81,9 @@ class TestFingerprint:
 class TestPowCovRoundtrip:
     def test_queries_identical(self, graph, tmp_path):
         original = PowCovIndex(graph, [0, 13, 26]).build()
-        path = tmp_path / "powcov.npz"
-        save_powcov(original, path)
-        loaded = load_powcov(path, graph)
+        path = tmp_path / "powcov.repro"
+        save_index(original, path)
+        loaded = load_index(path, graph)
         for s in range(0, 40, 4):
             for t in range(1, 40, 5):
                 for mask in range(1, 8):
@@ -96,22 +92,22 @@ class TestPowCovRoundtrip:
 
     def test_unbuilt_rejected(self, graph, tmp_path):
         with pytest.raises(ValueError, match="build"):
-            save_powcov(PowCovIndex(graph, [0]), tmp_path / "x.npz")
+            save_index(PowCovIndex(graph, [0]), tmp_path / "x.repro")
 
     def test_wrong_graph_rejected(self, graph, tmp_path):
         index = PowCovIndex(graph, [0, 10]).build()
-        path = tmp_path / "powcov.npz"
-        save_powcov(index, path)
+        path = tmp_path / "powcov.repro"
+        save_index(index, path)
         other = labeled_erdos_renyi(40, 110, num_labels=3, seed=99)
         with pytest.raises(ValueError, match="different graph"):
-            load_powcov(path, other)
+            load_index(path, other)
 
     def test_wrong_kind_rejected(self, graph, tmp_path):
-        index = ChromLandIndex(graph, [0, 10], [0, 1]).build()
-        path = tmp_path / "c.npz"
-        save_chromland(index, path)
-        with pytest.raises(ValueError, match="not a PowCov"):
-            load_powcov(path, graph)
+        # A store file of another kind (here: a graph) is not an index.
+        path = tmp_path / "g.repro"
+        save_graph(graph, path)
+        with pytest.raises(FormatError, match="does not hold an index"):
+            load_index(path, graph)
 
     def test_directed_roundtrip(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -121,9 +117,9 @@ class TestPowCovRoundtrip:
         digraph = EdgeLabeledGraph.from_edges(20, edges, num_labels=3,
                                               directed=True)
         original = PowCovIndex(digraph, [0, 7, 14]).build()
-        path = tmp_path / "d.npz"
-        save_powcov(original, path)
-        loaded = load_powcov(path, digraph)
+        path = tmp_path / "d.repro"
+        save_index(original, path)
+        loaded = load_index(path, digraph)
         for s in range(0, 20, 2):
             for t in range(1, 20, 3):
                 for mask in range(1, 8):
@@ -133,9 +129,9 @@ class TestPowCovRoundtrip:
 class TestChromLandRoundtrip:
     def test_queries_identical(self, graph, tmp_path):
         original = ChromLandIndex(graph, [0, 10, 20, 30], [0, 1, 2, 0]).build()
-        path = tmp_path / "chromland.npz"
-        save_chromland(original, path)
-        loaded = load_chromland(path, graph)
+        path = tmp_path / "chromland.repro"
+        save_index(original, path)
+        loaded = load_index(path, graph)
         for s in range(0, 40, 4):
             for t in range(1, 40, 5):
                 for mask in range(1, 8):
@@ -144,17 +140,17 @@ class TestChromLandRoundtrip:
     def test_query_mode_preserved(self, graph, tmp_path):
         original = ChromLandIndex(graph, [0, 10], [0, 1],
                                   query_mode="simple").build()
-        path = tmp_path / "c.npz"
-        save_chromland(original, path)
-        assert load_chromland(path, graph).query_mode == "simple"
+        path = tmp_path / "c.repro"
+        save_index(original, path)
+        assert load_index(path, graph).query_mode == "simple"
 
     def test_unbuilt_rejected(self, graph, tmp_path):
         with pytest.raises(ValueError, match="build"):
-            save_chromland(ChromLandIndex(graph, [0], [0]), tmp_path / "x.npz")
+            save_index(ChromLandIndex(graph, [0], [0]), tmp_path / "x.repro")
 
     def test_wrong_kind_rejected(self, graph, tmp_path):
+        # The file, not the caller, decides the index kind.
         index = PowCovIndex(graph, [0]).build()
-        path = tmp_path / "p.npz"
-        save_powcov(index, path)
-        with pytest.raises(ValueError, match="not a ChromLand"):
-            load_chromland(path, graph)
+        path = tmp_path / "p.repro"
+        save_index(index, path)
+        assert not isinstance(load_index(path, graph), ChromLandIndex)

@@ -226,6 +226,34 @@ class TestMalformedRequests:
         assert status == expected, body
         assert "error" in body
 
+    @pytest.mark.parametrize("kind", ["powcov", "chromland", "naive", "exact"])
+    @pytest.mark.parametrize(
+        "query",
+        [
+            {"mask": 1 << 4},
+            {"mask": 129},
+            {"mask": 2**70},
+            {"labels": [0, 4]},
+            {"labels": [2**70]},
+        ],
+        ids=["mask-2^L", "mask-129", "mask-2^70", "label-L", "label-2^70"],
+    )
+    def test_out_of_domain_mask_is_400(self, server, graph, kind, query):
+        assert graph.num_labels == 4
+        status, body = request_json(
+            server, "POST", "/graphs/g/query",
+            {"source": 1, "target": 7, "oracle": kind, **query},
+        )
+        assert status == 400, body
+        assert "label" in body["error"]
+        triple = [1, 7, query["mask"]] if "mask" in query else None
+        if triple is not None:
+            status, body = request_json(
+                server, "POST", "/graphs/g/query",
+                {"queries": [[1, 7, 3], triple], "oracle": kind},
+            )
+            assert status == 400, body
+
     def test_invalid_json_body(self, server):
         conn = http.client.HTTPConnection(
             "127.0.0.1", server.port, timeout=30

@@ -2,10 +2,9 @@
 
 Covers the binary container, the varint/delta codecs, persistence
 round-trips across the full matrix (directed/undirected, weighted PowCov,
-empty and single-vertex graphs, both npz and mmap backends, raw and
-compressed sections), fingerprint-mismatch rejection, the mapped query
-path's bit-identity with the in-memory index, the file-backed
-shared-memory handoff, and the engine-session fingerprint re-check.
+empty and single-vertex graphs, raw and compressed sections),
+fingerprint-mismatch rejection, the opened index's bit-identity with the
+in-memory index, and the engine-session fingerprint re-check.
 """
 
 from __future__ import annotations
@@ -18,14 +17,7 @@ import pytest
 from repro.core.chromland import ChromLandIndex
 from repro.core.powcov import PowCovIndex
 from repro.core.powcov.weighted import WeightedPowCovIndex
-from repro.core.serialize import (
-    NPZ_FORMAT_VERSION,
-    graph_fingerprint,
-    load_index,
-    load_powcov,
-    save_index,
-    save_powcov,
-)
+from repro.core.serialize import graph_fingerprint, load_index, save_index
 from repro.engine import QuerySession
 from repro.graph.generators import labeled_erdos_renyi
 from repro.graph.labeled_graph import EdgeLabeledGraph
@@ -41,7 +33,6 @@ from repro.store.compress import (
     zigzag_encode,
 )
 from repro.store.index_store import open_graph, open_index, save_graph
-from repro.store.mapped import MappedPowCovIndex
 
 from conftest import all_pairs_all_masks
 
@@ -203,21 +194,19 @@ class TestContainer:
 
 
 # ----------------------------------------------------------------------
-# Round-trips: the full matrix, both backends, bit-identity
+# Round-trips: the full matrix, raw and compressed, bit-identity
 # ----------------------------------------------------------------------
-def _roundtrip(index, path, fmt, compress=False):
-    path = path.with_suffix(".npz" if fmt == "npz" else ".repro")
-    save_index(index, path, format=fmt, compress=compress)
+def _roundtrip(index, path, compress=False):
+    path = path.with_suffix(".repro")
+    save_index(index, path, compress=compress)
     return load_index(path, index.graph)
 
 
-@pytest.mark.parametrize("fmt,compress", [
-    ("npz", False), ("mmap", False), ("mmap", True),
-])
+@pytest.mark.parametrize("compress", [False, True], ids=["mmap-False", "mmap-True"])
 class TestRoundtripMatrix:
-    def test_undirected_powcov(self, graph, tmp_path, fmt, compress):
+    def test_undirected_powcov(self, graph, tmp_path, compress):
         original = PowCovIndex(graph, [0, 13, 26]).build()
-        loaded = _roundtrip(original, tmp_path / "p", fmt, compress)
+        loaded = _roundtrip(original, tmp_path / "p", compress)
         queries = sample_queries(graph)
         assert loaded.batch_query(queries) == original.batch_query(queries)
         assert [loaded.query(*q) for q in queries] == \
@@ -226,9 +215,9 @@ class TestRoundtripMatrix:
         assert loaded.reachable_pairs() == original.reachable_pairs()
         assert loaded.max_entries_per_pair() == original.max_entries_per_pair()
 
-    def test_directed_powcov(self, digraph, tmp_path, fmt, compress):
+    def test_directed_powcov(self, digraph, tmp_path, compress):
         original = PowCovIndex(digraph, [0, 7, 14]).build()
-        loaded = _roundtrip(original, tmp_path / "d", fmt, compress)
+        loaded = _roundtrip(original, tmp_path / "d", compress)
         queries = [
             (s, t, mask)
             for s in range(20) for t in range(20) for mask in range(8)
@@ -237,52 +226,52 @@ class TestRoundtripMatrix:
         assert [loaded.query(*q) for q in queries] == \
             [original.query(*q) for q in queries]
 
-    def test_weighted_powcov(self, tmp_path, fmt, compress):
+    def test_weighted_powcov(self, tmp_path, compress):
         graph = labeled_erdos_renyi(30, 80, num_labels=3, seed=4)
         weights = np.random.default_rng(0).uniform(0.5, 2.0, graph.num_arcs)
         original = WeightedPowCovIndex(graph, [0, 10, 20], weights).build()
-        loaded = _roundtrip(original, tmp_path / "w", fmt, compress)
+        loaded = _roundtrip(original, tmp_path / "w", compress)
         queries = sample_queries(graph)
         assert loaded.batch_query(queries) == original.batch_query(queries)
 
-    def test_chromland(self, graph, tmp_path, fmt, compress):
+    def test_chromland(self, graph, tmp_path, compress):
         original = ChromLandIndex(graph, [0, 10, 20, 30], [0, 1, 2, 0]).build()
-        loaded = _roundtrip(original, tmp_path / "c", fmt, compress)
+        loaded = _roundtrip(original, tmp_path / "c", compress)
         queries = sample_queries(graph)
         assert loaded.batch_query(queries) == original.batch_query(queries)
         assert loaded.query_mode == original.query_mode
 
-    def test_single_vertex_graph(self, tmp_path, fmt, compress):
+    def test_single_vertex_graph(self, tmp_path, compress):
         graph = EdgeLabeledGraph.from_edges(1, [], num_labels=1)
         original = PowCovIndex(graph, [0]).build()
-        loaded = _roundtrip(original, tmp_path / "s", fmt, compress)
+        loaded = _roundtrip(original, tmp_path / "s", compress)
         assert loaded.query(0, 0, 1) == 0.0
         assert loaded.query(0, 0, 0) == 0.0
         assert loaded.index_size_entries() == 0
 
-    def test_edgeless_graph(self, tmp_path, fmt, compress):
+    def test_edgeless_graph(self, tmp_path, compress):
         graph = EdgeLabeledGraph.from_edges(3, [], num_labels=2)
         original = PowCovIndex(graph, [0, 2]).build()
-        loaded = _roundtrip(original, tmp_path / "e", fmt, compress)
+        loaded = _roundtrip(original, tmp_path / "e", compress)
         for mask in range(4):
             assert loaded.query(0, 1, mask) == INF
             assert loaded.query(2, 2, mask) == 0.0
 
-    def test_fingerprint_mismatch_rejected(self, graph, tmp_path, fmt, compress):
+    def test_fingerprint_mismatch_rejected(self, graph, tmp_path, compress):
         index = PowCovIndex(graph, [0, 10]).build()
-        path = (tmp_path / "p").with_suffix(".npz" if fmt == "npz" else ".repro")
-        save_index(index, path, format=fmt, compress=compress)
+        path = tmp_path / "p.repro"
+        save_index(index, path, compress=compress)
         other = labeled_erdos_renyi(40, 110, num_labels=3, seed=99)
         with pytest.raises(FormatError, match="different graph"):
             load_index(path, other)
 
-    def test_exactness_against_differential_harness(self, tmp_path, fmt, compress):
+    def test_exactness_against_differential_harness(self, tmp_path, compress):
         # The loaded oracle's estimate must match the original's for every
         # (s, t, mask); where the in-memory index is exact (landmark on
         # every shortest path or endpoints are landmarks), so is the load.
         graph = labeled_erdos_renyi(12, 26, num_labels=3, seed=3)
         original = PowCovIndex(graph, list(range(12))).build()
-        loaded = _roundtrip(original, tmp_path / "x", fmt, compress)
+        loaded = _roundtrip(original, tmp_path / "x", compress)
         for s, t, mask, exact in all_pairs_all_masks(graph):
             got = loaded.query(s, t, mask)
             assert got == original.query(s, t, mask)
@@ -295,19 +284,21 @@ class TestMappedIndex:
         index = PowCovIndex(graph, [0, 13]).build()
         save_index(index, tmp_path / "p.repro")
         loaded = open_index(tmp_path / "p.repro", graph)
-        assert isinstance(loaded, MappedPowCovIndex)
-        assert loaded.storage == "mapped"
-        assert loaded.is_mapped
+        assert type(loaded) is PowCovIndex
+        # The opened table *is* the file's columns, mapped read-only.
+        for column in ("key", "dist", "mask"):
+            assert isinstance(getattr(loaded.table, column), np.memmap)
+        assert loaded.table == index.table
         assert loaded.stored_fingerprint == int(graph_fingerprint(graph))
 
-    def test_mapped_resave_rejected(self, graph, tmp_path):
+    def test_opened_index_resaves_byte_identically(self, graph, tmp_path):
         index = PowCovIndex(graph, [0, 13]).build()
         save_index(index, tmp_path / "p.repro")
         loaded = open_index(tmp_path / "p.repro", graph)
-        with pytest.raises(ValueError, match="serving-only"):
-            save_index(loaded, tmp_path / "q.repro")
-        with pytest.raises(ValueError, match="serving-only"):
-            save_powcov(loaded, tmp_path / "q.npz")
+        save_index(loaded, tmp_path / "q.repro")
+        assert (tmp_path / "q.repro").read_bytes() == (
+            tmp_path / "p.repro"
+        ).read_bytes()
 
     def test_mapped_engine_session_bit_identity(self, graph, tmp_path):
         index = PowCovIndex(graph, [0, 13, 26]).build()
@@ -359,33 +350,17 @@ class TestGraphStore:
         assert loaded.directed
 
 
-class TestNpzVersioning:
-    def test_version_field_stamped(self, graph, tmp_path):
-        index = PowCovIndex(graph, [0]).build()
-        path = tmp_path / "p.npz"
-        save_powcov(index, path)
-        with np.load(path) as data:
-            assert int(data["format_version"]) == NPZ_FORMAT_VERSION
-
-    def test_missing_version_rejected(self, graph, tmp_path):
-        path = tmp_path / "old.npz"
-        np.savez(path, kind=np.str_("powcov"), fingerprint=np.int64(0))
-        with pytest.raises(FormatError, match="no format-version field"):
-            load_powcov(path, graph)
-
-    def test_unknown_version_rejected(self, graph, tmp_path):
-        index = PowCovIndex(graph, [0]).build()
-        path = tmp_path / "p.npz"
-        save_powcov(index, path)
-        with np.load(path) as data:
-            payload = {name: data[name] for name in data.files}
-        payload["format_version"] = np.int64(NPZ_FORMAT_VERSION + 7)
-        np.savez(tmp_path / "future.npz", **payload)
-        with pytest.raises(FormatError, match="unsupported npz index format"):
-            load_powcov(tmp_path / "future.npz", graph)
-
+class TestFormatError:
     def test_format_error_is_a_value_error(self):
         assert issubclass(FormatError, ValueError)
+
+    def test_npz_archive_rejected(self, graph, tmp_path):
+        # Indexes persist in the store format only; an old numpy archive
+        # fails loudly instead of loading.
+        path = tmp_path / "old.npz"
+        np.savez(path, kind=np.str_("powcov"), fingerprint=np.int64(0))
+        with pytest.raises(FormatError, match="not a repro store file"):
+            load_index(path, graph)
 
 
 class TestSessionFingerprintCheck:
@@ -415,7 +390,7 @@ class TestIndexStoreDirectory:
         path = store.save(index, tag="k2")
         assert path is not None and is_store_file(path)
         loaded = store.load("powcov", graph, tag="k2")
-        assert isinstance(loaded, MappedPowCovIndex)
+        assert isinstance(loaded.table.key, np.memmap)
         queries = sample_queries(graph)
         assert loaded.batch_query(queries) == index.batch_query(queries)
 
@@ -428,23 +403,6 @@ class TestIndexStoreDirectory:
         store.save(PowCovIndex(graph, [0]).build(), tag="k1")
         other = labeled_erdos_renyi(40, 110, num_labels=3, seed=99)
         assert store.load("powcov", other, tag="k1") is None
-
-    def test_npz_format(self, graph, tmp_path):
-        store = IndexStore(tmp_path / "cache", format="npz")
-        index = PowCovIndex(graph, [0, 13]).build()
-        path = store.save(index, tag="k2")
-        assert path.endswith(".npz")
-        loaded = store.load("powcov", graph, tag="k2")
-        assert not getattr(loaded, "is_mapped", False)
-        queries = sample_queries(graph)
-        assert loaded.batch_query(queries) == index.batch_query(queries)
-
-    def test_cross_format_find(self, graph, tmp_path):
-        # An mmap-preferring store still finds an existing npz file.
-        npz_store = IndexStore(tmp_path / "cache", format="npz")
-        npz_store.save(PowCovIndex(graph, [0]).build(), tag="k1")
-        mmap_store = IndexStore(tmp_path / "cache", format="mmap")
-        assert mmap_store.load("powcov", graph, tag="k1") is not None
 
     def test_read_only_store_never_writes(self, graph, tmp_path):
         store = IndexStore(tmp_path / "cache", writable=False)

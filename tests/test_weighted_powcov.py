@@ -114,3 +114,18 @@ class TestWeightedIndex:
         graph = labeled_erdos_renyi(10, 20, num_labels=2, seed=0)
         with pytest.raises(ValueError, match="parallel"):
             WeightedPowCovIndex(graph, [0], np.ones(3))
+
+    def test_store_opened_index_refuses_repair(self, weighted_setup, tmp_path):
+        # The store file keeps the table, not the arc weights: repairing
+        # an opened weighted index would silently rebuild it unweighted.
+        from repro.core.dynamic import repair_index
+        from repro.graph.delta import GraphDelta, apply_delta
+        from repro.store.index_store import open_index, save_index
+
+        graph, _weights, _landmarks, index, _exact = weighted_setup
+        save_index(index, tmp_path / "w.repro")
+        opened = open_index(tmp_path / "w.repro", graph)
+        edge = (0, int(graph.neighbors_of(0)[0]), int(graph.labels_of(0)[0]))
+        new_graph = apply_delta(graph, GraphDelta(deletions=(edge,)))
+        with pytest.raises(ValueError, match="arc weights"):
+            repair_index(opened, new_graph)
