@@ -48,20 +48,31 @@ def as_triple(query: QueryLike | tuple[int, ...]) -> tuple[int, int, int]:
 
 
 def to_triple_array(
-    queries: Sequence[Any] | np.ndarray, num_labels: int | None = None
+    queries: Sequence[Any] | np.ndarray,
+    num_labels: int | None = None,
+    num_vertices: int | None = None,
 ) -> np.ndarray:
     """Normalize a batch to an ``(n, 3)`` int64 array of (s, t, mask) rows.
 
     Plain tuple/list batches convert in one C-level pass; batches of
     ``Query`` / ``LabeledQuery`` objects fall back to per-item attribute
     access.  With ``num_labels``, every mask must lie in the label
-    domain ``[0, 2**num_labels)``; a query outside it raises
-    ``ValueError`` rather than reaching an oracle.
+    domain ``[0, 2**num_labels)``; with ``num_vertices``, every source
+    and target must lie in ``[0, num_vertices)``.  A query outside
+    either domain raises ``ValueError`` rather than reaching an oracle.
     """
     try:
         arr = _triples(queries)
     except OverflowError:
         raise ValueError("query field outside the int64 range") from None
+    if num_vertices is not None and len(arr):
+        ends = arr[:, :2]
+        outside = (ends < 0) | (ends >= num_vertices)
+        if outside.any():
+            raise ValueError(
+                f"vertex {int(ends[outside][0])} outside the vertex "
+                f"range [0, {num_vertices})"
+            )
     if num_labels is not None and len(arr):
         masks = arr[:, 2]
         outside = (masks < 0) | (masks >> min(num_labels, 63) != 0)

@@ -274,15 +274,16 @@ class QuerySession:
         Accepts ``Query`` objects, ``LabeledQuery`` objects, plain
         ``(source, target, mask)`` triples, or an ``(n, 3)`` int array;
         returns answers in submission order, bit-identical to the scalar
-        loop.  A mask outside the graph's label domain raises
-        ``ValueError``.
+        loop.  A mask outside the graph's label domain, or a vertex
+        outside ``[0, num_vertices)``, raises ``ValueError``.
         """
         with self.stats.timed("total_seconds"), span(
             "engine.run", oracle=self.oracle.name
         ) as run_span:
-            num_labels = self.oracle.graph.num_labels
+            graph = self.oracle.graph
+            num_labels, num_vertices = graph.num_labels, graph.num_vertices
             if not self.cache_size:
-                arr = to_triple_array(queries, num_labels)
+                arr = to_triple_array(queries, num_labels, num_vertices)
                 self.stats.count("queries", len(arr))
                 _count_logical_queries(len(arr))
                 self.stats.count("batches")
@@ -321,7 +322,9 @@ class QuerySession:
             run_span.count("cache_misses", len(miss_positions))
             if miss_positions:
                 misses = [queries[i] for i in miss_positions]
-                values = self._execute(to_triple_array(misses, num_labels))
+                values = self._execute(
+                    to_triple_array(misses, num_labels, num_vertices)
+                )
                 for i, value in zip(miss_positions, values.tolist()):
                     answers[i] = value
                     self._cache_put(keys[i], value)
@@ -422,10 +425,14 @@ def execute_batch(
 
     This is what ``DistanceOracle.batch_query`` delegates to; results are
     bit-identical to ``[oracle.query(s, t, m) for s, t, m in queries]``.
-    A mask outside the graph's label domain raises ``ValueError``.
+    A mask outside the graph's label domain, or a vertex outside
+    ``[0, num_vertices)``, raises ``ValueError``.
     """
     executor = executor_for(oracle)
-    plan = plan_batch(to_triple_array(queries, oracle.graph.num_labels))
+    graph = oracle.graph
+    plan = plan_batch(
+        to_triple_array(queries, graph.num_labels, graph.num_vertices)
+    )
     _count_logical_queries(plan.num_queries)
     out = np.empty(plan.num_queries, dtype=np.float64)
     for group in plan.groups:

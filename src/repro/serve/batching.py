@@ -2,15 +2,16 @@
 
 Concurrent HTTP requests arrive as many tiny query lists; the engine is
 fastest when it executes one large batch (one plan, one mask-group sweep
-per distinct mask).  A :class:`MicroBatcher` sits between the two: every
-request's queries are appended to a pending buffer, and the buffer is
-flushed as **one** ``session.run``-shaped call when either
+per distinct mask).  A :class:`MicroBatcher` sits between the two, and
+coalescing comes from the engine being busy, never from a clock:
 
-* the configured coalescing window (default ~2 ms) elapses after the
-  first pending request, or
-* the pending buffer reaches ``max_batch`` queries (closed-loop traffic
-  almost always trips this first, so the window is a latency bound, not
-  a tax).
+* a request that reaches an **idle** batcher is flushed at once, so a
+  lone lookup pays no wait;
+* requests that arrive while a batch runs wait in the pending buffer,
+  and when the last in-flight batch completes they all go out as **one**
+  ``session.run``-shaped call;
+* the pending buffer is flushed early as soon as it holds ``max_batch``
+  queries.
 
 Ordering and isolation guarantees, property-tested in
 ``tests/test_serve.py``:
@@ -19,13 +20,9 @@ Ordering and isolation guarantees, property-tested in
   answers, in its own submission order, regardless of how requests were
   interleaved into flushes;
 * **error isolation** — if a flushed batch fails as a whole, every
-  pending request is retried individually, so a poison query fails only
+  request in it is retried individually, so a poison query fails only
   the request that carried it and every innocent neighbor still gets its
   answers.
-
-The flush clock is injectable: with ``clock=`` and ``auto_flush=False``
-the batcher never arms real timers — tests drive time explicitly through
-:meth:`poll`, making window semantics deterministic under hypothesis.
 """
 
 from __future__ import annotations
@@ -67,53 +64,22 @@ class MicroBatcher:
         may return the answers directly or an awaitable of them (the
         serving app hands back ``run_in_executor`` futures so numpy work
         leaves the event loop).
-    window:
-        Seconds to wait after the first pending request before flushing.
-        ``0`` disables coalescing-by-time: every submission flushes
-        immediately, which together with ``max_batch=1`` is exactly
-        batch-size-1 serving (the benchmark baseline).
     max_batch:
-        Flush as soon as this many queries are pending.
-    clock:
-        Monotonic time source for window deadlines (test seam; defaults
-        to the running loop's clock).
-    auto_flush:
-        ``False`` disarms real timers entirely — flushes then happen only
-        via ``max_batch``, :meth:`poll`, or :meth:`flush_now`.
+        Flush as soon as this many queries are pending, even while a
+        batch runs.  ``1`` is exactly batch-size-1 serving (the benchmark
+        baseline).
     """
 
-    def __init__(
-        self,
-        execute: ExecuteFn,
-        window: float = 0.002,
-        max_batch: int = 256,
-        clock: Callable[[], float] | None = None,
-        auto_flush: bool = True,
-    ) -> None:
-        if window < 0:
-            raise ValueError("window must be >= 0")
+    def __init__(self, execute: ExecuteFn, max_batch: int = 256) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         self._execute = execute
-        self.window = window
         self.max_batch = max_batch
-        self._clock = clock
-        self._auto_flush = auto_flush
         self._pending: list[_PendingRequest] = []
         self._pending_queries = 0
-        self._timer: asyncio.TimerHandle | None = None
-        self._deadline: float | None = None
-        # Strong refs to in-flight flush tasks (the loop only keeps weak
-        # ones); discarded as each batch completes.
-        self._tasks: set[asyncio.Task[None]] = set()
-
-    # ------------------------------------------------------------------
-    # Submission
-    # ------------------------------------------------------------------
-    def _now(self) -> float:
-        if self._clock is not None:
-            return self._clock()
-        return asyncio.get_running_loop().time()
+        # Batches flushed but not yet completed (strong refs: the loop
+        # only keeps weak ones); while any runs, new requests wait.
+        self._running: set[asyncio.Task[None]] = set()
 
     async def submit(self, triples: Sequence[Triple]) -> list[float]:
         """Queue one request's queries; await its answers.
@@ -128,38 +94,16 @@ class MicroBatcher:
         future: "asyncio.Future[list[float]]" = loop.create_future()
         self._pending.append(_PendingRequest(items, future))
         self._pending_queries += len(items)
-        if self._pending_queries >= self.max_batch or self.window == 0:
+        if not self._running or self._pending_queries >= self.max_batch:
             self.flush_now()
-        elif self._deadline is None:
-            self._deadline = self._now() + self.window
-            if self._auto_flush:
-                self._timer = loop.call_later(self.window, self.flush_now)
         return await future
 
-    # ------------------------------------------------------------------
-    # Flushing
-    # ------------------------------------------------------------------
     @property
     def pending_queries(self) -> int:
         return self._pending_queries
 
-    def poll(self) -> bool:
-        """Flush iff the coalescing window has expired; True if flushed.
-
-        The manual-drive counterpart of the armed timer, used with an
-        injected ``clock`` where tests advance time explicitly.
-        """
-        if self._deadline is not None and self._now() >= self._deadline:
-            self.flush_now()
-            return True
-        return False
-
     def flush_now(self) -> None:
         """Flush whatever is pending as one batch task, immediately."""
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        self._deadline = None
         if not self._pending:
             return
         batch = self._pending
@@ -171,8 +115,17 @@ class MicroBatcher:
         total = sum(len(p.triples) for p in batch)
         registry.histogram("serve.batch_size", lo=1.0, hi=1e5).observe(total)
         task = asyncio.get_running_loop().create_task(self._run_batch(batch))
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
+        self._running.add(task)
+        task.add_done_callback(self._batch_done)
+
+    def _batch_done(self, task: "asyncio.Task[None]") -> None:
+        # Whatever arrived while the engine was busy goes out as one batch
+        # once the last running batch completes.  Done callbacks run after
+        # the wake-ups of that batch's submitters, so a submitter that
+        # answers and submits again at once joins this flush.
+        self._running.discard(task)
+        if not self._running:
+            self.flush_now()
 
     async def _call_execute(self, triples: list[Triple]) -> list[float]:
         result = self._execute(triples)

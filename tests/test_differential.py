@@ -132,7 +132,7 @@ def _http_server():
         registry = GraphRegistry()
         app = ServeApp(
             registry=registry,
-            config=ServeConfig(batch_window=0.0, workers=1),
+            config=ServeConfig(workers=1),
         )
         _HTTP["registry"] = registry
         _HTTP["server"] = ServerThread(app).start()
@@ -336,14 +336,25 @@ class TestDifferential:
 
 
     @DIFFERENTIAL
-    @given(small_graphs(), st.sampled_from(["2^L", "2^L+1", "2^70"]))
+    @given(
+        small_graphs(),
+        st.sampled_from(["2^L", "2^L+1", "2^70", "vertex n", "vertex -1"]),
+    )
     def test_out_of_domain_masks_rejected_on_every_path(self, graph, which):
-        """Out-of-domain axis: a mask outside ``[0, 2**num_labels)`` never
-        reaches an oracle — the engine paths raise ``ValueError`` and the
-        wire answers 400, for every oracle family."""
+        """Out-of-domain axis: a mask outside ``[0, 2**num_labels)`` or a
+        vertex outside ``[0, num_vertices)`` never reaches an oracle — the
+        engine paths raise ``ValueError`` and the wire answers 400, for
+        every oracle family."""
         top = 1 << graph.num_labels
-        mask = {"2^L": top, "2^L+1": top + 1, "2^70": 2**70}[which]
-        queries = [(0, 1, top - 1), (0, 1, mask)]
+        n = graph.num_vertices
+        bad = {
+            "2^L": (0, 1, top),
+            "2^L+1": (0, 1, top + 1),
+            "2^70": (0, 1, 2**70),
+            "vertex n": (n, 1, top - 1),
+            "vertex -1": (0, -1, top - 1),
+        }[which]
+        queries = [(0, 1, top - 1), bad]
         k = min(4, graph.num_vertices)
         oracles = {
             "powcov": PowCovIndex(graph, range(graph.num_vertices)).build(),
@@ -354,7 +365,7 @@ class TestDifferential:
         }
         for name, oracle in oracles.items():
             for path in ("batch", "session"):
-                with pytest.raises(ValueError, match="domain|int64"):
+                with pytest.raises(ValueError, match="domain|int64|vertex"):
                     answers_via(oracle, queries, path)
             status, payload = _post_via_http(oracle, queries)
             assert status == 400, (name, payload)

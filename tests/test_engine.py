@@ -273,6 +273,42 @@ class TestMaskDomain:
             batch = [(1, 7, 0), (1, 7, top)]
             assert execute_batch(oracle, batch) == scalar_answers(oracle, batch)
 
+    @pytest.mark.parametrize(
+        "kind", ["powcov", "chromland", "naive", "exact", "bidirectional", "ch"]
+    )
+    @pytest.mark.parametrize("which", ["n", "n+1", "-1"])
+    @pytest.mark.parametrize("end", ["source", "target"])
+    def test_out_of_range_vertex_rejected(self, oracles, kind, which, end):
+        """A vertex id outside ``[0, n)`` never reaches an oracle: PowCov
+        would read a neighbouring landmark's block, and the others would
+        wrap ``-1`` around to vertex ``n - 1`` or raise ``IndexError``."""
+        oracle = oracles[kind]
+        n = oracle.graph.num_vertices
+        vertex = {"n": n, "n+1": n + 1, "-1": -1}[which]
+        bad = (vertex, 7, 3) if end == "source" else (1, vertex, 3)
+        batch = [(1, 7, 3), bad]
+        with pytest.raises(ValueError, match="vertex"):
+            execute_batch(oracle, batch)
+        with pytest.raises(ValueError, match="vertex"):
+            QuerySession(oracle, cache_size=0).run(batch)
+        session = QuerySession(oracle, cache_size=64)
+        session.run(batch[:1])  # a warm cache must not let it through
+        with pytest.raises(ValueError, match="vertex"):
+            session.run(batch)
+
+    def test_vertex_range_edges_accepted(self, oracles):
+        for oracle in oracles.values():
+            last = oracle.graph.num_vertices - 1
+            batch = [(0, last, 3), (last, 0, 3)]
+            assert execute_batch(oracle, batch) == scalar_answers(oracle, batch)
+
+    def test_triple_coercion_checks_vertices(self):
+        triples = [(0, 4, 1)]
+        assert to_triple_array(triples, num_vertices=5).tolist() == [[0, 4, 1]]
+        for bad in ([(5, 0, 1)], [(0, -1, 1)], np.asarray([[0, 5, 1]])):
+            with pytest.raises(ValueError, match="vertex"):
+                to_triple_array(bad, num_vertices=5)
+
     def test_triple_coercion_checks_masks(self):
         assert to_triple_array([(0, 1, 7)], num_labels=3).tolist() == [[0, 1, 7]]
         with pytest.raises(ValueError, match="domain"):

@@ -3,9 +3,11 @@
 The server under test runs in-process on a background thread bound to an
 ephemeral port (``ServerThread``); clients are plain ``http.client``
 connections, so the full codec — request parsing, routing, JSON bodies,
-keep-alive — is exercised end to end.  The MicroBatcher property test
-drives a fake clock through ``poll()`` so window semantics are
-deterministic under hypothesis.
+keep-alive — is exercised end to end.  The MicroBatcher tests drive an
+engine whose batches complete only when the test says so, on an event
+loop that fails the test if any timer is armed: under hypothesis, any
+interleaving of arrivals and batch completions is explored, and no flush
+may wait on a clock.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ def server(graph, oracles):
     registry.register("g", graph, dict(oracles))
     app = ServeApp(
         registry=registry,
-        config=ServeConfig(batch_window=0.001, workers=2),
+        config=ServeConfig(workers=2),
     )
     with ServerThread(app) as live:
         yield live
@@ -278,33 +280,139 @@ class TestMalformedRequests:
 # ----------------------------------------------------------------------
 # MicroBatcher semantics
 # ----------------------------------------------------------------------
+class _TimerLoggingLoop(asyncio.SelectorEventLoop):
+    """An event loop that records every timer armed on it."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.timers: list = []
+
+    def call_at(self, when, callback, *args, context=None):
+        self.timers.append(callback)
+        return super().call_at(when, callback, *args, context=context)
+
+
 def run_async(coro):
-    return asyncio.run(coro)
+    """Run ``coro`` one loop iteration at a time, never blocking.
+
+    Fails if anything armed a timer, or if the loop runs out of steps
+    with ``coro`` unfinished — a request stranded in the batcher fails
+    the test instead of hanging it.
+    """
+    max_steps = 100_000
+    loop = _TimerLoggingLoop()
+    task = loop.create_task(coro)
+    try:
+        for _ in range(max_steps):
+            if task.done():
+                break
+            loop.call_soon(loop.stop)
+            loop.run_forever()
+        else:
+            task.cancel()
+            loop.run_until_complete(asyncio.gather(task, return_exceptions=True))
+            pytest.fail(f"stranded: unfinished after {max_steps} loop steps")
+    finally:
+        loop.close()
+    assert loop.timers == [], f"timers armed: {loop.timers}"
+    return task.result()
+
+
+async def settle() -> None:
+    """Let every ready task run until it blocks (no clock involved)."""
+    for _ in range(8):
+        await asyncio.sleep(0)
+
+
+def answer(triple) -> float:
+    """Injective in (s, t, m): equal answers ⇒ right queries, right order."""
+    s, t, m = triple
+    return float(s * 10000 + t * 100 + m)
+
+
+class ControlledEngine:
+    """An ``execute`` whose batches complete only when the test says so."""
+
+    def __init__(self) -> None:
+        self.calls: list[list[tuple[int, int, int]]] = []
+        self.running: list[tuple[list, asyncio.Future]] = []
+
+    def __call__(self, triples):
+        future = asyncio.get_running_loop().create_future()
+        self.calls.append(list(triples))
+        self.running.append((list(triples), future))
+        return future
+
+    def complete(self, index: int = 0) -> None:
+        triples, future = self.running.pop(index)
+        future.set_result([answer(t) for t in triples])
+
+    def fail(self, index: int = 0) -> None:
+        _, future = self.running.pop(index)
+        future.set_exception(ValueError("poison"))
 
 
 class TestMicroBatcher:
-    def test_size_trigger_coalesces(self):
-        calls = []
-
-        def execute(triples):
-            calls.append(list(triples))
-            return [float(s + t + m) for s, t, m in triples]
+    def test_arrivals_during_a_batch_coalesce(self):
+        """Requests that arrive while a batch runs go out together, in one
+        engine call, as soon as that batch completes."""
+        engine = ControlledEngine()
 
         async def scenario():
-            batcher = MicroBatcher(execute, window=60.0, max_batch=4,
-                                   auto_flush=False)
-            results = await asyncio.gather(
-                batcher.submit([(1, 1, 1), (2, 2, 2)]),
-                batcher.submit([(3, 3, 3), (4, 4, 4)]),
-            )
-            return results
+            batcher = MicroBatcher(engine, max_batch=100)
+            first = asyncio.ensure_future(batcher.submit([(1, 1, 1)]))
+            await settle()
+            assert engine.calls == [[(1, 1, 1)]]  # idle: flushed at once
+            rest = [
+                asyncio.ensure_future(batcher.submit([(i, i, 1), (i, i, 2)]))
+                for i in (2, 3, 4)
+            ]
+            await settle()
+            assert len(engine.calls) == 1  # busy: the arrivals wait
+            assert batcher.pending_queries == 6
+            engine.complete()
+            await settle()
+            assert len(engine.calls) == 2
+            assert engine.calls[1] == [
+                (2, 2, 1), (2, 2, 2), (3, 3, 1), (3, 3, 2), (4, 4, 1), (4, 4, 2)
+            ]
+            engine.complete()
+            return await asyncio.gather(first, *rest)
 
-        first, second = run_async(scenario())
-        assert len(calls) == 1  # one coalesced engine call
-        assert first == [3.0, 6.0]
-        assert second == [9.0, 12.0]
+        first, *rest = run_async(scenario())
+        assert first == [10101.0]
+        assert rest == [
+            [answer((i, i, 1)), answer((i, i, 2))] for i in (2, 3, 4)
+        ]
+
+    def test_size_trigger_coalesces(self):
+        """``max_batch`` flushes the requests that arrived during a running
+        batch as one engine call, without waiting for that batch."""
+        engine = ControlledEngine()
+
+        async def scenario():
+            batcher = MicroBatcher(engine, max_batch=3)
+            futures = [asyncio.ensure_future(batcher.submit([(0, 0, 1)]))]
+            await settle()
+            futures.append(
+                asyncio.ensure_future(batcher.submit([(0, 0, 2), (0, 0, 3)]))
+            )
+            await settle()
+            assert len(engine.calls) == 1  # 2 pending < max_batch
+            futures.append(asyncio.ensure_future(batcher.submit([(0, 0, 4)])))
+            await settle()
+            # The size limit flushes although the first batch still runs.
+            assert engine.calls[1] == [(0, 0, 2), (0, 0, 3), (0, 0, 4)]
+            assert batcher.pending_queries == 0
+            engine.complete(1)
+            engine.complete(0)
+            return await asyncio.gather(*futures)
+
+        assert run_async(scenario()) == [[1.0], [2.0, 3.0], [4.0]]
 
     def test_window_zero_flushes_immediately(self):
+        """There is no coalescing window: an idle batcher calls ``execute``
+        at once, and ``run_async`` fails the test if any timer is armed."""
         calls = []
 
         def execute(triples):
@@ -312,12 +420,12 @@ class TestMicroBatcher:
             return [0.0] * len(triples)
 
         async def scenario():
-            batcher = MicroBatcher(execute, window=0.0, max_batch=100)
+            batcher = MicroBatcher(execute, max_batch=100)
             await batcher.submit([(0, 0, 1)])
-            await batcher.submit([(0, 0, 1)])
+            await batcher.submit([(0, 0, 2)])
 
         run_async(scenario())
-        assert len(calls) == 2  # no coalescing: one call per request
+        assert calls == [[(0, 0, 1)], [(0, 0, 2)]]  # one call per request
 
     def test_error_isolation(self):
         """A poison query fails only the request that carried it."""
@@ -328,8 +436,7 @@ class TestMicroBatcher:
             return [float(m) for _, _, m in triples]
 
         async def scenario():
-            batcher = MicroBatcher(execute, window=60.0, max_batch=3,
-                                   auto_flush=False)
+            batcher = MicroBatcher(execute, max_batch=3)
             healthy_a = asyncio.ensure_future(batcher.submit([(0, 0, 1)]))
             poisoned = asyncio.ensure_future(batcher.submit([(0, 0, 666)]))
             healthy_b = asyncio.ensure_future(batcher.submit([(0, 0, 2)]))
@@ -343,20 +450,74 @@ class TestMicroBatcher:
         assert got_b == [2.0]
         assert isinstance(got_poison, ValueError)
 
+    def test_pending_drained_after_a_failed_batch(self):
+        """Requests that waited behind a failing batch still go out, once
+        its error-isolation retries are done."""
+        engine = ControlledEngine()
+
+        async def scenario():
+            batcher = MicroBatcher(engine, max_batch=100)
+            poisoned = asyncio.ensure_future(batcher.submit([(0, 0, 9)]))
+            await settle()
+            waiting = [
+                asyncio.ensure_future(batcher.submit([(0, 0, m)]))
+                for m in (1, 2)
+            ]
+            await settle()
+            assert batcher.pending_queries == 2
+            engine.fail()  # the batch fails: its request is retried alone
+            await settle()
+            assert engine.calls[-1] == [(0, 0, 9)]
+            assert batcher.pending_queries == 2  # the retry is in flight
+            engine.fail()
+            await settle()
+            assert batcher.pending_queries == 0
+            assert engine.calls[-1] == [(0, 0, 1), (0, 0, 2)]
+            engine.complete()
+            with pytest.raises(ValueError, match="poison"):
+                await poisoned
+            return await asyncio.gather(*waiting)
+
+        assert run_async(scenario()) == [[1.0], [2.0]]
+
+    def test_pending_drained_after_a_cancelled_submitter(self):
+        engine = ControlledEngine()
+
+        async def scenario():
+            batcher = MicroBatcher(engine, max_batch=100)
+            running = asyncio.ensure_future(batcher.submit([(1, 1, 1)]))
+            await settle()
+            dropped = asyncio.ensure_future(batcher.submit([(2, 2, 2)]))
+            kept = asyncio.ensure_future(batcher.submit([(3, 3, 3)]))
+            await settle()
+            running.cancel()  # its batch is in flight
+            dropped.cancel()  # its request is pending
+            await settle()
+            engine.complete()
+            await settle()
+            assert batcher.pending_queries == 0
+            assert engine.calls[-1] == [(2, 2, 2), (3, 3, 3)]
+            engine.complete()
+            return running, dropped, await kept
+
+        running, dropped, kept = run_async(scenario())
+        assert running.cancelled() and dropped.cancelled()
+        assert kept == [30303.0]
+
     def test_async_execute_fn(self):
         async def execute(triples):
             await asyncio.sleep(0)
             return [1.0] * len(triples)
 
         async def scenario():
-            batcher = MicroBatcher(execute, window=0.0, max_batch=10)
+            batcher = MicroBatcher(execute, max_batch=10)
             return await batcher.submit([(0, 0, 1), (1, 1, 1)])
 
         assert run_async(scenario()) == [1.0, 1.0]
 
     def test_answer_count_mismatch_is_an_error(self):
         async def scenario():
-            batcher = MicroBatcher(lambda t: [0.0], window=0.0, max_batch=10)
+            batcher = MicroBatcher(lambda t: [0.0], max_batch=10)
             return await batcher.submit([(0, 0, 1), (1, 1, 1)])
 
         with pytest.raises(RuntimeError, match="answers"):
@@ -364,27 +525,30 @@ class TestMicroBatcher:
 
     def test_empty_submit(self):
         async def scenario():
-            batcher = MicroBatcher(lambda t: [], window=60.0, max_batch=4)
+            batcher = MicroBatcher(lambda t: [], max_batch=4)
             return await batcher.submit([])
 
         assert run_async(scenario()) == []
 
 
-# Arrival plans: per-request query lists + the clock advance before each
-# submission (so hypothesis explores windows expiring mid-stream).
-_ARRIVALS = st.lists(
-    st.tuples(
-        st.lists(
-            st.tuples(
-                st.integers(0, 9), st.integers(0, 9), st.integers(1, 7)
+# Event plans: request arrivals interleaved with batch completions (the
+# integer picks which running batch completes; a no-op when none runs).
+_EVENTS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("submit"),
+            st.lists(
+                st.tuples(
+                    st.integers(0, 9), st.integers(0, 9), st.integers(1, 7)
+                ),
+                min_size=0,
+                max_size=4,
             ),
-            min_size=0,
-            max_size=4,
         ),
-        st.floats(min_value=0.0, max_value=0.004),
+        st.tuples(st.just("complete"), st.integers(0, 7)),
     ),
     min_size=1,
-    max_size=12,
+    max_size=24,
 )
 
 
@@ -394,50 +558,44 @@ class TestMicroBatcherProperty:
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    @given(arrivals=_ARRIVALS, max_batch=st.integers(1, 8))
-    def test_order_and_values_match_sequential(self, arrivals, max_batch):
-        """For ANY interleaving of arrivals vs window expiry, every request
-        gets exactly the answers a sequential ``execute_batch`` would have
-        produced, in its own order."""
-        executed_batches = []
-
-        def execute(triples):
-            executed_batches.append(list(triples))
-            # Injective in (s, t, m): equality ⇒ right queries, right order.
-            return [s * 10000 + t * 100 + m for s, t, m in triples]
-
-        clock = {"now": 0.0}
+    @given(events=_EVENTS, max_batch=st.integers(1, 8))
+    def test_order_and_values_match_sequential(self, events, max_batch):
+        """For ANY interleaving of arrivals and batch completions, every
+        request gets exactly the answers a sequential ``execute_batch``
+        would have produced, in its own order — and no flush waits on a
+        timer (``run_async`` rejects any armed timer)."""
+        engine = ControlledEngine()
+        submitted = [list(arg) for kind, arg in events if kind == "submit"]
 
         async def scenario():
-            batcher = MicroBatcher(
-                execute,
-                window=0.002,
-                max_batch=max_batch,
-                clock=lambda: clock["now"],
-                auto_flush=False,
-            )
+            batcher = MicroBatcher(engine, max_batch=max_batch)
             futures = []
-            for triples, advance in arrivals:
-                clock["now"] += advance
-                batcher.poll()  # fire the window if this arrival passed it
-                futures.append(
-                    asyncio.ensure_future(batcher.submit(list(triples)))
-                )
-                await asyncio.sleep(0)  # let size-triggered flushes run
-            clock["now"] += 1.0
-            batcher.poll()  # drain the tail
+            for kind, arg in events:
+                if kind == "submit":
+                    futures.append(
+                        asyncio.ensure_future(batcher.submit(list(arg)))
+                    )
+                elif engine.running:
+                    engine.complete(arg % len(engine.running))
+                await asyncio.sleep(0)
+            # Drain: complete batches in flush order until all resolve.
+            for _ in range(10_000):
+                if all(future.done() for future in futures):
+                    break
+                if engine.running:
+                    engine.complete()
+                await asyncio.sleep(0)
+            assert all(future.done() for future in futures), "stranded"
+            assert batcher.pending_queries == 0
             return await asyncio.gather(*futures)
 
-        results = asyncio.run(scenario())
+        results = run_async(scenario())
 
-        for (triples, _), got in zip(arrivals, results):
-            want = [s * 10000 + t * 100 + m for s, t, m in triples]
-            assert got == want
+        for triples, got in zip(submitted, results):
+            assert got == [answer(t) for t in triples]
         # Conservation: every query executed exactly once, in arrival order.
-        flat_executed = [t for b in executed_batches for t in b]
-        flat_submitted = [
-            tuple(t) for triples, _ in arrivals for t in triples
-        ]
+        flat_executed = [t for call in engine.calls for t in call]
+        flat_submitted = [tuple(t) for triples in submitted for t in triples]
         assert flat_executed == flat_submitted
 
 
