@@ -15,7 +15,7 @@ import pytest
 from repro.core.chromland import ChromLandIndex, local_search_selection
 from repro.core.powcov import PowCovIndex
 from repro.graph.datasets import load_dataset, paper_synthetic
-from repro.kernels import KERNEL_CHOICES, kernel_name, set_default_kernel
+from repro.kernels import kernel_name
 from repro.landmarks import select_landmarks
 from repro.workloads import generate_workload
 
@@ -27,30 +27,12 @@ BENCH_K = 8
 BENCH_SEED = 7
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--kernel",
-        action="store",
-        default=None,
-        choices=list(KERNEL_CHOICES),
-        help="repro.kernels backend every benchmark runs on "
-        "(default: the REPRO_KERNEL env var, then 'auto'); all backends "
-        "are bit-identical, so this only moves the timings",
-    )
-
-
-@pytest.fixture(scope="session", autouse=True)
-def bench_kernel(request):
-    """Install the ``--kernel`` choice process-wide; yield the *resolved*
-    concrete backend name (what ``auto`` actually picked) so every
-    benchmark can stamp it into its JSON ``extra_info`` row."""
-    choice = request.config.getoption("--kernel")
-    if choice is not None:
-        set_default_kernel(choice)
-    try:
-        yield kernel_name()
-    finally:
-        set_default_kernel(None)
+@pytest.fixture(scope="session")
+def bench_kernel():
+    """The concrete backend ``"auto"`` picked (cext when it compiles,
+    numpy otherwise), so every benchmark can stamp it into its JSON
+    ``extra_info`` row."""
+    return kernel_name()
 
 
 @pytest.fixture(scope="session")

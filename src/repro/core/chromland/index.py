@@ -154,7 +154,7 @@ class ChromLandIndex(DistanceOracle):
                 jobs,
                 graphs=graphs,
                 # The kernel resolves to its concrete backend name in the
-                # parent: workers don't inherit ``set_default_kernel``.
+                # parent, so every worker runs the backend it probed.
                 extra={
                     "landmarks": np.asarray(self.landmarks, dtype=np.int64),
                     "kernel": kernel_name(),

@@ -142,7 +142,7 @@ def auxiliary_distance_from_plan(
     tentative distances with the s—x edges, repeatedly settle the nearest
     landmark, relax through its bi-chromatic row, keep the running best
     completion through the t—x edges — runs on the selected
-    :mod:`repro.kernels` backend (``None`` = process default).  Compiled
+    :mod:`repro.kernels` backend (``None`` = ``"auto"``).  Compiled
     backends replay the numpy path's IEEE operation order, so the result
     is bit-identical regardless of ``kernel``.
     """

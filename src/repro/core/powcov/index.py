@@ -139,9 +139,8 @@ class PowCovIndex(DistanceOracle):
         """Picklable build parameters shipped to workers (subclass hook).
 
         The kernel is resolved to its *concrete* backend name here, in the
-        parent: worker processes do not inherit ``set_default_kernel``
-        state, and shipping the resolved name keeps every worker (and the
-        serial path) on the same backend deterministically.
+        parent: shipping the resolved name keeps every worker (and the
+        serial path) on the backend the parent probed.
         """
         return {"builder": self.builder, "kernel": kernel_name()}
 
@@ -155,10 +154,8 @@ class PowCovIndex(DistanceOracle):
         Parameters
         ----------
         parallel:
-            ``None`` (default) uses the process-wide default set via
-            :func:`repro.perf.parallel.set_default_parallel` (serial unless
-            an experiment driver opted in); an ``int`` is shorthand for
-            ``ParallelConfig(num_workers=n)``.  Per-landmark sweeps are
+            ``None`` (default) builds serially; an ``int`` is shorthand
+            for ``ParallelConfig(num_workers=n)``.  Per-landmark sweeps are
             independent and results are reassembled in landmark order, so
             the built index is bit-for-bit identical for every
             configuration.

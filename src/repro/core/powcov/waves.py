@@ -152,8 +152,8 @@ def traverse_powerset_waves(
     ``batch_rows`` caps the rows per batched-BFS call so very wide waves
     (large ``C(|L|, k)``) are chunked without changing the result.
     ``kernel`` selects the :mod:`repro.kernels` backend that runs the
-    MS-BFS sweeps and the Theorem 2 one-removed pass (``None`` = process
-    default); every backend is bit-identical, so this only moves
+    MS-BFS sweeps and the Theorem 2 one-removed pass (``None`` =
+    ``"auto"``); every backend is bit-identical, so this only moves
     wall-clock time.
     """
     if batch_rows < 1:

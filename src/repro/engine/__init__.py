@@ -27,7 +27,7 @@ with caches on or off.  Quickstart::
 
 from __future__ import annotations
 
-from .config import EngineConfig, default_engine, resolve_engine, set_default_engine
+from .config import EngineConfig, resolve_engine
 from .executors import (
     ChromLandExecutor,
     NaiveExecutor,
@@ -48,9 +48,7 @@ from .session import QuerySession, execute_batch
 
 __all__ = [
     "EngineConfig",
-    "default_engine",
     "resolve_engine",
-    "set_default_engine",
     "OracleExecutor",
     "ScalarLoopExecutor",
     "PowCovExecutor",

@@ -69,9 +69,8 @@ class OracleExecutor(Generic[OracleT, PlanT]):
 
     def __init__(self, oracle: OracleT) -> None:
         self.oracle: OracleT = oracle
-        #: Resolved compiled-kernel backend for the executor's hot loops.
-        #: Sessions overwrite this from ``EngineConfig.kernel``; the
-        #: default follows the process chain.  Bit-identical either way.
+        #: Compiled-kernel backend for the executor's hot loops, resolved
+        #: once here (``"auto"``) so the hot path never re-probes.
         self.kernel: KernelBackend = resolve_kernel(None)
 
     def prepare_mask(self, label_mask: int) -> PlanT:

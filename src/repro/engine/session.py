@@ -36,7 +36,6 @@ from typing import Any
 import numpy as np
 
 from ..core.types import DistanceOracle
-from ..kernels import KernelBackend, resolve_kernel
 from ..obs.metrics import metrics_enabled
 from ..obs.metrics import registry as _metrics_registry
 from ..obs.trace import span
@@ -79,12 +78,6 @@ class QuerySession:
         before serving anything, raising
         :class:`~repro.analysis.audit.AuditError` on a violation.  Slow —
         the auditors re-derive distances with constrained BFS.
-    kernel:
-        :mod:`repro.kernels` backend for the executor's compiled query
-        loops (``EngineConfig.kernel``): a backend name, a resolved
-        backend instance, or ``None`` for the process default.  Resolved
-        once here — the hot path never re-probes.  All backends answer
-        bit-identically.
     """
 
     def __init__(
@@ -93,7 +86,6 @@ class QuerySession:
         cache_size: int = 4096,
         plan_cache_size: int = 128,
         audit: bool = False,
-        kernel: "str | KernelBackend | None" = None,
     ) -> None:
         if cache_size < 0:
             raise ValueError("cache_size must be >= 0")
@@ -106,9 +98,7 @@ class QuerySession:
 
             assert_clean(audit_oracle(oracle))
         self.oracle = oracle
-        self.kernel: KernelBackend = resolve_kernel(kernel)
         self.executor: OracleExecutor[Any, Any] = executor_for(oracle)
-        self.executor.kernel = self.kernel
         self.cache_size = cache_size
         self.plan_cache_size = plan_cache_size
         self.stats = Instrumentation()
@@ -172,7 +162,6 @@ class QuerySession:
         previous_fingerprint = self._fingerprint
         self.oracle = oracle
         self.executor = executor_for(oracle)
-        self.executor.kernel = self.kernel
         self._fingerprint = self._oracle_fingerprint(oracle)
         self._check_stored_fingerprint(oracle)
         self._plans.clear()
@@ -254,7 +243,16 @@ class QuerySession:
     # Serving
     # ------------------------------------------------------------------
     def query(self, source: int, target: int, label_mask: int) -> float:
-        """Single cached query (scalar path on miss)."""
+        """Single cached query (scalar path on miss).
+
+        Checks the query domain like :meth:`run` before the cache probe,
+        so an out-of-domain query raises ``ValueError`` and is never
+        cached.
+        """
+        graph = self.oracle.graph
+        to_triple_array(
+            [(source, target, label_mask)], graph.num_labels, graph.num_vertices
+        )
         self.stats.count("queries")
         _count_logical_queries(1)
         key = (self._fingerprint, source, target, label_mask)

@@ -27,6 +27,9 @@ import os
 import sys
 import time
 
+from ..engine import EngineConfig, reset_global
+from ..perf.parallel import ParallelConfig
+from ..store.cache import IndexStore
 from .export import write_csv
 from .figures import figure6, render_figure6
 from .report import (
@@ -80,15 +83,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="worker processes for index construction "
                         "(1 = serial, 0 = all cores); output is identical "
                         "for every worker count")
-    parser.add_argument("--kernel", choices=["numpy", "cext", "auto"],
-                        default=None,
-                        help="compiled-kernel backend for the hot loops "
-                        "(MS-BFS sweeps, Theorem 2 pass, auxiliary "
-                        "Dijkstra): 'cext' needs a system C compiler and "
-                        "falls back to numpy with a single warning when "
-                        "unavailable; 'auto' (the default) probes cext "
-                        "silently; all backends produce bit-identical "
-                        "results")
     parser.add_argument("--engine", action="store_true",
                         help="answer queries through the batch engine "
                         "(vectorized, cached QuerySession); answers are "
@@ -166,36 +160,29 @@ def main(argv: list[str] | None = None) -> int:
         from ..obs.profiling import set_profiling
 
         set_profiling(True, directory=args.csv_dir or ".")
-    if args.workers != 1:
-        from ..perf.parallel import ParallelConfig, set_default_parallel
-
-        set_default_parallel(ParallelConfig(num_workers=args.workers))
-    if args.kernel is not None:
-        from ..kernels import set_default_kernel
-
-        set_default_kernel(args.kernel)
+    # Passed down through every command below (None = serial / rebuild /
+    # scalar queries).
+    parallel = (
+        ParallelConfig(num_workers=args.workers) if args.workers != 1 else None
+    )
     if args.save_index and args.load_index:
         parser.error("--save-index and --load-index are mutually exclusive; "
                      "--save-index already reuses cached indexes")
+    index_store: IndexStore | None = None
     if args.save_index or args.load_index:
-        from ..store.cache import IndexStore, set_default_index_store
-
-        set_default_index_store(IndexStore(
+        index_store = IndexStore(
             args.save_index or args.load_index,
             compress=args.index_compress,
             writable=args.save_index is not None,
-        ))
+        )
     if args.cache_size < 0:
         parser.error("argument --cache-size: must be >= 0")
     if args.audit and not args.engine:
         parser.error("argument --audit: requires --engine")
+    engine: EngineConfig | None = None
     if args.engine:
-        from ..engine import EngineConfig, reset_global, set_default_engine
-
-        set_default_engine(
-            EngineConfig(enabled=True, cache_size=args.cache_size,
-                         audit=args.audit, kernel=args.kernel)
-        )
+        engine = EngineConfig(enabled=True, cache_size=args.cache_size,
+                              audit=args.audit)
         reset_global()
     if args.selfcheck:
         from ..analysis.audit import format_report, run_selfcheck
@@ -226,24 +213,29 @@ def main(argv: list[str] | None = None) -> int:
         emit(render_table1(rows))
         export("table1", rows)
     if args.what in ("table2", "all"):
-        rows = table2(scale=args.scale, k=args.k, seed=args.seed)
+        rows = table2(scale=args.scale, k=args.k, seed=args.seed,
+                      parallel=parallel)
         emit(render_table2(rows))
         export("table2", rows)
         claims.extend(check_table2(rows))
     if args.what in ("table3", "all"):
-        rows = table3(scale=args.scale, k=max(3, args.k // 2), seed=args.seed)
+        rows = table3(scale=args.scale, k=max(3, args.k // 2), seed=args.seed,
+                      parallel=parallel)
         emit(render_table3(rows))
         export("table3", rows)
         claims.extend(check_table3(rows))
     if args.what in ("table4", "all"):
         cells = table4(scale=args.scale, ks=args.ks, num_pairs=args.pairs,
-                       seed=args.seed)
+                       seed=args.seed, engine=engine, parallel=parallel,
+                       index_store=index_store)
         emit(render_table4(cells))
         export("table4", cells)
         claims.extend(check_table4(cells))
     if args.what in ("fig6", "all"):
         panels = figure6(scale=min(args.scale, 0.4), ks=args.ks[:4],
-                         num_pairs=args.pairs // 2 + 50, seed=args.seed)
+                         num_pairs=args.pairs // 2 + 50, seed=args.seed,
+                         parallel=parallel, engine=engine,
+                         index_store=index_store)
         emit(render_figure6(panels))
         export("figure6", panels)
         claims.extend(check_figure6(panels))
@@ -253,7 +245,8 @@ def main(argv: list[str] | None = None) -> int:
         points = scaling_sweep(scales=(0.25, 0.5, min(1.0, args.scale * 2)),
                                k=args.ks[0] if args.ks else 20,
                                num_pairs=max(60, args.pairs // 3),
-                               seed=args.seed)
+                               seed=args.seed, parallel=parallel,
+                               engine=engine, index_store=index_store)
         emit(render_scaling(points))
         export("scaling", points)
     if args.what == "temporal":
@@ -267,6 +260,7 @@ def main(argv: list[str] | None = None) -> int:
             scale=min(args.scale, 0.5), num_windows=args.windows,
             num_updates=args.updates, k=max(3, args.k // 2),
             num_queries=max(100, args.pairs), seed=args.seed,
+            parallel=parallel,
         )
         emit(render_temporal_report(rows))
         export("temporal", rows)

@@ -18,8 +18,12 @@ reproduction can offer in place of the paper's plots.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
+from ..engine import EngineConfig
 from ..graph.datasets import dataset_names, load_dataset
+from ..perf.parallel import ParallelConfig
+from ..store.cache import IndexStore
 from ..workloads.queries import generate_workload
 from .runner import baseline_query_seconds, run_chromland, run_powcov
 
@@ -50,44 +54,55 @@ def figure6(
     seed: int = 7,
     datasets: tuple[str, ...] | None = None,
     chromland_iterations: int = 4000,
+    parallel: "ParallelConfig | int | None" = None,
+    engine: "EngineConfig | bool | None" = None,
+    index_store: "IndexStore | None" = None,
 ) -> list[Figure6Series]:
-    """Compute the Figure 6 panels for every dataset."""
+    """Compute the Figure 6 panels for every dataset.
+
+    ``parallel``, ``engine`` and ``index_store`` are passed to every
+    :func:`~repro.eval.runner.run_powcov` / ``run_chromland`` call.
+    """
     panels = []
     for name in datasets if datasets is not None else dataset_names():
         graph, _spec = load_dataset(name, scale=scale, seed=seed)
         workload = generate_workload(graph, num_pairs=num_pairs, seed=seed)
-        base = baseline_query_seconds(graph, workload, include_ch=False)
+        base = baseline_query_seconds(
+            graph, workload, include_ch=False, engine=engine
+        )
+        powcov_run = partial(
+            run_powcov, graph, workload, seed=seed, baseline_seconds=base,
+            parallel=parallel, engine=engine, index_store=index_store,
+        )
+        chromland_run = partial(
+            run_chromland, graph, workload, seed=seed, baseline_seconds=base,
+            parallel=parallel, engine=engine, index_store=index_store,
+        )
 
         powcov = Figure6Series(dataset=name, index="PowCov", ks=list(ks))
         chroml = Figure6Series(dataset=name, index="ChromLand", ks=list(ks))
         for k in ks:
-            run = run_powcov(graph, workload, k, strategy="greedy-mvc",
-                             seed=seed, baseline_seconds=base)
+            run = powcov_run(k, strategy="greedy-mvc")
             powcov.proposed.append(run.metrics.relative_error)
-            run = run_powcov(graph, workload, k, strategy="random",
-                             seed=seed, baseline_seconds=base)
+            run = powcov_run(k, strategy="random")
             powcov.b_rnd.append(run.metrics.relative_error)
             best_err, best_name = float("inf"), "-"
             for strategy in POWCOV_BBEST_POOL:
-                run = run_powcov(graph, workload, k, strategy=strategy,
-                                 seed=seed, baseline_seconds=base)
+                run = powcov_run(k, strategy=strategy)
                 if run.metrics.relative_error < best_err:
                     best_err = run.metrics.relative_error
                     best_name = strategy
             powcov.b_best.append(best_err)
             powcov.b_best_strategy.append(best_name)
 
-            run = run_chromland(graph, workload, k, selection="local-search",
-                                iterations=chromland_iterations, seed=seed,
-                                baseline_seconds=base)
+            run = chromland_run(k, selection="local-search",
+                                iterations=chromland_iterations)
             chroml.proposed.append(run.metrics.relative_error)
-            run = run_chromland(graph, workload, k, selection="random",
-                                seed=seed, baseline_seconds=base)
+            run = chromland_run(k, selection="random")
             chroml.b_rnd.append(run.metrics.relative_error)
             best_err, best_name = float("inf"), "-"
             for strategy in CHROMLAND_BBEST_POOL:
-                run = run_chromland(graph, workload, k, selection=strategy,
-                                    seed=seed, baseline_seconds=base)
+                run = chromland_run(k, selection=strategy)
                 if run.metrics.relative_error < best_err:
                     best_err = run.metrics.relative_error
                     best_name = strategy

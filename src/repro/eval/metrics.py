@@ -16,9 +16,9 @@ carries error/exactness bookkeeping whose overhead would pollute a timing
 measured around it, so ``mean_query_seconds`` comes from a dedicated
 bookkeeping-free pass (skipped entirely when ``time_queries=False``).
 
-Both passes can run through the batch engine (``engine=True`` or the
-process-wide default installed by the CLI's ``--engine`` flag); engine
-answers are bit-identical to the scalar path, so only the timing — and
+Both passes can run through the batch engine (``engine=True``, or the
+:class:`~repro.engine.EngineConfig` the CLI's ``--engine`` flag passes
+down); engine answers are bit-identical to the scalar path, so only the timing — and
 the engine-counter aggregate reported by the CLI — changes.
 """
 
@@ -68,7 +68,6 @@ def _answer_workload(
         cache_size=config.cache_size,
         plan_cache_size=config.plan_cache_size,
         audit=config.audit,
-        kernel=config.kernel,
     )
     estimates = session.run([(q.source, q.target, q.label_mask) for q in queries])
     session.publish_stats()
@@ -89,8 +88,7 @@ def evaluate_oracle(
     oracle in this package returns upper bounds, so that would be a bug,
     not a measurement.
 
-    ``engine`` selects the execution path: ``None`` picks up the
-    process-wide default (see :func:`repro.engine.set_default_engine`),
+    ``engine`` selects the execution path: ``None`` is the scalar loop,
     a bool forces scalar/batched, an :class:`~repro.engine.EngineConfig`
     gives full control.  ``mean_query_seconds`` is measured in a dedicated
     pass via :func:`time_oracle` when ``time_queries`` is true, so error
@@ -160,7 +158,6 @@ def time_oracle(
             cache_size=config.cache_size,
             plan_cache_size=config.plan_cache_size,
             audit=config.audit,
-            kernel=config.kernel,
         )
         triples = [(q.source, q.target, q.label_mask) for q in queries]
         started = time.perf_counter()

@@ -21,7 +21,7 @@ from ..landmarks import select_landmarks
 from ..obs.profiling import profile_phase
 from ..obs.trace import span
 from ..perf.parallel import ParallelConfig
-from ..store.cache import IndexStore, get_default_index_store
+from ..store.cache import IndexStore
 from ..workloads.queries import Workload
 from .metrics import OracleMetrics, evaluate_oracle, time_oracle
 
@@ -104,27 +104,26 @@ def run_powcov(
 ) -> IndexRun:
     """Build a PowCov index with ``k`` landmarks and evaluate it.
 
-    ``parallel`` is forwarded to :meth:`PowCovIndex.build`; ``None`` picks
-    up the process-wide default (the CLI's ``--workers`` flag), keeping the
-    built index bit-for-bit identical either way.  ``builder=None`` runs
+    ``parallel`` is forwarded to :meth:`PowCovIndex.build` (``None`` is
+    serial; the CLI passes its ``--workers`` choice), keeping the built
+    index bit-for-bit identical either way.  ``builder=None`` runs
     the production wave builder; ``"traverse"`` and ``"brute"`` build the
     same index more slowly.  ``engine`` selects the query-execution path
     (scalar vs. batched, see :func:`repro.eval.metrics.evaluate_oracle`);
     answers are identical, only timing and engine counters change.
 
-    ``index_store`` (defaulting to the process-wide store installed by the
-    CLI's ``--save-index`` / ``--load-index`` flags) short-circuits the
-    build: a cached index for this exact (graph, k, strategy, seed) is
+    ``index_store`` (the CLI passes the store its ``--save-index`` /
+    ``--load-index`` flags open; ``None`` always rebuilds) short-circuits
+    the build: a cached index for this exact (graph, k, strategy, seed) is
     loaded instead of rebuilt — ``build_seconds`` then measures the load —
     and a freshly built index is persisted back.  Loaded indexes answer
     queries bit-identically to freshly built ones, so the evaluated
     metrics are unchanged; a loaded index serves straight off the mapped
     file.
     """
-    store = index_store if index_store is not None else get_default_index_store()
     tag = f"k{k}-{strategy}-s{seed}"
     started = time.perf_counter()
-    index = store.load("powcov", graph, tag=tag) if store is not None else None
+    index = index_store.load("powcov", graph, tag=tag) if index_store is not None else None
     if index is None:
         landmarks = select_landmarks(graph, k, strategy=strategy, seed=seed)
         with span("eval.powcov_build", k=k, strategy=strategy), profile_phase(
@@ -133,8 +132,8 @@ def run_powcov(
             index = PowCovIndex(graph, landmarks, builder=builder).build(
                 parallel=parallel
             )
-        if store is not None:
-            store.save(index, tag=tag)
+        if index_store is not None:
+            index_store.save(index, tag=tag)
     build_seconds = time.perf_counter() - started
     with profile_phase(f"powcov-query-k{k}"):
         metrics = evaluate_oracle(index, workload, engine=engine)
@@ -179,10 +178,9 @@ def run_chromland(
     """
     import numpy as np
 
-    store = index_store if index_store is not None else get_default_index_store()
     tag = f"k{k}-{selection}-i{iterations}-s{seed}-{query_mode}"
     started = time.perf_counter()
-    cached = store.load("chromland", graph, tag=tag) if store is not None else None
+    cached = index_store.load("chromland", graph, tag=tag) if index_store is not None else None
     if cached is not None:
         build_seconds = time.perf_counter() - started
         with profile_phase(f"chromland-query-k{k}"):
@@ -220,8 +218,8 @@ def run_chromland(
         index = ChromLandIndex(graph, landmarks, colors, query_mode=query_mode).build(
             parallel=parallel
         )
-    if store is not None:
-        store.save(index, tag=tag)
+    if index_store is not None:
+        index_store.save(index, tag=tag)
     build_seconds = time.perf_counter() - started
     with profile_phase(f"chromland-query-k{k}"):
         metrics = evaluate_oracle(index, workload, engine=engine)

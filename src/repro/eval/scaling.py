@@ -16,7 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..engine import EngineConfig
 from ..graph.datasets import load_dataset
+from ..perf.parallel import ParallelConfig
+from ..store.cache import IndexStore
 from ..workloads.queries import generate_workload
 from .runner import baseline_query_seconds, run_powcov, run_chromland
 from .tables import render_rows
@@ -46,17 +49,26 @@ def scaling_sweep(
     num_pairs: int = 120,
     seed: int = 7,
     chromland_iterations: int = 200,
+    parallel: "ParallelConfig | int | None" = None,
+    engine: "EngineConfig | bool | None" = None,
+    index_store: "IndexStore | None" = None,
 ) -> list[ScalingPoint]:
     """Measure exact cost and index speed-ups across dataset scales."""
     points = []
     for scale in scales:
         graph, _spec = load_dataset(dataset, scale=scale, seed=seed)
         workload = generate_workload(graph, num_pairs=num_pairs, seed=seed)
-        base = baseline_query_seconds(graph, workload, include_ch=False)
-        powcov = run_powcov(graph, workload, k, seed=seed, baseline_seconds=base)
+        base = baseline_query_seconds(
+            graph, workload, include_ch=False, engine=engine
+        )
+        powcov = run_powcov(
+            graph, workload, k, seed=seed, baseline_seconds=base,
+            parallel=parallel, engine=engine, index_store=index_store,
+        )
         chroml = run_chromland(
             graph, workload, k, iterations=chromland_iterations, seed=seed,
-            baseline_seconds=base,
+            baseline_seconds=base, parallel=parallel, engine=engine,
+            index_store=index_store,
         )
         points.append(
             ScalingPoint(

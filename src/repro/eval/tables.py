@@ -5,7 +5,10 @@ reproduction's datasets and returns structured results; the matching
 ``render_tableN`` turns them into the paper's layout as plain text.  The
 functions take ``scale`` / ``num_pairs`` knobs so that the benchmark suite
 can exercise them quickly while ``python -m repro.eval.cli`` runs the full
-reproduction.
+reproduction.  Functions that build indexes take ``parallel=`` (serial by
+default), and Table 4 also takes ``engine=`` and ``index_store=``; the
+CLI passes its ``--workers`` / ``--engine`` / ``--save-index`` choices
+through them.
 
 Paper reference values are attached where the paper reports them, so the
 rendered output doubles as the paper-vs-measured record used by
@@ -30,6 +33,8 @@ from ..graph.datasets import dataset_names, load_dataset, paper_synthetic
 from ..graph.traversal import estimate_diameter
 from ..landmarks import select_landmarks
 from ..obs.trace import span
+from ..perf.parallel import ParallelConfig
+from ..store.cache import IndexStore
 from ..workloads.queries import generate_workload
 from .runner import IndexRun, baseline_query_seconds, run_chromland, run_powcov
 
@@ -153,9 +158,11 @@ _PAPER_TABLE2 = {
 }
 
 
-def _size_row(graph, name: str, k: int, seed: int) -> Table2Row:
+def _size_row(
+    graph, name: str, k: int, seed: int, parallel: "ParallelConfig | int | None"
+) -> Table2Row:
     landmarks = select_landmarks(graph, k, strategy="greedy-mvc", seed=seed)
-    powcov = PowCovIndex(graph, landmarks).build()
+    powcov = PowCovIndex(graph, landmarks).build(parallel=parallel)
     naive = NaivePowersetIndex(graph, landmarks).build()
     paper = _PAPER_TABLE2.get(name, (None, None))
     return Table2Row(
@@ -176,18 +183,19 @@ def table2(
     synthetic_vertices: int = 2000,
     synthetic_edges: int = 10_000,
     datasets: tuple[str, ...] | None = None,
+    parallel: "ParallelConfig | int | None" = None,
 ) -> list[Table2Row]:
     """Index sizes on the real stand-ins and the synthetic |L| sweep."""
     rows = []
     for name in datasets if datasets is not None else dataset_names():
         graph, _spec = load_dataset(name, scale=scale, seed=seed)
-        rows.append(_size_row(graph, name, k, seed))
+        rows.append(_size_row(graph, name, k, seed, parallel))
     for num_labels in synthetic_labels:
         graph = paper_synthetic(
             num_labels, num_vertices=synthetic_vertices,
             num_edges=synthetic_edges, seed=seed,
         )
-        rows.append(_size_row(graph, f"synthetic-{num_labels}", k, seed))
+        rows.append(_size_row(graph, f"synthetic-{num_labels}", k, seed, parallel))
     return rows
 
 
@@ -241,19 +249,24 @@ class Table3Row:
         return 100.0 * (1.0 - self.traverse_tests / self.brute_tests)
 
 
-def _time_row(graph, name: str, k: int, seed: int, iterations: int = 30) -> Table3Row:
+def _time_row(
+    graph, name: str, k: int, seed: int, parallel: "ParallelConfig | int | None"
+) -> Table3Row:
     with span("table3.row", dataset=name, k=k):
-        return _time_row_inner(graph, name, k, seed, iterations)
+        return _time_row_inner(graph, name, k, seed, parallel)
 
 
 def _time_row_inner(
-    graph, name: str, k: int, seed: int, iterations: int = 30
+    graph, name: str, k: int, seed: int, parallel: "ParallelConfig | int | None",
+    iterations: int = 30,
 ) -> Table3Row:
     landmarks = select_landmarks(graph, k, strategy="greedy-mvc", seed=seed)
     # ChromLand per-landmark time: build with k landmarks / local colors.
     selection = local_search_selection(graph, k, iterations=iterations, seed=seed)
     started = time.perf_counter()
-    ChromLandIndex(graph, selection.landmarks, selection.colors).build()
+    ChromLandIndex(graph, selection.landmarks, selection.colors).build(
+        parallel=parallel
+    )
     chrom_per_landmark = (time.perf_counter() - started) / k
 
     traverse_seconds = 0.0
@@ -303,6 +316,7 @@ def table3(
     synthetic_vertices: int = 2000,
     synthetic_edges: int = 10_000,
     datasets: tuple[str, ...] | None = None,
+    parallel: "ParallelConfig | int | None" = None,
 ) -> list[Table3Row]:
     """Per-landmark indexing time: ChromLand, TraversePowerset, BruteForce.
 
@@ -313,13 +327,13 @@ def table3(
     rows = []
     for name in datasets if datasets is not None else dataset_names():
         graph, _spec = load_dataset(name, scale=scale, seed=seed)
-        rows.append(_time_row(graph, name, k, seed))
+        rows.append(_time_row(graph, name, k, seed, parallel))
     for num_labels in synthetic_labels:
         graph = paper_synthetic(
             num_labels, num_vertices=synthetic_vertices,
             num_edges=synthetic_edges, seed=seed,
         )
-        rows.append(_time_row(graph, f"synthetic-{num_labels}", k, seed))
+        rows.append(_time_row(graph, f"synthetic-{num_labels}", k, seed, parallel))
     for num_labels in chromland_labels:
         graph = paper_synthetic(
             num_labels, num_vertices=synthetic_vertices,
@@ -327,7 +341,9 @@ def table3(
         )
         selection = local_search_selection(graph, k, iterations=20, seed=seed)
         started = time.perf_counter()
-        ChromLandIndex(graph, selection.landmarks, selection.colors).build()
+        ChromLandIndex(graph, selection.landmarks, selection.colors).build(
+            parallel=parallel
+        )
         chrom = (time.perf_counter() - started) / k
         rows.append(
             Table3Row(
@@ -387,6 +403,8 @@ def table4(
     datasets: tuple[str, ...] | None = None,
     chromland_iterations: int = 4000,
     engine: "EngineConfig | bool | None" = None,
+    parallel: "ParallelConfig | int | None" = None,
+    index_store: "IndexStore | None" = None,
 ) -> list[Table4Cell]:
     """Full query evaluation of PowCov and ChromLand across ``ks``.
 
@@ -403,13 +421,14 @@ def table4(
             with span("table4.row", dataset=name, index="PowCov", k=k):
                 powcov = run_powcov(
                     graph, workload, k, seed=seed, baseline_seconds=base,
-                    engine=engine,
+                    parallel=parallel, engine=engine, index_store=index_store,
                 )
             cells.append(Table4Cell(name, "PowCov", k, powcov))
             with span("table4.row", dataset=name, index="ChromLand", k=k):
                 chroml = run_chromland(
                     graph, workload, k, iterations=chromland_iterations,
-                    seed=seed, baseline_seconds=base, engine=engine,
+                    seed=seed, baseline_seconds=base, parallel=parallel,
+                    engine=engine, index_store=index_store,
                 )
             cells.append(Table4Cell(name, "ChromLand", k, chroml))
     return cells

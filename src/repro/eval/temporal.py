@@ -28,6 +28,7 @@ from ..core.powcov import PowCovIndex
 from ..graph.datasets import load_dataset
 from ..graph.labeled_graph import EdgeLabeledGraph
 from ..landmarks import select_landmarks
+from ..perf.parallel import ParallelConfig
 from ..workloads.streams import (
     SnapshotOracleSequence,
     TemporalEdge,
@@ -101,8 +102,12 @@ def temporal_report(
     k: int = 6,
     num_queries: int = 400,
     seed: int = 7,
+    parallel: "ParallelConfig | int | None" = None,
 ) -> list[TemporalReportRow]:
-    """One row per dataset: mixed-stream and snapshot-sweep measurements."""
+    """One row per dataset: mixed-stream and snapshot-sweep measurements.
+
+    ``parallel`` is passed to every from-scratch PowCov build.
+    """
     if num_windows < 2:
         raise ValueError("num_windows must be >= 2")
     if num_updates < 1:
@@ -113,9 +118,9 @@ def temporal_report(
         landmarks = select_landmarks(graph, k, strategy="greedy-mvc", seed=seed)
 
         # Mixed query/update serving.
-        index = PowCovIndex(graph, landmarks).build()
+        index = PowCovIndex(graph, landmarks).build(parallel=parallel)
         build_started = time.perf_counter()
-        PowCovIndex(graph, landmarks).build()
+        PowCovIndex(graph, landmarks).build(parallel=parallel)
         rebuild_seconds = time.perf_counter() - build_started
         stream = mixed_update_stream(
             graph, num_queries=num_queries, num_updates=num_updates, seed=seed
@@ -128,7 +133,7 @@ def temporal_report(
             graph.num_vertices,
             edges,
             graph.num_labels,
-            lambda g: PowCovIndex(g, landmarks).build(),
+            lambda g: PowCovIndex(g, landmarks).build(parallel=parallel),
         )
         queries = temporal_query_stream(sequence, num_queries // 4, seed=seed)
         sweep_started = time.perf_counter()
@@ -136,7 +141,7 @@ def temporal_report(
         sweep_seconds = time.perf_counter() - sweep_started
         # Spot-check: the repaired-forward oracle matches a fresh build on
         # the final snapshot it reached.
-        final = PowCovIndex(sequence.graph, landmarks).build()
+        final = PowCovIndex(sequence.graph, landmarks).build(parallel=parallel)
         tail = [q for q in queries if q.window == sequence.window][:25]
         for query in tail:
             expected = final.query(query.source, query.target, query.label_mask)

@@ -21,18 +21,17 @@ tolerance is needed anywhere — the differential tests assert ``==``.
 
 Selection
 ---------
-``resolve_kernel(None)`` consults, in order: the process-wide default
-installed by :func:`set_default_kernel` (the CLI's ``--kernel`` flag),
-the ``REPRO_KERNEL`` environment variable, then ``"auto"``.  ``"auto"``
-probes ``cext`` once (the probe is memoized) and falls back to
-``"numpy"``.  Explicitly requesting an unavailable compiled backend
-falls back to numpy with a single structured
-:class:`KernelFallbackWarning` per backend name — never one per build.
+There is no user-facing switch: ``resolve_kernel(None)`` is ``"auto"``,
+which probes ``cext`` once (the probe is memoized) and falls back to
+``"numpy"``.  Kernel-level functions keep an explicit ``kernel=``
+argument so tests and benchmarks can compare a backend against the numpy
+reference.  Explicitly requesting an unavailable compiled backend falls
+back to numpy with a single structured :class:`KernelFallbackWarning`
+per backend name — never one per build.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import Protocol, runtime_checkable
 
@@ -43,13 +42,11 @@ __all__ = [
     "KernelFallbackWarning",
     "KERNEL_CHOICES",
     "available_kernels",
-    "get_default_kernel",
     "kernel_name",
     "resolve_kernel",
-    "set_default_kernel",
 ]
 
-#: Names accepted by ``--kernel`` / ``REPRO_KERNEL`` / ``set_default_kernel``.
+#: Names accepted by :func:`resolve_kernel`.
 KERNEL_CHOICES = ("auto", "numpy", "cext")
 
 
@@ -158,8 +155,6 @@ _backends: dict[str, KernelBackend] = {}
 _probe_failures: dict[str, str] = {}
 #: Backend names a fallback warning was already emitted for.
 _warned: set[str] = set()
-#: Process-wide default installed by :func:`set_default_kernel`.
-_default_kernel: str | None = None
 
 
 def _load(name: str) -> KernelBackend | None:
@@ -224,42 +219,12 @@ def available_kernels() -> tuple[str, ...]:
     )
 
 
-def set_default_kernel(kernel: str | None) -> None:
-    """Install the process-wide default backend (the CLI's ``--kernel``).
-
-    ``None`` restores the built-in default (``REPRO_KERNEL`` env or
-    ``"auto"``).  All backends produce bit-identical output, so this only
-    ever changes wall-clock time, never results.
-    """
-    global _default_kernel
-    if kernel is not None and kernel not in KERNEL_CHOICES:
-        raise ValueError(
-            f"kernel must be one of {KERNEL_CHOICES}, got {kernel!r}"
-        )
-    _default_kernel = kernel
-
-
-def get_default_kernel() -> str:
-    """The effective default backend name (may be ``"auto"``)."""
-    if _default_kernel is not None:
-        return _default_kernel
-    env = os.environ.get("REPRO_KERNEL")
-    if env:
-        if env not in KERNEL_CHOICES:
-            raise ValueError(
-                f"REPRO_KERNEL must be one of {KERNEL_CHOICES}, got {env!r}"
-            )
-        return env
-    return "auto"
-
-
 def resolve_kernel(
     kernel: "str | KernelBackend | None" = None,
 ) -> KernelBackend:
     """Turn a kernel request into a concrete backend instance.
 
-    ``None`` follows the default chain (``set_default_kernel`` →
-    ``REPRO_KERNEL`` → ``"auto"``); a backend instance passes through
+    ``None`` means ``"auto"``; a backend instance passes through
     untouched (the hot-path case: callers resolve once and hand the
     instance down).  ``"auto"`` silently picks ``cext`` when it compiles
     and numpy otherwise; an explicit ``"cext"`` request that cannot be
@@ -267,7 +232,7 @@ def resolve_kernel(
     """
     if kernel is not None and not isinstance(kernel, str):
         return kernel
-    name = get_default_kernel() if kernel is None else kernel
+    name = "auto" if kernel is None else kernel
     if name not in KERNEL_CHOICES:
         raise ValueError(f"kernel must be one of {KERNEL_CHOICES}, got {name!r}")
     if name == "numpy":
@@ -287,11 +252,9 @@ def kernel_name(kernel: "str | KernelBackend | None" = None) -> str:
 
 
 def _reset_for_tests(clear_probes: bool = False) -> None:
-    """Test hook: forget warnings/default (and, optionally, probe memos)."""
-    global _default_kernel
+    """Test hook: forget warnings (and, optionally, probe memos)."""
     with _lock:
         _warned.clear()
-        _default_kernel = None
         if clear_probes:
             _probe_failures.clear()
             _backends.pop("cext", None)

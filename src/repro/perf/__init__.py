@@ -6,8 +6,8 @@ by repeated CSR gathers that can be amortized across BFS sources.  This
 package provides the three pieces that exploit both facts:
 
 * :mod:`repro.perf.shm` — zero-copy handoff of a graph's CSR arrays to
-  worker processes through ``multiprocessing.shared_memory`` (the graph is
-  shared once instead of pickled per task);
+  worker processes as regions of a graph store file (the graph is written
+  at most once instead of pickled per task);
 * :mod:`repro.perf.parallel` — :class:`ParallelConfig` and the chunked
   fan-out engine used by ``PowCovIndex.build(parallel=...)`` and
   ``ChromLandIndex.build(parallel=...)``, with deterministic reassembly in
@@ -23,10 +23,8 @@ from __future__ import annotations
 from .batched import batched_constrained_bfs, exact_workload_distances
 from .parallel import (
     ParallelConfig,
-    get_default_parallel,
     resolve_parallel,
     run_tasks,
-    set_default_parallel,
 )
 from .shm import SharedGraphPack, attach_graph, share_graphs
 
@@ -36,9 +34,7 @@ __all__ = [
     "attach_graph",
     "batched_constrained_bfs",
     "exact_workload_distances",
-    "get_default_parallel",
     "resolve_parallel",
     "run_tasks",
-    "set_default_parallel",
     "share_graphs",
 ]

@@ -99,8 +99,7 @@ def batched_constrained_bfs(
     kernel:
         Which :mod:`repro.kernels` backend runs the sweep: a backend
         name (``"numpy"``/``"cext"``/``"auto"``), an already
-        resolved backend instance, or ``None`` for the process default
-        (``set_default_kernel`` → ``REPRO_KERNEL`` → ``"auto"``).  All
+        resolved backend instance, or ``None`` for ``"auto"``.  All
         backends are bit-identical; only wall-clock time changes.
 
     Returns

@@ -12,13 +12,12 @@ Backends
 --------
 ``"process"``
     ``ProcessPoolExecutor``.  The graphs are exported once through
-    :mod:`repro.perf.shm` and every worker attaches zero-copy views in
-    its initializer, so the graph is never pickled per task.  Graphs
-    opened from a mapped store file (:mod:`repro.store`) are shared by
-    file region — workers map the same file and the page cache holds one
-    physical copy; in-memory graphs are copied once into shared-memory
-    blocks, which are closed and unlinked in a ``finally`` block — also
-    when a worker raises.
+    :mod:`repro.perf.shm` and every worker maps them by file region in
+    its initializer, so the graph is never pickled per task and the page
+    cache holds one physical copy.  Graphs opened from a store file
+    (:mod:`repro.store`) are mapped from that file; in-memory graphs are
+    written once to a temporary graph file, which is removed in a
+    ``finally`` block — also when a worker raises.
 ``"thread"``
     ``ThreadPoolExecutor`` over the in-process graphs.  Useful when the
     task releases the GIL or the graphs are too large to duplicate.
@@ -61,8 +60,6 @@ from . import shm as _shm
 __all__ = [
     "ParallelConfig",
     "SERIAL",
-    "set_default_parallel",
-    "get_default_parallel",
     "resolve_parallel",
     "run_tasks",
 ]
@@ -116,27 +113,11 @@ class ParallelConfig:
 #: The do-nothing configuration every ``build()`` defaults to.
 SERIAL = ParallelConfig(num_workers=1, backend="serial")
 
-_default_parallel: ParallelConfig | None = None
 
-
-def set_default_parallel(config: "ParallelConfig | int | None") -> None:
-    """Set the process-wide default used when ``build(parallel=None)``.
-
-    The CLI's ``--workers`` flag routes through this so that every index
-    built during an experiment run picks up the same worker count without
-    threading a parameter through every table function.  ``None`` restores
-    the serial default.
-    """
-    global _default_parallel
-    _default_parallel = None if config is None else _coerce(config)
-
-
-def get_default_parallel() -> ParallelConfig:
-    """The current process-wide default (serial unless explicitly set)."""
-    return _default_parallel if _default_parallel is not None else SERIAL
-
-
-def _coerce(parallel: "ParallelConfig | int") -> ParallelConfig:
+def resolve_parallel(parallel: "ParallelConfig | int | None") -> ParallelConfig:
+    """Normalize a ``parallel=`` argument: None -> serial, int -> config."""
+    if parallel is None:
+        return SERIAL
     if isinstance(parallel, ParallelConfig):
         return parallel
     if isinstance(parallel, int) and not isinstance(parallel, bool):
@@ -144,13 +125,6 @@ def _coerce(parallel: "ParallelConfig | int") -> ParallelConfig:
             return SERIAL
         return ParallelConfig(num_workers=parallel)
     raise TypeError(f"parallel must be a ParallelConfig or int, got {parallel!r}")
-
-
-def resolve_parallel(parallel: "ParallelConfig | int | None") -> ParallelConfig:
-    """Normalize a ``parallel=`` argument: None -> default, int -> config."""
-    if parallel is None:
-        return get_default_parallel()
-    return _coerce(parallel)
 
 
 def _chunks(items: Sequence[Any], config: ParallelConfig) -> list[Sequence[Any]]:
@@ -168,9 +142,7 @@ _worker_state: dict[str, Any] = {}
 
 
 def _worker_init(descriptors, task, extra, tracing: bool = False) -> None:
-    attached = [_shm.attach_graph(d) for d in descriptors]
-    _worker_state["attached"] = attached  # keeps the shm blocks alive
-    _worker_state["graphs"] = tuple(a.graph for a in attached)
+    _worker_state["graphs"] = tuple([_shm.attach_graph(d) for d in descriptors])
     _worker_state["task"] = task
     _worker_state["extra"] = extra
     set_tracing(tracing)

@@ -1,60 +1,45 @@
-"""Shared-memory graph handoff for multi-process index construction.
+"""File-backed graph handoff for multi-process index construction.
 
 Pickling an :class:`~repro.graph.labeled_graph.EdgeLabeledGraph` per task
 copies the full CSR arrays into every worker on every submission.  This
-module instead shares the arrays physically and ships only a small
-picklable :class:`GraphDescriptor` per submission, through one of two
-paths chosen per array:
+module instead ships one small picklable :class:`GraphDescriptor` per
+graph: for each CSR array, a :class:`FileArraySpec` naming a region of a
+graph store file.  Every worker maps the same file regions, so the page
+cache holds one physical copy of the graph.
 
-* **File-backed** (:class:`FileArraySpec`) — when an array is already a
-  view over an ``np.memmap`` (a graph opened from the
-  :mod:`repro.store` format), nothing is copied at all: the descriptor
-  records ``(path, offset, shape, dtype)`` and every worker maps the same
-  file region, sharing one physical copy through the page cache.
-* **Shm-block** (:class:`ArraySpec`) — in-memory arrays are copied once
-  into ``multiprocessing.shared_memory`` blocks; workers reconstruct
-  zero-copy numpy views over the same pages.
+A graph opened from the :mod:`repro.store` format already is such a
+mapping and is described in place, with nothing copied.  Any other graph
+is first written once to a temporary graph store file
+(:func:`repro.store.index_store.save_graph`) in the temporary directory
+(``TMPDIR``).
 
 Lifecycle
 ---------
-The parent calls :func:`share_graphs` and is responsible for calling
-:meth:`SharedGraphPack.close` and :meth:`SharedGraphPack.unlink` when the
-pool is done — :func:`repro.perf.parallel.run_tasks` does this in a
-``finally`` block so the blocks are released even when a worker raises.
-(File-backed specs own nothing and need no cleanup.)  Workers call
-:func:`attach_graph` and keep the returned :class:`AttachedGraph` alive
-for as long as they use the graph (the numpy views borrow the shared
-buffer or mapping).
+The parent calls :func:`share_graphs` and must call
+:meth:`SharedGraphPack.release` when the pool is done, which removes the
+temporary files — :func:`repro.perf.parallel.run_tasks` does this in a
+``finally`` block, so nothing is left behind even when a worker raises.
+Workers call :func:`attach_graph`, whose graph arrays are read-only
+memmap views.
 """
 
 from __future__ import annotations
 
 import os
+import tempfile
 from dataclasses import dataclass
-from multiprocessing import shared_memory
 
 import numpy as np
 
 from ..graph.labeled_graph import EdgeLabeledGraph
 
 __all__ = [
-    "ArraySpec",
     "FileArraySpec",
     "GraphDescriptor",
     "SharedGraphPack",
-    "AttachedGraph",
     "share_graphs",
     "attach_graph",
 ]
-
-
-@dataclass(frozen=True)
-class ArraySpec:
-    """Picklable description of one shm-block-backed numpy array."""
-
-    block_name: str
-    shape: tuple[int, ...]
-    dtype: str
 
 
 @dataclass(frozen=True)
@@ -72,22 +57,26 @@ class FileArraySpec:
 class GraphDescriptor:
     """Everything a worker needs to reattach one graph (small, picklable)."""
 
-    indptr: "ArraySpec | FileArraySpec"
-    neighbors: "ArraySpec | FileArraySpec"
-    edge_labels: "ArraySpec | FileArraySpec"
+    indptr: FileArraySpec
+    neighbors: FileArraySpec
+    edge_labels: FileArraySpec
     num_labels: int
     directed: bool
     num_edges: int
 
 
-def _file_backing(array: np.ndarray) -> tuple[str, int] | None:
-    """``(path, offset)`` when ``array`` is a contiguous memmap view.
+def _file_backing(array: np.ndarray) -> FileArraySpec | None:
+    """The file region behind ``array`` when it is a contiguous memmap view.
 
     Walks the ``.base`` chain looking for an ``np.memmap``; the view's
     file offset is the memmap's own offset plus the pointer distance
-    between the two buffers.  Returns ``None`` for plain in-memory arrays
-    (and for non-contiguous views, which the shm path handles by copying).
+    between the two buffers.  An empty array needs no file (a worker
+    recreates it from its shape).  Returns ``None`` for plain in-memory
+    arrays and for non-contiguous views.
     """
+    shape, dtype = tuple(array.shape), array.dtype.str
+    if array.size == 0:
+        return FileArraySpec("", 0, shape, dtype)
     if not array.flags["C_CONTIGUOUS"]:
         return None
     base = array
@@ -98,181 +87,109 @@ def _file_backing(array: np.ndarray) -> tuple[str, int] | None:
                 return None
             pointer = array.__array_interface__["data"][0]
             base_pointer = base.__array_interface__["data"][0]
-            return os.fspath(filename), int(base.offset) + (pointer - base_pointer)
+            offset = int(base.offset) + (pointer - base_pointer)
+            return FileArraySpec(os.fspath(filename), offset, shape, dtype)
         base = getattr(base, "base", None)
     return None
 
 
-def _export_array(
-    array: np.ndarray,
-) -> tuple[shared_memory.SharedMemory | None, "ArraySpec | FileArraySpec"]:
-    """Describe ``array`` for workers: by file region, or by shm copy."""
-    backing = _file_backing(array)
-    if backing is not None:
-        path, offset = backing
-        return None, FileArraySpec(path, offset, tuple(array.shape), array.dtype.str)
-    array = np.ascontiguousarray(array)
-    # SharedMemory rejects size 0; keep one byte for empty arrays and record
-    # the true shape in the spec.
-    block = shared_memory.SharedMemory(create=True, size=max(1, array.nbytes))
-    try:
-        view = np.ndarray(array.shape, dtype=array.dtype, buffer=block.buf)
-        view[...] = array
-        spec = ArraySpec(block.name, tuple(array.shape), array.dtype.str)
-    except Exception:
-        # The segment exists in the OS already; without this it would
-        # outlive the failed export until process exit (REPRO012).
-        block.close()
-        block.unlink()
-        raise
-    return block, spec
+def _describe(graph: EdgeLabeledGraph) -> GraphDescriptor | None:
+    """The graph's descriptor, or ``None`` if any CSR array is in memory."""
+    indptr, neighbors, edge_labels = (
+        _file_backing(array)
+        for array in (graph.indptr, graph.neighbors, graph.edge_labels)
+    )
+    if indptr is None or neighbors is None or edge_labels is None:
+        return None
+    return GraphDescriptor(
+        indptr=indptr,
+        neighbors=neighbors,
+        edge_labels=edge_labels,
+        num_labels=graph.num_labels,
+        directed=graph.directed,
+        num_edges=graph.num_edges,
+    )
 
 
-def _attach_array(
-    spec: "ArraySpec | FileArraySpec",
-) -> tuple[shared_memory.SharedMemory | None, np.ndarray]:
-    """Zero-copy view over an exported array (worker side)."""
-    if isinstance(spec, FileArraySpec):
-        dtype = np.dtype(spec.dtype)
-        if any(dim == 0 for dim in spec.shape):
-            # np.memmap cannot map zero bytes; an empty array is free.
-            return None, np.empty(spec.shape, dtype=dtype)
-        view = np.memmap(
-            spec.path, mode="r", dtype=dtype, shape=spec.shape, offset=spec.offset
-        )
-        return None, view
-    try:
-        # Python >= 3.13: opt out of resource tracking for attach-only
-        # handles; cleanup belongs to the creating process alone.
-        block = shared_memory.SharedMemory(name=spec.block_name, track=False)
-    except TypeError:  # pragma: no cover - Python < 3.13
-        # Older interpreters register the attach with the resource tracker.
-        # Pool workers share the parent's tracker process, where the name is
-        # already registered, so the extra registration is a harmless no-op
-        # and the parent's unlink() still deregisters exactly once.
-        block = shared_memory.SharedMemory(name=spec.block_name)
-    try:
-        view = np.ndarray(spec.shape, dtype=np.dtype(spec.dtype), buffer=block.buf)
-    except Exception:
-        # Attach-side handle: close our mapping but never unlink — the
-        # segment belongs to the creating process.
-        block.close()
-        raise
-    return block, view
+def _remove(paths: list[str]) -> None:
+    """Delete (and forget) every file in ``paths``."""
+    while paths:
+        try:
+            os.unlink(paths.pop())
+        except FileNotFoundError:  # pragma: no cover - already removed
+            pass
 
 
 class SharedGraphPack:
-    """Parent-side owner of the shared blocks for a tuple of graphs."""
+    """Parent-side owner of the temporary graph files for a tuple of graphs."""
 
     def __init__(
-        self,
-        blocks: list[shared_memory.SharedMemory],
-        descriptors: tuple[GraphDescriptor, ...],
-    ):
-        self._blocks = blocks
+        self, descriptors: tuple[GraphDescriptor, ...], temp_files: list[str]
+    ) -> None:
         self.descriptors = descriptors
-
-    def block_names(self) -> list[str]:
-        """Names of every owned shared-memory block."""
-        return [block.name for block in self._blocks]
-
-    def close(self) -> None:
-        for block in self._blocks:
-            try:
-                block.close()
-            except OSError:  # pragma: no cover - double close is harmless
-                pass
-
-    def unlink(self) -> None:
-        for block in self._blocks:
-            try:
-                block.unlink()
-            except FileNotFoundError:  # pragma: no cover - already unlinked
-                pass
+        #: temporary graph files written by :func:`share_graphs`.
+        self.temp_files = temp_files
 
     def release(self) -> None:
-        """Close and unlink every block (idempotent)."""
-        self.close()
-        self.unlink()
-
-
-class AttachedGraph:
-    """Worker-side graph view; keeps the shared blocks alive."""
-
-    def __init__(
-        self, graph: EdgeLabeledGraph, blocks: list[shared_memory.SharedMemory]
-    ):
-        self.graph = graph
-        self._blocks = blocks
-
-    def close(self) -> None:
-        for block in self._blocks:
-            try:
-                block.close()
-            except OSError:  # pragma: no cover
-                pass
+        """Remove every temporary graph file (idempotent)."""
+        _remove(self.temp_files)
 
 
 def share_graphs(graphs: tuple[EdgeLabeledGraph, ...]) -> SharedGraphPack:
-    """Export every graph's CSR arrays for zero-copy worker access.
+    """Describe every graph's CSR arrays by file region for the workers.
 
-    Arrays already backed by a mapped store file are described by their
-    file region (no copy, no owned resource); the rest are copied into
-    shared-memory blocks.  On failure mid-export the already-created
-    blocks are released before re-raising, so no segment can leak.
+    Graphs already mapped from a store file are described in place; each
+    other graph is saved once to a temporary graph file and described by
+    the regions of that file.  On failure the files written so far are
+    removed before re-raising.
     """
-    blocks: list[shared_memory.SharedMemory] = []
+    # Local import: the store pulls in the index packages, which import
+    # this module through repro.perf.parallel.
+    from ..store.index_store import open_graph, save_graph
+
+    temp_files: list[str] = []
     descriptors: list[GraphDescriptor] = []
     try:
         for graph in graphs:
-            specs: list[ArraySpec | FileArraySpec] = []
-            for array in (graph.indptr, graph.neighbors, graph.edge_labels):
-                block, spec = _export_array(array)
-                if block is not None:
-                    blocks.append(block)
-                specs.append(spec)
-            descriptors.append(
-                GraphDescriptor(
-                    indptr=specs[0],
-                    neighbors=specs[1],
-                    edge_labels=specs[2],
-                    num_labels=graph.num_labels,
-                    directed=graph.directed,
-                    num_edges=graph.num_edges,
-                )
-            )
-    except Exception:
-        pack = SharedGraphPack(blocks, ())
-        pack.release()
+            descriptor = _describe(graph)
+            if descriptor is None:
+                handle, path = tempfile.mkstemp(prefix="repro-graph-", suffix=".repro")
+                os.close(handle)
+                temp_files.append(path)
+                save_graph(graph, path)
+                descriptor = _describe(open_graph(path))
+                if descriptor is None:  # pragma: no cover - raw sections map
+                    raise RuntimeError(f"{path}: graph file did not map")
+            descriptors.append(descriptor)
+    except BaseException:
+        _remove(temp_files)
         raise
-    return SharedGraphPack(blocks, tuple(descriptors))
+    return SharedGraphPack(tuple(descriptors), temp_files)
 
 
-def attach_graph(descriptor: GraphDescriptor) -> AttachedGraph:
+def _attach_array(spec: FileArraySpec) -> np.ndarray:
+    """Zero-copy read-only view over an exported array (worker side)."""
+    dtype = np.dtype(spec.dtype)
+    if any(dim == 0 for dim in spec.shape):
+        # np.memmap cannot map zero bytes; an empty array is free.
+        return np.empty(spec.shape, dtype=dtype)
+    return np.memmap(
+        spec.path, mode="r", dtype=dtype, shape=spec.shape, offset=spec.offset
+    )
+
+
+def attach_graph(descriptor: GraphDescriptor) -> EdgeLabeledGraph:
     """Reconstruct a zero-copy :class:`EdgeLabeledGraph` in a worker.
 
-    The returned views share physical memory with the parent's export;
-    ``EdgeLabeledGraph.__init__`` keeps already-contiguous arrays of the
-    right dtype as-is, so no copy happens.
+    The arrays map the parent's file regions; ``EdgeLabeledGraph.__init__``
+    keeps already-contiguous arrays of the right dtype as-is, so no copy
+    happens.
     """
-    blocks: list[shared_memory.SharedMemory] = []
-    arrays: list[np.ndarray] = []
-    try:
-        for spec in (descriptor.indptr, descriptor.neighbors, descriptor.edge_labels):
-            block, view = _attach_array(spec)
-            if block is not None:
-                blocks.append(block)
-            arrays.append(view)
-    except Exception:
-        for block in blocks:
-            block.close()
-        raise
-    graph = EdgeLabeledGraph(
-        arrays[0],
-        arrays[1],
-        arrays[2],
+    return EdgeLabeledGraph(
+        _attach_array(descriptor.indptr),
+        _attach_array(descriptor.neighbors),
+        _attach_array(descriptor.edge_labels),
         num_labels=descriptor.num_labels,
         directed=descriptor.directed,
         num_edges=descriptor.num_edges,
     )
-    return AttachedGraph(graph, blocks)

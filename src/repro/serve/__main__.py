@@ -96,9 +96,6 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--prepare-only", action="store_true",
                         help="build/persist indexes, then exit without "
                              "serving (CI warm-up)")
-    parser.add_argument("--kernel", default=defaults.kernel,
-                        choices=["auto", "numpy", "cext"],
-                        help="execution kernel for the query engine")
     parser.add_argument("--batch-max", type=int, default=defaults.batch_max,
                         help="flush once this many queries are pending")
     parser.add_argument("--workers", type=int, default=defaults.workers,
@@ -130,12 +127,10 @@ def main(argv: list[str] | None = None) -> int:
         workers=args.workers,
         max_sessions=args.max_sessions,
         cache_size=args.cache_size,
-        kernel=None if args.kernel in (None, "auto") else args.kernel,
     )
     registry = GraphRegistry(
         max_sessions=config.max_sessions,
         cache_size=config.cache_size,
-        kernel=config.kernel,
     )
 
     store = IndexStore(args.index) if args.index else None

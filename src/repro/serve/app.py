@@ -77,7 +77,6 @@ class ServeConfig:
     workers: int = 2
     max_sessions: int = 32
     cache_size: int = 4096
-    kernel: str | None = None
 
     @classmethod
     def from_env(cls) -> "ServeConfig":
@@ -88,7 +87,6 @@ class ServeConfig:
             workers=_env_int("REPRO_SERVE_WORKERS", cls.workers),
             max_sessions=_env_int("REPRO_SERVE_MAX_SESSIONS", cls.max_sessions),
             cache_size=_env_int("REPRO_SERVE_CACHE_SIZE", cls.cache_size),
-            kernel=os.environ.get("REPRO_SERVE_KERNEL") or None,
         )
 
 
@@ -118,7 +116,6 @@ class ServeApp:
         self.registry = registry or GraphRegistry(
             max_sessions=self.config.max_sessions,
             cache_size=self.config.cache_size,
-            kernel=self.config.kernel,
         )
         self.executor = ThreadPoolExecutor(
             max_workers=max(1, self.config.workers),

@@ -12,11 +12,10 @@ with one or more oracle families, served through warm
   for that load, so a multi-gigabyte index never deserializes twice;
 * **store-backed** — :meth:`register_store` wires the loaders to a
   fingerprint-addressed :class:`~repro.store.cache.IndexStore`, so the
-  REPROIDX/npz files written by builds and the eval CLI's
-  ``--save-index`` serve directly.  The store's embedded-fingerprint
-  verification runs on every load: an index file built for a different
-  graph is rejected (:class:`~repro.store.format.FormatError`), never
-  silently served.
+  REPROIDX files written by builds and the eval CLI's ``--save-index``
+  serve directly.  The store's embedded-fingerprint verification runs on
+  every load: an index file built for a different graph is rejected
+  (:class:`~repro.store.format.FormatError`), never silently served.
 
 Sessions are cached per ``(graph, oracle)`` key with LRU eviction under
 ``max_sessions``; evicted sessions publish their stats so no engine
@@ -78,14 +77,12 @@ class GraphRegistry:
         max_sessions: int = 32,
         cache_size: int = 4096,
         plan_cache_size: int = 128,
-        kernel: str | None = None,
     ) -> None:
         if max_sessions < 1:
             raise ValueError("max_sessions must be >= 1")
         self.max_sessions = max_sessions
         self.cache_size = cache_size
         self.plan_cache_size = plan_cache_size
-        self.kernel = kernel
         self._entries: dict[str, _GraphEntry] = {}
         self._sessions: OrderedDict[tuple[str, str], QuerySession] = (
             OrderedDict()
@@ -276,7 +273,6 @@ class GraphRegistry:
                     oracle,
                     cache_size=self.cache_size,
                     plan_cache_size=self.plan_cache_size,
-                    kernel=self.kernel,
                 )
                 self._sessions[key] = session
                 _metrics_registry().gauge("serve.sessions").set(

@@ -40,8 +40,6 @@ __all__ = [
     "open_graph",
     "STORE_SUFFIX",
     "IndexStore",
-    "set_default_index_store",
-    "get_default_index_store",
 ]
 
 _LAZY = {
@@ -51,8 +49,6 @@ _LAZY = {
     "open_graph": "index_store",
     "STORE_SUFFIX": "index_store",
     "IndexStore": "cache",
-    "set_default_index_store": "cache",
-    "get_default_index_store": "cache",
 }
 
 

@@ -6,12 +6,9 @@ wrong graph — a different graph hashes to a different filename, and the
 loader re-verifies the embedded fingerprint anyway.  Files are in the
 zero-copy store format of :mod:`repro.store.index_store`.
 
-The process-wide default mirrors the other opt-in defaults
-(:func:`repro.perf.parallel.set_default_parallel`,
-:func:`repro.kernels.set_default_kernel`): the eval CLI's
-``--save-index`` / ``--load-index`` flags route through
-:func:`set_default_index_store`, and the eval runners consult
-:func:`get_default_index_store` before rebuilding an index from scratch.
+The eval CLI's ``--save-index`` / ``--load-index`` flags open one store
+and pass it as ``index_store=`` down through the command they run; the
+eval runners consult it before rebuilding an index from scratch.
 """
 
 from __future__ import annotations
@@ -25,11 +22,7 @@ if TYPE_CHECKING:
     from ..core.powcov import PowCovIndex
     from ..graph.labeled_graph import EdgeLabeledGraph
 
-__all__ = [
-    "IndexStore",
-    "set_default_index_store",
-    "get_default_index_store",
-]
+__all__ = ["IndexStore"]
 
 _SUFFIX = ".repro"
 _LINEAGE_FILE = "lineage.jsonl"
@@ -231,18 +224,3 @@ class IndexStore:
             f"capacity={self.capacity})"
         )
 
-
-#: Process-wide default store consulted by the eval runners (``None`` =
-#: always rebuild, the historical behavior).
-_default_store: IndexStore | None = None
-
-
-def set_default_index_store(store: IndexStore | None) -> None:
-    """Install (or clear, with ``None``) the process-wide index store."""
-    global _default_store
-    _default_store = store
-
-
-def get_default_index_store() -> IndexStore | None:
-    """The current process-wide index store, if any."""
-    return _default_store

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from repro import kernels
 from repro.graph.datasets import (
     figure1_graph,
     figure2_graph,
@@ -89,3 +90,13 @@ def make_line(labels: list[int], num_labels: int | None = None) -> EdgeLabeledGr
     return EdgeLabeledGraph.from_edges(
         len(labels) + 1, edges, num_labels=num_labels
     )
+
+
+def force_numpy_kernel(monkeypatch) -> None:
+    """Make ``"auto"`` resolve to numpy by marking cext's probe as failed.
+
+    There is no kernel setting: whole-oracle comparisons across backends
+    steer ``"auto"`` this way, and ``monkeypatch`` restores the probe memo.
+    """
+    monkeypatch.setitem(kernels._probe_failures, "cext", "disabled by test")
+    monkeypatch.delitem(kernels._backends, "cext", raising=False)

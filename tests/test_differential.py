@@ -40,13 +40,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import all_pairs_all_masks
+from conftest import all_pairs_all_masks, force_numpy_kernel
 from repro.core import ChromLandIndex, NaivePowersetIndex, PowCovIndex
 from repro.engine import QuerySession, execute_batch
 from repro.engine.executors import PowCovExecutor
 from repro.graph.generators import labeled_erdos_renyi
 from repro.graph.labeled_graph import EdgeLabeledGraph
-from repro.kernels import available_kernels, set_default_kernel
+from repro.kernels import available_kernels, kernel_name
 from repro.perf.parallel import SERIAL, ParallelConfig
 
 THREADS = ParallelConfig(num_workers=2, backend="thread", chunk_size=1)
@@ -62,21 +62,20 @@ DIFFERENTIAL = settings(
     suppress_health_check=[
         HealthCheck.too_slow,
         HealthCheck.data_too_large,
-        # The ``kernel`` fixture only flips an idempotent process default,
-        # so sharing it across hypothesis examples is intentional.
+        # The ``kernel`` fixture only marks a kernel probe as failed, so
+        # sharing it across hypothesis examples is intentional.
         HealthCheck.function_scoped_fixture,
     ],
 )
 
 
 @pytest.fixture(params=AVAILABLE_KERNELS)
-def kernel(request):
-    """Run the decorated test once per available kernel backend."""
-    set_default_kernel(request.param)
-    try:
-        yield request.param
-    finally:
-        set_default_kernel(None)
+def kernel(request, monkeypatch):
+    """Run the decorated test once per available kernel backend, by making
+    ``"auto"`` resolve to it (numpy: cext's probe marked as failed)."""
+    if request.param == "numpy":
+        force_numpy_kernel(monkeypatch)
+    return request.param
 
 
 # ----------------------------------------------------------------------
@@ -261,8 +260,10 @@ class TestDifferential:
 
         answers = {}
         for name in AVAILABLE_KERNELS:
-            set_default_kernel(name)
-            try:
+            with pytest.MonkeyPatch.context() as patch:
+                if name == "numpy":
+                    force_numpy_kernel(patch)
+                assert kernel_name() == name
                 powcov = PowCovIndex(
                     graph, range(min(3, graph.num_vertices)), builder="wave"
                 ).build()
@@ -271,8 +272,6 @@ class TestDifferential:
                     answers_via(powcov, queries, "batch"),
                     answers_via(chrom, queries, "session"),
                 )
-            finally:
-                set_default_kernel(None)
 
         reference = answers["numpy"]
         for name, got in answers.items():

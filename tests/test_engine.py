@@ -27,12 +27,10 @@ from repro.engine import (
     PowCovExecutor,
     QuerySession,
     ScalarLoopExecutor,
-    default_engine,
     execute_batch,
     executor_for,
     plan_batch,
     resolve_engine,
-    set_default_engine,
 )
 from repro.engine.plan import as_triple, to_triple_array
 from repro.graph.generators import labeled_erdos_renyi
@@ -296,6 +294,38 @@ class TestMaskDomain:
         with pytest.raises(ValueError, match="vertex"):
             session.run(batch)
 
+    @pytest.mark.parametrize(
+        "kind", ["powcov", "chromland", "naive", "exact", "bidirectional", "ch"]
+    )
+    @pytest.mark.parametrize("bad", ["vertex n", "vertex -1", "mask 2**L", "mask -1"])
+    def test_session_query_checks_domain(self, oracles, kind, bad):
+        """``QuerySession.query`` applies ``run``'s domain check before
+        the cache probe, so a bad query raises and is never cached."""
+        oracle = oracles[kind]
+        n = oracle.graph.num_vertices
+        query = {
+            "vertex n": (1, n, 3),
+            "vertex -1": (-1, 7, 3),
+            "mask 2**L": (1, 7, 1 << 4),
+            "mask -1": (1, 7, -1),
+        }[bad]
+        session = QuerySession(oracle, cache_size=64)
+        with pytest.raises(ValueError, match="vertex|domain"):
+            session.query(*query)
+        assert session.cache_info()["cached_answers"] == 0
+        with pytest.raises(ValueError, match="vertex|domain"):
+            session.run([query])
+
+    def test_session_query_does_not_poison_run(self):
+        graph = labeled_erdos_renyi(30, 90, num_labels=3, seed=1)
+        session = QuerySession(PowCovIndex(graph, [0, 1, 2, 3]).build())
+        for bad in [(0, 30, 1), (0, 1, -1), (0, 1, 8)]:
+            with pytest.raises(ValueError, match="vertex|domain"):
+                session.query(*bad)
+            with pytest.raises(ValueError, match="vertex|domain"):
+                session.run([bad])
+        assert session.query(0, 29, 7) == session.run([(0, 29, 7)])[0]
+
     def test_vertex_range_edges_accepted(self, oracles):
         for oracle in oracles.values():
             last = oracle.graph.num_vertices - 1
@@ -414,19 +444,12 @@ class TestExecutorDispatch:
 
 class TestEngineConfig:
     def test_resolve_forms(self):
-        assert resolve_engine(None) == default_engine()
+        assert resolve_engine(None) == EngineConfig()
+        assert not resolve_engine(None).enabled
         assert resolve_engine(True).enabled
         assert not resolve_engine(False).enabled
         config = EngineConfig(enabled=True, cache_size=7)
         assert resolve_engine(config) is config
-
-    def test_default_roundtrip(self):
-        original = default_engine()
-        try:
-            set_default_engine(EngineConfig(enabled=True, cache_size=123))
-            assert resolve_engine(None).cache_size == 123
-        finally:
-            set_default_engine(original)
 
 
 class TestCacheGraphIdentity:

@@ -10,8 +10,8 @@ not tolerance.
 The registry tests pin the selection semantics: probe results are
 memoized (one import attempt per backend per process), an explicit
 request for an unavailable backend emits exactly one structured
-:class:`KernelFallbackWarning`, and the ``set_default_kernel`` →
-``REPRO_KERNEL`` → ``"auto"`` chain resolves as documented.
+:class:`KernelFallbackWarning`, and a call without ``kernel=`` runs on
+``"auto"`` (cext when it compiles, numpy otherwise).
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import force_numpy_kernel
 from repro import kernels
 from repro.core.chromland.query import (
     AuxiliaryPlan,
@@ -34,10 +35,8 @@ from repro.kernels import (
     KERNEL_CHOICES,
     KernelFallbackWarning,
     available_kernels,
-    get_default_kernel,
     kernel_name,
     resolve_kernel,
-    set_default_kernel,
 )
 from repro.perf.batched import batched_constrained_bfs
 
@@ -66,7 +65,7 @@ def compiled(request):
 
 @pytest.fixture(autouse=True)
 def _clean_registry():
-    """Leave the process-wide kernel default/warning state as found."""
+    """Leave the kernel registry's warning state as found."""
     yield
     kernels._reset_for_tests()
 
@@ -286,21 +285,7 @@ class TestRegistry:
         with pytest.raises(ValueError, match="kernel must be one of"):
             resolve_kernel("fortran")
         with pytest.raises(ValueError, match="kernel must be one of"):
-            set_default_kernel("fortran")
-
-    def test_default_chain(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        set_default_kernel(None)
-        assert get_default_kernel() == "auto"
-        monkeypatch.setenv("REPRO_KERNEL", "numpy")
-        assert get_default_kernel() == "numpy"
-        assert kernel_name() == "numpy"
-        set_default_kernel("auto")  # explicit default beats the env var
-        assert get_default_kernel() == "auto"
-        monkeypatch.setenv("REPRO_KERNEL", "not-a-kernel")
-        set_default_kernel(None)
-        with pytest.raises(ValueError, match="REPRO_KERNEL"):
-            get_default_kernel()
+            kernel_name("fortran")
 
     def test_auto_resolves_to_some_backend(self):
         assert resolve_kernel("auto").name in KERNEL_CHOICES
@@ -349,26 +334,22 @@ class TestRegistry:
         assert "forced by test" in message.reason
         assert "falling back to 'numpy'" in str(message)
 
-    def test_default_kernel_flows_into_builds(self):
-        """``set_default_kernel`` steers ``batched_constrained_bfs`` when
-        no explicit kernel is passed (the CLI ``--kernel`` path)."""
+    def test_default_kernel_flows_into_builds(self, monkeypatch):
+        """With no ``kernel=``, a sweep runs on ``"auto"``: cext when it
+        compiles, numpy once cext's probe has failed — same levels."""
         graph = EdgeLabeledGraph.from_edges(
             4, [(0, 1, 0), (1, 2, 1), (2, 3, 0)], num_labels=2
         )
-        set_default_kernel("numpy")
-        try:
-            want = batched_constrained_bfs(graph, [0, 1, 2, 3], masks=[3] * 4)
-        finally:
-            set_default_kernel(None)
-        for name in available_kernels():
-            set_default_kernel(name)
-            try:
-                got = batched_constrained_bfs(
-                    graph, [0, 1, 2, 3], masks=[3] * 4
-                )
-            finally:
-                set_default_kernel(None)
-            assert np.array_equal(got, want), name
+        want = batched_constrained_bfs(graph, [0, 1, 2, 3], masks=[3] * 4,
+                                       kernel=NUMPY)
+        auto = "cext" if "cext" in available_kernels() else "numpy"
+        assert kernel_name() == auto
+        got = batched_constrained_bfs(graph, [0, 1, 2, 3], masks=[3] * 4)
+        assert np.array_equal(got, want)
+        force_numpy_kernel(monkeypatch)
+        assert resolve_kernel(None) is NUMPY
+        got = batched_constrained_bfs(graph, [0, 1, 2, 3], masks=[3] * 4)
+        assert np.array_equal(got, want)
 
 
 # ----------------------------------------------------------------------

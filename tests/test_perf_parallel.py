@@ -3,13 +3,15 @@
 The contract under test: ``build(parallel=...)`` produces **bit-for-bit**
 the same index as the serial build — the same PowCov table, the same
 query answers — for every backend and worker count, on undirected,
-directed and weighted graphs; and the shared-memory blocks backing the
-process pool are always released, also when a worker raises.
+directed and weighted graphs; and the process pool's workers map every
+graph by file region, with the temporary graph files always removed,
+also when a worker raises.
 """
 
 from __future__ import annotations
 
-from multiprocessing import shared_memory
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -21,12 +23,12 @@ from repro.graph.generators import labeled_erdos_renyi
 from repro.graph.labeled_graph import EdgeLabeledGraph
 from repro.perf import shm as shm_mod
 from repro.perf.parallel import (
+    SERIAL,
     ParallelConfig,
-    get_default_parallel,
     resolve_parallel,
     run_tasks,
-    set_default_parallel,
 )
+from repro.store.index_store import open_graph, save_graph
 from repro.workloads import generate_workload
 
 PROCESS_2 = ParallelConfig(num_workers=2, backend="process")
@@ -88,13 +90,12 @@ class TestConfig:
             resolve_parallel(True)
 
     def test_default_is_serial_and_settable(self):
-        assert get_default_parallel().backend == "serial"
-        try:
-            set_default_parallel(ParallelConfig(num_workers=2, backend="thread"))
-            assert resolve_parallel(None).num_workers == 2
-        finally:
-            set_default_parallel(None)
-        assert resolve_parallel(None).backend == "serial"
+        """No process-wide default: ``None`` is always serial, and a
+        caller picks workers by passing a config."""
+        assert resolve_parallel(None) is SERIAL
+        threads = ParallelConfig(num_workers=2, backend="thread")
+        assert resolve_parallel(threads) is threads
+        assert resolve_parallel(None) is SERIAL
 
     def test_zero_workers_means_cpu_count(self):
         import os
@@ -192,7 +193,7 @@ class TestChromLandParallel:
 
 
 # ----------------------------------------------------------------------
-# Shared-memory lifecycle
+# Graph handoff to worker processes
 # ----------------------------------------------------------------------
 def _echo_task(graphs, items, extra):
     return [graphs[0].num_vertices + item for item in items]
@@ -202,64 +203,129 @@ def _failing_task(graphs, items, extra):
     raise RuntimeError("worker exploded")
 
 
+@pytest.fixture
+def spill_dir(tmp_path, monkeypatch):
+    """Point ``TMPDIR`` (and the cached ``tempfile.tempdir``) at an empty
+    directory, so a test can see every temporary graph file."""
+    spill = tmp_path / "spill"
+    spill.mkdir()
+    monkeypatch.setenv("TMPDIR", str(spill))
+    monkeypatch.setattr(tempfile, "tempdir", None)
+    return spill
+
+
+def _spy_on_packs(monkeypatch) -> list[list[str]]:
+    """Record the temporary files of every pack ``run_tasks`` exports."""
+    exported: list[list[str]] = []
+    original = shm_mod.share_graphs
+
+    def spy(graphs):
+        pack = original(graphs)
+        exported.append(list(pack.temp_files))
+        return pack
+
+    monkeypatch.setattr(shm_mod, "share_graphs", spy)
+    return exported
+
+
+def _mapped_file(array):
+    """The file an array's buffer maps (``None`` for in-memory arrays)."""
+    while array is not None and not isinstance(array, np.memmap):
+        array = array.base
+    return None if array is None else os.fspath(array.filename)
+
+
+def _specs(descriptor):
+    return (descriptor.indptr, descriptor.neighbors, descriptor.edge_labels)
+
+
 class TestSharedMemoryLifecycle:
-    def test_roundtrip_preserves_graph(self):
+    """Workers get graphs by file region; temporary files never outlive
+    the pool."""
+
+    def test_roundtrip_preserves_graph(self, spill_dir):
         graph = labeled_erdos_renyi(50, 140, num_labels=4, seed=19)
         pack = shm_mod.share_graphs((graph,))
         try:
+            assert [os.path.dirname(p) for p in pack.temp_files] == [str(spill_dir)]
             attached = shm_mod.attach_graph(pack.descriptors[0])
-            try:
-                assert attached.graph == graph
-                assert attached.graph.num_edges == graph.num_edges
-                # Zero-copy: the view's buffer is shared memory, not a copy.
-                assert attached.graph.indptr.base is not None
-            finally:
-                attached.close()
+            assert attached == graph
+            assert attached.num_edges == graph.num_edges
+            # Zero-copy: the worker's arrays map the file, not a copy.
+            for array in (attached.indptr, attached.neighbors, attached.edge_labels):
+                assert _mapped_file(array) == pack.temp_files[0]
         finally:
             pack.release()
-        for name in pack.block_names():
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
+        assert pack.temp_files == []
+        assert list(spill_dir.iterdir()) == []
 
-    def test_blocks_released_after_successful_run(self, monkeypatch):
-        packs = []
-        original = shm_mod.share_graphs
-
-        def spy(graphs):
-            pack = original(graphs)
-            packs.append(pack)
-            return pack
-
-        monkeypatch.setattr(shm_mod, "share_graphs", spy)
+    def test_blocks_released_after_successful_run(self, spill_dir, monkeypatch):
+        exported = _spy_on_packs(monkeypatch)
         graph = labeled_erdos_renyi(30, 80, num_labels=3, seed=23)
         results = run_tasks(
             _echo_task, [1, 2, 3, 4], graphs=(graph,), config=PROCESS_2
         )
         assert results == [31, 32, 33, 34]
-        assert packs, "process backend should have exported the graph"
-        for pack in packs:
-            for name in pack.block_names():
-                with pytest.raises(FileNotFoundError):
-                    shared_memory.SharedMemory(name=name)
+        assert exported and exported[0], "in-memory graph should spill to a file"
+        assert list(spill_dir.iterdir()) == []
 
-    def test_blocks_unlinked_when_worker_raises(self, monkeypatch):
-        packs = []
-        original = shm_mod.share_graphs
-
-        def spy(graphs):
-            pack = original(graphs)
-            packs.append(pack)
-            return pack
-
-        monkeypatch.setattr(shm_mod, "share_graphs", spy)
+    def test_blocks_unlinked_when_worker_raises(self, spill_dir, monkeypatch):
+        exported = _spy_on_packs(monkeypatch)
         graph = labeled_erdos_renyi(30, 80, num_labels=3, seed=29)
         with pytest.raises(RuntimeError, match="worker exploded"):
             run_tasks(_failing_task, [1, 2, 3, 4], graphs=(graph,), config=PROCESS_2)
-        assert packs, "process backend should have exported the graph"
-        for pack in packs:
-            for name in pack.block_names():
-                with pytest.raises(FileNotFoundError):
-                    shared_memory.SharedMemory(name=name)
+        assert exported and exported[0], "in-memory graph should spill to a file"
+        assert list(spill_dir.iterdir()) == []
+
+
+class TestFileBackedSharing:
+    """Every descriptor array is a file region; store-opened graphs are
+    mapped from their own file and never copied."""
+
+    def test_in_memory_graph(self, spill_dir):
+        graph = labeled_erdos_renyi(40, 100, num_labels=3, seed=5)
+        pack = shm_mod.share_graphs((graph,))
+        try:
+            (path,) = pack.temp_files
+            for spec in _specs(pack.descriptors[0]):
+                assert isinstance(spec, shm_mod.FileArraySpec)
+                assert spec.path == path
+        finally:
+            pack.release()
+        assert list(spill_dir.iterdir()) == []
+
+    def test_directed_graph_and_its_reversed_copy(self, spill_dir):
+        graph = directed_random(seed=8)
+        pair = (graph, graph.reversed())
+        pack = shm_mod.share_graphs(pair)
+        try:
+            assert len(pack.temp_files) == 2
+            for descriptor, path, original in zip(
+                pack.descriptors, pack.temp_files, pair
+            ):
+                for spec in _specs(descriptor):
+                    assert isinstance(spec, shm_mod.FileArraySpec)
+                    assert spec.path == path
+                assert descriptor.directed
+                assert shm_mod.attach_graph(descriptor) == original
+        finally:
+            pack.release()
+        assert list(spill_dir.iterdir()) == []
+
+    def test_store_opened_graph_maps_its_own_file(self, spill_dir, tmp_path):
+        path = tmp_path / "graph.repro"
+        save_graph(labeled_erdos_renyi(40, 100, num_labels=3, seed=6), path)
+        graph = open_graph(path)
+        pack = shm_mod.share_graphs((graph,))
+        try:
+            assert pack.temp_files == []
+            for spec in _specs(pack.descriptors[0]):
+                assert isinstance(spec, shm_mod.FileArraySpec)
+                assert spec.path == os.fspath(path)
+            assert shm_mod.attach_graph(pack.descriptors[0]) == graph
+        finally:
+            pack.release()
+        assert list(spill_dir.iterdir()) == []
 
 
 # ----------------------------------------------------------------------
