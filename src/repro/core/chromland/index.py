@@ -241,9 +241,10 @@ def _chromland_chunk_task(
     """Run a chunk of ChromLand sweeps as batched multi-source BFS.
 
     Each item is ``(graph_index, source, mask, landmarks_only)``; all items
-    sharing a graph become one :func:`batched_constrained_bfs` call, so the
-    frontier expansion is amortized across the chunk's sweeps.  Module
-    level so the process backend can ship it to workers by reference.
+    sharing a graph become one :func:`batched_constrained_bfs` call, which
+    runs them as one kernel sweep (bit-parallel from four rows up, one
+    sparse BFS per row below).  Module level so the process backend can
+    ship it to workers by reference.
     """
     landmarks = extra["landmarks"]
     kernel = extra.get("kernel")

@@ -239,8 +239,9 @@ def _reconstruct_row(
     return row
 
 
-#: Dense subset-min tables above this many int32 cells (64 MiB) fall back
-#: to per-mask lazy reconstruction to keep repair memory modest.
+#: Upper bound on one stacked subset-min table, in int32 cells (64 MiB):
+#: insertion repair stacks as many landmarks per table as fit, and falls
+#: back to per-mask lazy reconstruction when one landmark alone does not.
 _SOS_TABLE_CELLS = 1 << 24
 
 
@@ -488,7 +489,7 @@ class _LandmarkRepair:
     flat_masks: np.ndarray
     improved: list[int]
     improved_arr: np.ndarray
-    #: old improved rows, overwritten in place by the global relaxation
+    #: old improved rows, then the post-delta rows once relaxed
     #: (assigned after prepare, once the subset-min source is chosen).
     work: np.ndarray = field(default_factory=lambda: np.empty(0, np.int32))
 
@@ -565,10 +566,10 @@ def _finish_insertion_repairs(
     all_rows: np.ndarray,
     stats: RepairStats,
 ) -> list[LandmarkArrays]:
-    """Steps 4–5 for every repairable landmark in one matrix pass.
+    """Steps 4–5 for one chunk of repairable landmarks in one matrix pass.
 
     ``all_rows`` must already hold the *post-delta* improved rows of all
-    contexts, concatenated in context order (the global decrease-only
+    ``contexts``, concatenated in context order (the decrease-only
     relaxation ran between prepare and finish); ``stacked`` is their
     shared subset-min lattice from :func:`_stacked_subset_min`, still
     carrying the *old* rows.  Returns each context's new entry arrays.
@@ -717,7 +718,7 @@ def _finish_insertion_repair(
     """Lazy steps 4–5 for one landmark (no dense lattice in memory).
 
     ``ctx.work`` must already hold the *post-delta* improved rows (the
-    global decrease-only relaxation ran between prepare and finish);
+    decrease-only relaxation ran between prepare and finish);
     every other row is reconstructed from the stored entries on demand.
     Returns the landmark's new entry arrays.
     """
@@ -900,16 +901,13 @@ def _repair_insertions(
     num_vertices = new_graph.num_vertices
     universe = contexts[0].universe
     stride = universe + 1
-    stacked: np.ndarray | None = None
-    if stride * num_vertices <= _SOS_TABLE_CELLS:
-        # One zeta transform recovers every old row of every landmark at
-        # once; the stacked lattice is transient (dropped as soon as the
-        # repair completes).
-        stacked = _stacked_subset_min(contexts, num_vertices, universe)
-        for j, ctx in enumerate(contexts):
-            # Fancy index -> a *copy* of the old improved rows.
-            ctx.work = stacked[j * stride + ctx.improved_arr]
-    else:
+    # Landmarks per stacked lattice: ``per_chunk * stride`` rows plus the
+    # sentinel row stay within _SOS_TABLE_CELLS.
+    per_chunk = (_SOS_TABLE_CELLS // num_vertices - 1) // stride
+    repaired: list[LandmarkArrays] = []
+    if per_chunk < 1:
+        # One landmark's lattice alone is over the bound: reconstruct
+        # each improved row lazily from the stored entries.
         for ctx in contexts:
             ctx.work = np.stack(
                 [
@@ -920,8 +918,32 @@ def _repair_insertions(
                     for mask in ctx.improved
                 ]
             )
-    # Step 3, globally: one decrease-only frontier relaxation over every
-    # repairable landmark's improved rows at once.
+            ctx.work = _relax_improved_rows(new_graph, [ctx], stats)
+            repaired.append(_finish_insertion_repair(new_graph, ctx, stats))
+        return repaired
+    for lo in range(0, len(contexts), per_chunk):
+        chunk = contexts[lo:lo + per_chunk]
+        # One zeta transform recovers every old row of the chunk's
+        # landmarks at once; the stacked lattice is dropped as soon as
+        # the chunk is repaired.
+        stacked = _stacked_subset_min(chunk, num_vertices, universe)
+        for j, ctx in enumerate(chunk):
+            # Fancy index -> a *copy* of the old improved rows.
+            ctx.work = stacked[j * stride + ctx.improved_arr]
+        all_rows = _relax_improved_rows(new_graph, chunk, stats)
+        repaired.extend(
+            _finish_insertion_repairs(new_graph, chunk, stacked, all_rows, stats)
+        )
+    return repaired
+
+
+def _relax_improved_rows(
+    new_graph: EdgeLabeledGraph,
+    contexts: list[_LandmarkRepair],
+    stats: RepairStats,
+) -> np.ndarray:
+    """Step 3: one decrease-only frontier relaxation over every context's
+    improved rows (``ctx.work``) at once; returns them concatenated."""
     all_rows = np.concatenate([ctx.work for ctx in contexts])
     all_masks = np.concatenate([ctx.improved_arr for ctx in contexts])
     seed_lists = [
@@ -930,17 +952,7 @@ def _repair_insertions(
     stats.vertices_touched += _decrease_only_bfs_multi(
         new_graph, all_masks, all_rows, seed_lists
     )
-    if stacked is not None:
-        return _finish_insertion_repairs(
-            new_graph, contexts, stacked, all_rows, stats
-        )
-    repaired: list[LandmarkArrays] = []
-    offset = 0
-    for ctx in contexts:
-        ctx.work = all_rows[offset:offset + len(ctx.improved)]
-        offset += len(ctx.improved)
-        repaired.append(_finish_insertion_repair(new_graph, ctx, stats))
-    return repaired
+    return all_rows
 
 
 # ----------------------------------------------------------------------

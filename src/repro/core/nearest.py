@@ -52,7 +52,7 @@ def constrained_nearest(
     needed = k
     while len(frontier) and len(results) < needed:
         level += 1
-        arc_idx = _frontier_arcs(graph, frontier)
+        arc_idx = _frontier_arcs(graph.indptr, frontier)
         if len(arc_idx) == 0:
             break
         arc_idx = arc_idx[allowed[graph.edge_labels[arc_idx]]]

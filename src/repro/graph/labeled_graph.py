@@ -65,7 +65,6 @@ class EdgeLabeledGraph:
         "_num_edges",
         "_incident_label_masks",
         "_label_filter_cache",
-        "_label_csr",
         "_fingerprint",
         "_reversed",
         "_neighbor_search",
@@ -104,7 +103,6 @@ class EdgeLabeledGraph:
         self._incident_label_masks: np.ndarray | None = None
         #: per-mask boolean label tables, filled lazily by ``label_filter``.
         self._label_filter_cache: dict[int, np.ndarray] = {}
-        self._label_csr: tuple[np.ndarray, np.ndarray] | None = None
         #: cached structural fingerprint, filled by ``graph_fingerprint``
         #: (or preset with the lineage hash by ``apply_delta``).
         self._fingerprint: np.int64 | None = None
@@ -345,32 +343,6 @@ class EdgeLabeledGraph:
                 )
             self._incident_label_masks = masks
         return self._incident_label_masks
-
-    def label_grouped_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(group_indptr, grouped_neighbors)``: arcs bucketed by (vertex, label).
-
-        ``grouped_neighbors`` is :attr:`neighbors` reordered so every
-        vertex's slice is sorted by label; the arcs leaving ``u`` with
-        label ``l`` are
-        ``grouped_neighbors[group_indptr[u * L + l]:group_indptr[u * L + l + 1]]``.
-        Cached after the first call.  The batched multi-mask BFS kernel
-        uses this view to expand only the arcs a row's constraint mask
-        allows, instead of gathering every arc and filtering.
-        """
-        if self._label_csr is None:
-            arc_sources = np.repeat(
-                np.arange(self.num_vertices, dtype=np.int64), np.diff(self.indptr)
-            )
-            key = arc_sources * self.num_labels + self.edge_labels
-            order = np.argsort(key, kind="stable")
-            counts = np.bincount(key, minlength=self.num_vertices * self.num_labels)
-            dtype = np.int32 if len(self.neighbors) < 2**31 else np.int64
-            group_indptr = np.zeros(
-                self.num_vertices * self.num_labels + 1, dtype=dtype
-            )
-            np.cumsum(counts, out=group_indptr[1:], dtype=dtype)
-            self._label_csr = (group_indptr, self.neighbors[order])
-        return self._label_csr
 
     def label_frequencies(self) -> np.ndarray:
         """Number of edges per label (length ``num_labels``)."""

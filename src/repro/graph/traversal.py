@@ -25,6 +25,7 @@ __all__ = [
     "UNREACHABLE",
     "label_filter",
     "constrained_bfs",
+    "csr_constrained_bfs",
     "constrained_bfs_levels",
     "constrained_bfs_tree",
     "constrained_bfs_parents",
@@ -77,10 +78,10 @@ def label_filter(graph: EdgeLabeledGraph, mask: int) -> np.ndarray:
     return table
 
 
-def _frontier_arcs(graph: EdgeLabeledGraph, frontier: np.ndarray) -> np.ndarray:
+def _frontier_arcs(indptr: np.ndarray, frontier: np.ndarray) -> np.ndarray:
     """Indices of all arcs leaving the vertices in ``frontier``."""
-    starts = graph.indptr[frontier]
-    counts = graph.indptr[frontier + 1] - starts
+    starts = indptr[frontier]
+    counts = indptr[frontier + 1] - starts
     total = int(counts.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64)
@@ -115,19 +116,45 @@ def constrained_bfs(
             mask = full_mask(graph.num_labels)
         allowed = label_filter(graph, mask)
     dist = np.full(graph.num_vertices, UNREACHABLE, dtype=np.int32)
+    csr_constrained_bfs(
+        graph.indptr, graph.neighbors, graph.edge_labels, allowed, source, dist
+    )
+    return dist
+
+
+def csr_constrained_bfs(
+    indptr: np.ndarray,
+    neighbors: np.ndarray,
+    edge_labels: np.ndarray,
+    allowed: np.ndarray,
+    source: int,
+    dist: np.ndarray,
+    max_level: int = -1,
+) -> None:
+    """The level loop of :func:`constrained_bfs` over raw CSR arrays.
+
+    Writes ``source``'s levels into the ``int32`` row ``dist`` in place;
+    vertices already off :data:`UNREACHABLE` are never revisited, so
+    ``dist`` must start unreachable everywhere but at ``source``.
+    ``max_level`` is an inclusive cap (``-1`` = unbounded): farther
+    vertices stay unreachable.  This is also the numpy kernel's sparse
+    multi-source sweep, run once per row.
+    """
     dist[source] = 0
     frontier = np.array([source], dtype=np.int64)
-    fresh = np.empty(graph.num_vertices, dtype=bool)  # reused across levels
+    fresh = np.empty(len(dist), dtype=bool)  # reused across levels
     level = 0
     while len(frontier):
         level += 1
-        arc_idx = _frontier_arcs(graph, frontier)
+        if 0 <= max_level < level:
+            break
+        arc_idx = _frontier_arcs(indptr, frontier)
         if len(arc_idx) == 0:
             break
-        arc_idx = arc_idx[allowed[graph.edge_labels[arc_idx]]]
+        arc_idx = arc_idx[allowed[edge_labels[arc_idx]]]
         # Deduplicate arc targets *before* the distance gather: high-degree
         # frontiers revisit the same target many times per level.
-        targets = np.unique(graph.neighbors[arc_idx])
+        targets = np.unique(neighbors[arc_idx])
         if len(targets) == 0:
             break
         unvisited = np.equal(dist[targets], UNREACHABLE, out=fresh[: len(targets)])
@@ -135,7 +162,6 @@ def constrained_bfs(
         if len(frontier) == 0:
             break
         dist[frontier] = level
-    return dist
 
 
 def constrained_bfs_levels(
@@ -146,35 +172,14 @@ def constrained_bfs_levels(
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Like :func:`constrained_bfs` but also returns the BFS levels.
 
-    ``levels[t]`` is the array of vertices at distance exactly ``t``; the
-    PowCov builder consumes levels to implement Observations 2 and 4.
+    ``levels[t]`` is the ascending ``int64`` array of vertices at
+    distance exactly ``t``, read off the distance row.
     """
-    if allowed is None:
-        if mask is None:
-            mask = full_mask(graph.num_labels)
-        allowed = label_filter(graph, mask)
-    dist = np.full(graph.num_vertices, UNREACHABLE, dtype=np.int32)
-    dist[source] = 0
-    frontier = np.array([source], dtype=np.int64)
-    levels = [frontier]
-    fresh = np.empty(graph.num_vertices, dtype=bool)
-    level = 0
-    while len(frontier):
-        level += 1
-        arc_idx = _frontier_arcs(graph, frontier)
-        if len(arc_idx) == 0:
-            break
-        arc_idx = arc_idx[allowed[graph.edge_labels[arc_idx]]]
-        targets = np.unique(graph.neighbors[arc_idx])
-        if len(targets) == 0:
-            break
-        unvisited = np.equal(dist[targets], UNREACHABLE, out=fresh[: len(targets)])
-        frontier = targets[unvisited].astype(np.int64)
-        if len(frontier) == 0:
-            break
-        dist[frontier] = level
-        levels.append(frontier)
-    return dist, levels
+    dist = constrained_bfs(graph, source, mask, allowed)
+    reached = np.flatnonzero(dist != UNREACHABLE)
+    by_level = reached[np.argsort(dist[reached], kind="stable")]
+    bounds = np.cumsum(np.bincount(dist[reached]))[:-1]
+    return dist, np.split(by_level, bounds)
 
 
 def constrained_bfs_tree(
@@ -296,7 +301,7 @@ def bidirectional_constrained_bfs(
             depth_b += 1
             depth = depth_b
 
-        arc_idx = _frontier_arcs(side_graph, frontier)
+        arc_idx = _frontier_arcs(side_graph.indptr, frontier)
         if len(arc_idx):
             arc_idx = arc_idx[allowed[side_graph.edge_labels[arc_idx]]]
         if len(arc_idx) == 0:
@@ -454,10 +459,10 @@ def connected_components(graph: EdgeLabeledGraph) -> np.ndarray:
         comp[start] = next_id
         frontier = np.array([start], dtype=np.int64)
         while len(frontier):
-            arc_idx = _frontier_arcs(graph, frontier)
+            arc_idx = _frontier_arcs(graph.indptr, frontier)
             targets = graph.neighbors[arc_idx]
             if reverse is not None:
-                back_idx = _frontier_arcs(reverse, frontier)
+                back_idx = _frontier_arcs(reverse.indptr, frontier)
                 targets = np.concatenate([targets, reverse.neighbors[back_idx]])
             targets = targets[comp[targets] == -1]
             frontier = np.unique(targets).astype(np.int64)

@@ -7,8 +7,8 @@ the ChromLand auxiliary-graph Dijkstra (:mod:`repro.core.chromland`).
 This package puts those loops behind a :class:`KernelBackend` protocol
 with two interchangeable implementations:
 
-* ``"numpy"`` — the existing pure-numpy path, moved here verbatim.  It is
-  the always-available fallback and the bit-identity reference.
+* ``"numpy"`` — pure numpy.  It is the always-available fallback and
+  the bit-identity reference.
 * ``"cext"`` — the same loops as C, compiled on demand with the system C
   compiler into a per-source-hash cached shared library and loaded via
   ``ctypes``.  Optional: needs ``cc``/``gcc``/``clang`` on ``PATH``.
@@ -92,13 +92,13 @@ class KernelBackend(Protocol):
         allowed: np.ndarray,
         dist: np.ndarray,
         max_level: int,
-    ) -> bool:
+    ) -> None:
         """Sparse (few-row / shared-mask) multi-source constrained BFS.
 
         Same conventions as :meth:`msbfs_bitset` but over the **out-arc**
-        CSR.  Returns ``True`` when the backend handled the batch; the
-        numpy backend returns ``False`` so the caller runs its vectorized
-        frontier expansion (whose cost scales with the touched subgraph).
+        CSR: one sequential single-source BFS per row, whose cost scales
+        with the subgraph the row's mask reaches.  ``allowed`` may be a
+        zero-copy broadcast of one shared mask row.
         """
         ...
 

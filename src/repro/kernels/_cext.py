@@ -351,7 +351,7 @@ class CExtensionKernel:
         allowed: np.ndarray,
         dist: np.ndarray,
         max_level: int,
-    ) -> bool:
+    ) -> None:
         status = self._lib.repro_msbfs_sparse(
             np.ascontiguousarray(indptr, dtype=np.int64),
             np.ascontiguousarray(neighbors, dtype=np.int32),
@@ -366,7 +366,6 @@ class CExtensionKernel:
         )
         if status != 0:  # pragma: no cover - allocation failure only
             raise MemoryError("repro_msbfs_sparse: allocation failed")
-        return True
 
     def one_removed_pass(
         self, dist: np.ndarray, prev_rows: np.ndarray, sub_rows: np.ndarray

@@ -1,16 +1,19 @@
 """The pure-numpy kernel backend — always available, bit-identity reference.
 
-These are the loop bodies that previously lived inline in
-``repro.perf.batched`` (bit-parallel MS-BFS), ``repro.core.powcov.waves``
-(Theorem 2 one-removed sweep) and ``repro.core.chromland.query`` (dense
-auxiliary Dijkstra), moved behind the :class:`~repro.kernels.KernelBackend`
-protocol verbatim.  The compiled backends are checked against this one
-bit-for-bit, so any change here is a semantic change for all three.
+It implements every :class:`~repro.kernels.KernelBackend` method: the
+bit-parallel MS-BFS sweep, the sparse multi-source sweep (the single-row
+level loop of :func:`repro.graph.traversal.constrained_bfs`, once per
+row), the Theorem 2 one-removed pass of ``repro.core.powcov.waves`` and
+the dense auxiliary Dijkstra of ``repro.core.chromland.query``.  The
+compiled backends are checked against this one bit-for-bit, so any
+change here is a semantic change for all of them.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from ..graph.traversal import csr_constrained_bfs
 
 __all__ = ["NumpyKernel"]
 
@@ -18,7 +21,7 @@ _INF = np.float64(np.inf)
 
 
 class NumpyKernel:
-    """Vectorized numpy implementations of the three hot loops."""
+    """Vectorized numpy implementations of the kernel loops."""
 
     name = "numpy"
 
@@ -97,12 +100,17 @@ class NumpyKernel:
         allowed: np.ndarray,
         dist: np.ndarray,
         max_level: int,
-    ) -> bool:
-        """Decline: the caller's vectorized frontier expansion IS the
-        numpy sparse path (label-grouped CSR gathers + active-row
-        compaction), and it needs caller-side state this protocol does not
-        carry.  Returning ``False`` routes the batch there unchanged."""
-        return False
+    ) -> None:
+        """One :func:`~repro.graph.traversal.csr_constrained_bfs` per row.
+
+        Each row's cost scales with the subgraph its mask reaches, not
+        with whole-arc sweeps; ``dist`` rows are written in place.
+        """
+        for row, source in enumerate(sources):
+            csr_constrained_bfs(
+                indptr, neighbors, edge_labels, allowed[row], int(source),
+                dist[row], max_level,
+            )
 
     def one_removed_pass(
         self, dist: np.ndarray, prev_rows: np.ndarray, sub_rows: np.ndarray

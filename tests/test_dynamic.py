@@ -245,6 +245,40 @@ class TestPowCovRepair:
         assert stats.landmarks_repaired >= 1
         assert_repair_matches_rebuild(index, queries=sample_queries(new_graph))
 
+    def test_insertion_repair_chunks_stay_within_cell_bound(
+        self, base_graph, landmarks, monkeypatch
+    ):
+        # A bound of two landmark lattices: every stacked table (sentinel
+        # row included) must fit it, so the dirty landmarks are repaired
+        # in several chunks — with answers identical to a rebuild.
+        import repro.core.dynamic as dynamic
+
+        stride = full_mask(base_graph.num_labels) + 1
+        bound = 2 * stride * base_graph.num_vertices
+        monkeypatch.setattr(dynamic, "_SOS_TABLE_CELLS", bound)
+        tables: list[tuple[int, int]] = []
+        stacked_subset_min = dynamic._stacked_subset_min
+
+        def recording(contexts, num_vertices, universe):
+            table = stacked_subset_min(contexts, num_vertices, universe)
+            tables.append((len(contexts), table.size))
+            return table
+
+        monkeypatch.setattr(dynamic, "_stacked_subset_min", recording)
+        index = PowCovIndex(base_graph, landmarks).build()
+        missing = next(
+            (u, v, 1)
+            for u in range(base_graph.num_vertices)
+            for v in range(u + 1, base_graph.num_vertices)
+            if (u, v, 1) not in undirected_edge_set(base_graph)
+        )
+        new_graph = apply_delta(base_graph, GraphDelta(insertions=(missing,)))
+        stats = repair_powcov(index, new_graph)
+        assert stats.landmarks_repaired >= 3
+        assert sum(count for count, _cells in tables) == stats.landmarks_repaired
+        assert all(cells <= bound for _count, cells in tables)
+        assert_repair_matches_rebuild(index, queries=sample_queries(new_graph))
+
     def test_deletion_triggers_resweep_and_matches_rebuild(
         self, base_graph, landmarks
     ):

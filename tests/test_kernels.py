@@ -38,7 +38,7 @@ from repro.kernels import (
     kernel_name,
     resolve_kernel,
 )
-from repro.perf.batched import batched_constrained_bfs
+from repro.perf.batched import _BITSET_MIN_ROWS, batched_constrained_bfs
 
 NUMPY = resolve_kernel("numpy")
 
@@ -142,21 +142,35 @@ class TestMsBfsIdentity:
     @KERNEL_SETTINGS
     @given(st.data())
     def test_sparse_path_matches_numpy(self, compiled, data):
-        """Shared-mask / few-row batches route to ``msbfs_sparse``; the
-        compiled queue BFS must match numpy's frontier expansion."""
+        """Per-row-mask batches under ``_BITSET_MIN_ROWS`` and shared-mask
+        batches of any height (up to 70 rows, the shape of
+        ``exact_workload_distances``) route to ``msbfs_sparse``; the
+        compiled queue BFS must match numpy's per-row sweep."""
         graph = data.draw(labeled_graphs())
         n = graph.num_vertices
-        rows = data.draw(st.integers(min_value=1, max_value=3))
+        full = (1 << graph.num_labels) - 1
+        per_row = data.draw(st.booleans())
+        rows = data.draw(
+            st.integers(1, _BITSET_MIN_ROWS - 1 if per_row else 70)
+        )
         sources = data.draw(
             st.lists(st.integers(0, n - 1), min_size=rows, max_size=rows)
         )
-        mask = data.draw(st.integers(0, (1 << graph.num_labels) - 1))
+        if per_row:
+            constraint = {
+                "masks": data.draw(
+                    st.lists(st.integers(0, full), min_size=rows, max_size=rows)
+                )
+            }
+        else:
+            constraint = {"mask": data.draw(st.integers(0, full))}
         for max_level in (None, 1):
             want = batched_constrained_bfs(
-                graph, sources, mask=mask, max_level=max_level, kernel=NUMPY
+                graph, sources, max_level=max_level, kernel=NUMPY, **constraint
             )
             got = batched_constrained_bfs(
-                graph, sources, mask=mask, max_level=max_level, kernel=compiled
+                graph, sources, max_level=max_level, kernel=compiled,
+                **constraint,
             )
             assert np.array_equal(got, want)
 
