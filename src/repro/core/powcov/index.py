@@ -40,7 +40,7 @@ _BUILDERS = ("wave", "traverse", "brute")
 _ESTIMATORS = ("upper", "median")
 
 #: The production builder: every index built with ``builder=None`` (the
-#: serve CLI, the eval runners, delta rebuilds and re-sweeps) runs it.
+#: serve CLI, the eval runners, full delta rebuilds) runs it.
 _default_builder = "wave"
 
 

@@ -36,6 +36,7 @@ from typing import Any
 import numpy as np
 
 from ..core.types import DistanceOracle
+from ..graph.fingerprint import graph_fingerprint
 from ..obs.metrics import metrics_enabled
 from ..obs.metrics import registry as _metrics_registry
 from ..obs.trace import span
@@ -114,10 +115,6 @@ class QuerySession:
 
     @staticmethod
     def _oracle_fingerprint(oracle: DistanceOracle) -> int:
-        # Local import: serialize pulls in both index packages, which the
-        # engine otherwise only needs lazily (and memoizes on the graph).
-        from ..core.serialize import graph_fingerprint
-
         return int(graph_fingerprint(oracle.graph))
 
     def _check_stored_fingerprint(self, oracle: DistanceOracle) -> None:

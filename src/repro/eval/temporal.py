@@ -61,7 +61,6 @@ class TemporalReportRow:
     temporal_queries: int
     sweep_seconds: float
     landmarks_clean: int
-    landmarks_repaired: int
     landmarks_resweep: int
 
 
@@ -164,7 +163,6 @@ def temporal_report(
             temporal_queries=len(answers),
             sweep_seconds=round(sweep_seconds, 4),
             landmarks_clean=stats.landmarks_clean if stats else 0,
-            landmarks_repaired=stats.landmarks_repaired if stats else 0,
             landmarks_resweep=stats.landmarks_resweep if stats else 0,
         ))
     return rows
@@ -173,7 +171,7 @@ def temporal_report(
 def render_temporal_report(rows: list[TemporalReportRow]) -> str:
     headers = [
         "dataset", "n", "m", "updates", "q/s", "repair s", "rebuild s",
-        "migrated", "windows", "clean", "repaired", "resweep",
+        "migrated", "windows", "clean", "resweep",
     ]
     body = [
         [
@@ -181,8 +179,7 @@ def render_temporal_report(rows: list[TemporalReportRow]) -> str:
             str(row.updates), f"{row.queries_per_second:,.0f}",
             f"{row.update_seconds:.3f}", f"{row.rebuild_seconds:.3f}",
             str(row.answers_migrated), str(row.windows),
-            str(row.landmarks_clean), str(row.landmarks_repaired),
-            str(row.landmarks_resweep),
+            str(row.landmarks_clean), str(row.landmarks_resweep),
         ]
         for row in rows
     ]
@@ -190,7 +187,7 @@ def render_temporal_report(rows: list[TemporalReportRow]) -> str:
         "Dynamic graphs: mixed update streams and temporal snapshot sweeps\n"
         "('repair s' = total incremental-repair time across all updates;\n"
         " 'rebuild s' = one from-scratch index build for comparison;\n"
-        " clean/repaired/resweep = landmark-level repair scope over the\n"
-        " snapshot sweep)\n"
+        " clean/resweep = landmarks kept verbatim / re-derived from re-swept\n"
+        " rows, summed over the snapshot sweep)\n"
         + render_rows(headers, body)
     )

@@ -17,6 +17,8 @@ import json
 import os
 from typing import TYPE_CHECKING, Any
 
+from ..graph.fingerprint import graph_fingerprint
+
 if TYPE_CHECKING:
     from ..core.chromland import ChromLandIndex
     from ..core.powcov import PowCovIndex
@@ -70,8 +72,6 @@ class IndexStore:
         self, kind: str, graph: "EdgeLabeledGraph", tag: str = "default"
     ) -> str:
         """Canonical path for (kind, graph, tag)."""
-        from ..core.serialize import graph_fingerprint  # local: avoids cycle
-
         name = f"{kind}-{int(graph_fingerprint(graph)):016x}-{tag}"
         return os.path.join(self.directory, name + _SUFFIX)
 
@@ -178,8 +178,6 @@ class IndexStore:
         delta = getattr(graph, "applied_delta", None)
         if parent is None or delta is None:
             return
-        from ..core.serialize import graph_fingerprint  # local: avoids cycle
-
         entry = {
             "fingerprint": f"{int(graph_fingerprint(graph)):016x}",
             "parent": f"{int(parent):016x}",
@@ -206,8 +204,6 @@ class IndexStore:
         ``version``, ``delta``); an empty list means the graph was never
         saved here as a mutated version (or is an original build).
         """
-        from ..core.serialize import graph_fingerprint  # local: avoids cycle
-
         by_child = {e["fingerprint"]: e for e in self._read_lineage()}
         chain: list[dict[str, Any]] = []
         cursor = f"{int(graph_fingerprint(graph)):016x}"

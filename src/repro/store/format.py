@@ -24,10 +24,9 @@ are decoded eagerly on first access (and the decoded array is cached on
 the reader).
 
 :class:`FormatError` is the single failure type for anything wrong with a
-persisted payload — bad magic, unknown version, truncated data — shared
-with the ``.npz`` fallback in :mod:`repro.core.serialize`.  It subclasses
-``ValueError`` so pre-existing callers that caught ``ValueError`` keep
-working.
+persisted payload — bad magic, unknown version, truncated data.  It
+subclasses ``ValueError`` so pre-existing callers that caught
+``ValueError`` keep working.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ __all__ = [
     "is_store_file",
 ]
 
-#: File magic; also what :func:`repro.core.serialize.load_index` sniffs.
+#: File magic: the first bytes of every store file (see :func:`is_store_file`).
 MAGIC = b"REPROIDX"
 #: Current (and only) store format version.
 FORMAT_VERSION = 1

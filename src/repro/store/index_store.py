@@ -40,6 +40,7 @@ import numpy as np
 from ..core.chromland import ChromLandIndex
 from ..core.powcov import PowCovIndex
 from ..core.powcov.table import PowCovTable
+from ..graph.fingerprint import graph_fingerprint
 from ..graph.labeled_graph import EdgeLabeledGraph
 from ..graph.labelsets import LabelUniverse
 from .format import FormatError, Store, write_store
@@ -72,8 +73,6 @@ def _require_meta(store: Store, *names: str) -> list[Any]:
 
 
 def _check_fingerprint(store: Store, graph: EdgeLabeledGraph) -> int:
-    from ..core.serialize import graph_fingerprint  # local: avoids cycle
-
     (stored,) = _require_meta(store, "fingerprint")
     if int(stored) != int(graph_fingerprint(graph)):
         raise FormatError("index file was built for a different graph")
@@ -102,8 +101,6 @@ def save_index(
     compress: bool = False,
 ) -> None:
     """Write a built index as a store file (see the module docstring)."""
-    from ..core.serialize import graph_fingerprint  # local: avoids cycle
-
     fingerprint = int(graph_fingerprint(index.graph))
     if isinstance(index, PowCovIndex):
         if not index._built:  # noqa: SLF001 - store is a friend module
@@ -204,8 +201,6 @@ def save_graph(
     compress: bool = False,
 ) -> None:
     """Write a graph's CSR arrays as a ``kind="graph"`` store file."""
-    from ..core.serialize import graph_fingerprint  # local: avoids cycle
-
     label_names = None
     if graph.label_universe is not None:
         label_names = list(graph.label_universe)

@@ -1,12 +1,13 @@
 """Tests for the versioned mutation layer and incremental index repair.
 
 Covers ``GraphDelta``/``apply_delta`` semantics (validation, copy-on-write
-adoption, lineage fingerprints), the PowCov repair paths (decrease-only
-insertion repair, dirty-landmark re-sweeps for deletions/relabels, built
-and store-opened tables), ChromLand per-sweep repair (undirected and
-directed), the differential harness itself, and a hypothesis-driven
-randomized mutation-sequence check asserting bit-identity with a
-from-scratch rebuild after every delta — the PR's acceptance bar.
+adoption, lineage fingerprints), PowCov repair (one path for insertions,
+deletions and relabels over built and store-opened tables, lattice
+chunking and the oversized-lattice rebuild), ChromLand per-sweep repair
+(undirected and directed), the differential harness itself, and
+hypothesis-driven randomized mutation checks — op sequences and single
+multi-op deltas — asserting bit-identity with a from-scratch rebuild after
+every delta.
 """
 
 from __future__ import annotations
@@ -227,9 +228,9 @@ class TestPowCovRepair:
     def test_insertion_repair_lazy_fallback_matches_rebuild(
         self, base_graph, landmarks, monkeypatch
     ):
-        # Force the stacked subset-min lattice over its memory budget so
-        # the repair takes the lazy per-mask reconstruction path instead;
-        # the answers must be bit-identical either way.
+        # Force one landmark's subset-min lattice over its memory budget:
+        # the repair must rebuild the whole index instead, and still equal
+        # a fresh build.
         import repro.core.dynamic as dynamic
 
         monkeypatch.setattr(dynamic, "_SOS_TABLE_CELLS", 0)
@@ -242,15 +243,15 @@ class TestPowCovRepair:
         )
         new_graph = apply_delta(base_graph, GraphDelta(insertions=(missing,)))
         stats = repair_powcov(index, new_graph)
-        assert stats.landmarks_repaired >= 1
+        assert stats.full_rebuild
         assert_repair_matches_rebuild(index, queries=sample_queries(new_graph))
 
     def test_insertion_repair_chunks_stay_within_cell_bound(
         self, base_graph, landmarks, monkeypatch
     ):
-        # A bound of two landmark lattices: every stacked table (sentinel
-        # row included) must fit it, so the dirty landmarks are repaired
-        # in several chunks — with answers identical to a rebuild.
+        # A bound of two landmark lattices: every stacked lattice must fit
+        # it, so an insertion plus a deletion is repaired in several
+        # chunks — with answers identical to a rebuild.
         import repro.core.dynamic as dynamic
 
         stride = full_mask(base_graph.num_labels) + 1
@@ -259,23 +260,31 @@ class TestPowCovRepair:
         tables: list[tuple[int, int]] = []
         stacked_subset_min = dynamic._stacked_subset_min
 
-        def recording(contexts, num_vertices, universe):
-            table = stacked_subset_min(contexts, num_vertices, universe)
-            tables.append((len(contexts), table.size))
+        def recording(parts, chunk_landmarks, num_vertices, universe):
+            table = stacked_subset_min(
+                parts, chunk_landmarks, num_vertices, universe
+            )
+            tables.append((len(chunk_landmarks), table.size))
             return table
 
         monkeypatch.setattr(dynamic, "_stacked_subset_min", recording)
         index = PowCovIndex(base_graph, landmarks).build()
+        edges = undirected_edge_set(base_graph)
+        deleted = min(edges)
         missing = next(
             (u, v, 1)
             for u in range(base_graph.num_vertices)
             for v in range(u + 1, base_graph.num_vertices)
-            if (u, v, 1) not in undirected_edge_set(base_graph)
+            if (u, v, 1) not in edges and (u, v) != deleted[:2]
         )
-        new_graph = apply_delta(base_graph, GraphDelta(insertions=(missing,)))
+        new_graph = apply_delta(
+            base_graph, GraphDelta(insertions=(missing,), deletions=(deleted,))
+        )
         stats = repair_powcov(index, new_graph)
-        assert stats.landmarks_repaired >= 3
-        assert sum(count for count, _cells in tables) == stats.landmarks_repaired
+        assert not stats.full_rebuild
+        assert stats.landmarks_resweep >= 1
+        assert len(tables) >= 2
+        assert sum(count for count, _cells in tables) == len(landmarks)
         assert all(cells <= bound for _count, cells in tables)
         assert_repair_matches_rebuild(index, queries=sample_queries(new_graph))
 
@@ -288,9 +297,8 @@ class TestPowCovRepair:
             base_graph, GraphDelta(deletions=((u, v, label),))
         )
         stats = repair_powcov(index, new_graph)
-        assert stats.landmarks_clean + stats.landmarks_repaired + (
-            stats.landmarks_resweep
-        ) == len(landmarks)
+        assert stats.landmarks_resweep >= 1
+        assert stats.landmarks_clean + stats.landmarks_resweep == len(landmarks)
         assert_repair_matches_rebuild(index, queries=sample_queries(new_graph))
 
     def test_multi_op_delta_matches_rebuild(self, base_graph, landmarks):
@@ -345,8 +353,10 @@ class TestPowCovRepair:
         assert session.run(queries) == scalar
 
     def test_resweep_runs_the_build_code(self, base_graph, landmarks):
-        """A deletion re-sweep yields exactly what ``_build_landmark``
-        gives with the index's builder: table slice and pruning counters."""
+        """After a deletion, every landmark's table slice is exactly what
+        ``_build_landmark`` gives on the new graph with the index's
+        builder, dtypes included; ``per_landmark`` keeps the build's
+        counters."""
         from repro.core.powcov.index import _build_landmark
 
         index = PowCovIndex(base_graph, landmarks).build()
@@ -356,20 +366,13 @@ class TestPowCovRepair:
         )
         before = list(index.per_landmark)
         stats = repair_powcov(index, new_graph)
-        resweeps = [
-            i for i, result in enumerate(index.per_landmark)
-            if result is not before[i]
-        ]
-        assert len(resweeps) == stats.landmarks_resweep >= 1
+        assert not stats.full_rebuild
+        assert stats.landmarks_resweep >= 1
+        assert all(a is b for a, b in zip(index.per_landmark, before))
         extra = index._build_task_extra()
         assert extra["builder"] == index.builder == "wave"
-        for i in resweeps:
-            expected = _build_landmark(new_graph, index.landmarks[i], extra)
-            got = index.per_landmark[i]
-            assert (got.num_sssp, got.num_full_tests, got.num_auto_minimal) == (
-                expected.num_sssp, expected.num_full_tests,
-                expected.num_auto_minimal,
-            )
+        for i, landmark in enumerate(index.landmarks):
+            expected = _build_landmark(new_graph, landmark, extra)
             for column, want in zip(index.table.landmark_slice(i), expected.arrays):
                 assert column.dtype == want.dtype
                 assert np.array_equal(column, want)
@@ -453,7 +456,7 @@ class TestStoreBackedRepair:
         new_graph = apply_delta(graph, GraphDelta(insertions=(missing,)))
         stats = repair_index(opened, new_graph)
         assert stats.full_rebuild is False
-        assert stats.landmarks_repaired >= 1
+        assert stats.landmarks_resweep >= 1
         assert_repair_matches_rebuild(opened, queries=sample_queries(new_graph))
         save_index(opened, tmp_path / "q.repro")
         reopened = open_index(tmp_path / "q.repro", new_graph)
@@ -570,12 +573,12 @@ class TestRepairDispatch:
             assert index.query(s, t, m) == reference.query(s, t, m)
 
     def test_stats_combine_and_describe(self):
-        a = RepairStats(kind="powcov", landmarks_repaired=2, rows_relaxed=7)
-        b = RepairStats(kind="powcov", landmarks_resweep=1, rows_relaxed=3)
+        a = RepairStats(kind="powcov", landmarks_clean=2, rows_swept=7)
+        b = RepairStats(kind="powcov", landmarks_resweep=1, rows_swept=3)
         merged = a.combine(b)
-        assert merged.landmarks_repaired == 2
+        assert merged.landmarks_clean == 2
         assert merged.landmarks_resweep == 1
-        assert merged.rows_relaxed == 10
+        assert merged.rows_swept == 10
         assert "repair" in merged.describe() or "powcov" in merged.describe()
 
 
@@ -667,6 +670,40 @@ class TestRandomizedMutationSequences:
             assert_repair_matches_rebuild(
                 index, queries=sample_queries(graph, count=15)
             )
+
+    @DYNAMIC
+    @given(graph_and_ops())
+    def test_powcov_multi_op_delta_stays_bit_identical(self, case):
+        """All drawn ops folded into one delta: arriving and leaving edges
+        meet in the same repair (an edge touched twice is skipped)."""
+        graph, ops = case
+        index = PowCovIndex(graph, list(range(min(3, graph.num_vertices)))).build()
+        edges = undirected_edge_set(graph)
+        insertions, deletions, relabels = [], [], []
+        seen: set[tuple[int, int]] = set()
+        for op in ops:
+            pair = op[1]
+            if pair in seen:
+                continue
+            delta = resolve_op(edges, op)
+            if delta is None:
+                continue
+            seen.add(pair)
+            insertions += delta.insertions
+            deletions += delta.deletions
+            relabels += delta.relabels
+        if not seen:
+            return
+        graph = apply_delta(
+            graph,
+            GraphDelta(
+                insertions=tuple(insertions),
+                deletions=tuple(deletions),
+                relabels=tuple(relabels),
+            ),
+        )
+        repair_index(index, graph)
+        assert_repair_matches_rebuild(index, queries=sample_queries(graph, count=15))
 
     @DYNAMIC
     @given(graph_and_ops())
