@@ -1,14 +1,12 @@
 """Benchmark: serial vs. parallel index construction (`repro.perf`).
 
-Records the serial and parallel build times of the Table-3 workhorses on
+Records the serial and 4-thread build times of the Table-3 workhorses on
 the k=8, scale-0.25 bench graphs into the pytest-benchmark JSON trajectory
-(``--benchmark-json``), with the measured speedup in ``extra_info``.  Every
-timed comparison also re-asserts the engine's core guarantee: the parallel
-index is bit-for-bit identical to the serial one.
-
-Expectation on multi-core hardware: PowCov's per-landmark sweeps dominate
-the build, so 4 workers recover >= 2x over serial; on starved runners the
-``speedup`` extra_info documents whatever the hardware allowed.
+(``--benchmark-json``), with the measured speedup and ``os.cpu_count()``
+in ``extra_info``.  Every timed comparison also re-asserts the engine's
+core guarantee: the parallel index is bit-for-bit identical to the serial
+one.  The speedup is recorded, not asserted: it is bounded by the cores
+the runner has, and 4 threads on fewer cores only add switching.
 """
 
 from __future__ import annotations
@@ -21,12 +19,12 @@ import pytest
 
 from repro.core.chromland import ChromLandIndex, local_search_selection
 from repro.core.powcov import PowCovIndex
-from repro.perf import ParallelConfig, batched_constrained_bfs
+from repro.perf import batched_constrained_bfs
 from repro.graph.traversal import constrained_bfs
 
 from conftest import BENCH_K, BENCH_SEED
 
-PARALLEL_4 = ParallelConfig(num_workers=4, backend="process")
+PARALLEL_4 = 4
 
 
 def _timed(fn, rounds=3):

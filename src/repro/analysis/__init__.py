@@ -9,8 +9,8 @@ and vectorized.  This package machine-checks those conventions:
 * :mod:`repro.analysis.lint` — project-specific AST lint rules
   (REPRO000–REPRO008) with a CLI (``python -m repro.analysis lint``);
 * :mod:`repro.analysis.flow` — flow-sensitive abstract interpretation
-  (REPRO009–REPRO013): dtype/width tracking, mask/vertex/distance unit
-  domains, and shared-memory/memmap lifecycle checking, with baseline,
+  (REPRO009–REPRO011, REPRO013): dtype/width tracking, mask/vertex/distance
+  unit domains, and memmap lifecycle checking, with baseline,
   per-file cache and SARIF output (``python -m repro.analysis flow``);
 * :mod:`repro.analysis.audit` — runtime invariant auditors for the graph
   substrate and both paper indexes (``audit_graph`` / ``audit_powcov`` /

@@ -4,7 +4,7 @@
 entry point adds the subcommand form the CI jobs and docs use:
 
 * ``python -m repro.analysis lint [paths...]`` — REPRO000-REPRO008
-* ``python -m repro.analysis flow [paths...]`` — REPRO009-REPRO013
+* ``python -m repro.analysis flow [paths...]`` — REPRO009-REPRO011, REPRO013
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Abstract domains for the flow-sensitive analyses (REPRO009–REPRO013).
+"""Abstract domains for the flow-sensitive analyses (REPRO009–011, REPRO013).
 
 The flow engine in :mod:`repro.analysis.flow` is a forward abstract
 interpreter; this module defines the lattices it interprets *into*.  Every
@@ -20,7 +20,7 @@ of four independent component lattices:
 * **resources** — the set of *allocation sites* a value may refer to; the
   per-site lifecycle state (:class:`ResourceState`) lives in the flow
   state, not in the value, so that aliases observe each other's
-  ``close()``/``unlink()``/``release()`` transitions (REPRO012/013).
+  ``close()``/``release()`` transitions (REPRO013).
 
 Joins are pointwise over the product; every component join goes *up* (sets
 union and saturate to ``None``, intervals hull, differing domains become
@@ -225,11 +225,10 @@ def _join_domain(a: Domain | None, b: Domain | None) -> Domain | None:
 
 
 class ResourceState(Enum):
-    """Lifecycle state of one resource allocation site (REPRO012/013)."""
+    """Lifecycle state of one resource allocation site (REPRO013)."""
 
     OPEN = "open"
     CLOSED = "closed"
-    UNLINKED = "unlinked"
     #: The resource left the function (returned / stored / passed on):
     #: cleanup responsibility transferred, no leak is reported.
     ESCAPED = "escaped"

@@ -1,4 +1,4 @@
-"""Flow-sensitive dataflow analyses over the package AST (REPRO009–013).
+"""Flow-sensitive dataflow analyses over the package AST (REPRO009–011, 013).
 
 Where :mod:`repro.analysis.lint` matches single AST nodes, this module
 *interprets* whole functions: it builds a per-function control-flow graph
@@ -18,12 +18,10 @@ replays the final states through three checkers:
     parameter names.  REPRO010 flags arithmetic/comparison that mixes two
     known domains; REPRO011 flags a call argument whose domain contradicts
     the parameter it binds to.
-``REPRO012`` / ``REPRO013`` (resources)
-    Allocation-site lifecycle tracking for the shared-memory layer
-    (``SharedGraphPack`` / ``SharedMemory`` / ``attach_graph``: REPRO012)
-    and for ``np.memmap`` handles plus read-only ``PowCovTable`` columns
-    (REPRO013): use-after-close, ``unlink()`` before ``close()``, handles
-    leaked on normal or exception paths, and writes into read-only views.
+``REPRO013`` (resources)
+    Allocation-site lifecycle tracking for ``np.memmap`` handles plus
+    read-only ``PowCovTable`` columns: use-after-close, handles leaked on
+    normal or exception paths, and writes into read-only views.
 
 Exception edges propagate the *entry* state of the raising block, so a
 resource that is open when a statement can raise is seen as open at the
@@ -95,10 +93,10 @@ __all__ = [
 ]
 
 #: Bumped whenever the engine's semantics change; invalidates the cache.
-ENGINE_VERSION = 1
+ENGINE_VERSION = 2
 
 #: The rules this engine owns (catalog text lives in ``lint.RULES``).
-FLOW_RULES = ("REPRO009", "REPRO010", "REPRO011", "REPRO012", "REPRO013")
+FLOW_RULES = ("REPRO009", "REPRO010", "REPRO011", "REPRO013")
 
 #: Default baseline / cache locations (repo-root relative).
 DEFAULT_BASELINE = Path("flow-baseline.txt")
@@ -575,12 +573,11 @@ class _FunctionAnalyzer:
         for sid, site in self._sites.items():
             if site.managed:
                 continue
-            rule = "REPRO013" if site.kind == "memmap" else "REPRO012"
             anchor = _Anchor(site.line, site.col)
             if leaking(exit_state, sid):
                 self._flag(
                     anchor,
-                    rule,
+                    "REPRO013",
                     f"{site.kind} handle opened here is not released on every "
                     "path; call close()/unlink() (or release()) before "
                     "returning",
@@ -588,7 +585,7 @@ class _FunctionAnalyzer:
             elif leaking(raise_state, sid):
                 self._flag(
                     anchor,
-                    rule,
+                    "REPRO013",
                     f"{site.kind} handle opened here leaks when an exception "
                     "unwinds; release it in a finally block",
                 )
@@ -617,7 +614,7 @@ class _FunctionAnalyzer:
                 for name in op[1]:  # type: ignore[union-attr]
                     value = st.vars.get(name)
                     if value is not None:
-                        self._transition(value, st, add=ResourceState.CLOSED)
+                        self._close(value, st)
             elif tag == "except":
                 handler = op[1]
                 if handler.name:  # type: ignore[union-attr]
@@ -716,19 +713,10 @@ class _FunctionAnalyzer:
         st.res[sid] = _OPEN
         return AbstractValue(resources=frozenset({sid}), tag=f"resource:{kind}")
 
-    def _transition(
-        self,
-        value: AbstractValue,
-        st: _State,
-        add: ResourceState,
-        also: ResourceState | None = None,
-    ) -> None:
+    def _close(self, value: AbstractValue, st: _State) -> None:
         for sid in value.resources:
             states = st.res.get(sid, frozenset())
-            states = (states - {ResourceState.OPEN}) | {add}
-            if also is not None:
-                states = states | {also}
-            st.res[sid] = states
+            st.res[sid] = (states - {ResourceState.OPEN}) | {ResourceState.CLOSED}
 
     def _escape(self, value: AbstractValue, st: _State) -> None:
         for sid in value.resources:
@@ -743,13 +731,12 @@ class _FunctionAnalyzer:
             states = st.res.get(sid)
             if not states or ResourceState.OPEN in states:
                 continue
-            if ResourceState.CLOSED in states or ResourceState.UNLINKED in states:
+            if ResourceState.CLOSED in states:
                 site = self._sites.get(sid)
                 kind = site.kind if site else "resource"
-                rule = "REPRO013" if kind == "memmap" else "REPRO012"
                 self._flag(
                     node,
-                    rule,
+                    "REPRO013",
                     f"use of a {kind} handle after close()/unlink(); the "
                     "mapping is gone on every path reaching this line",
                 )
@@ -1045,7 +1032,7 @@ class _FunctionAnalyzer:
             fval = st.vars.get(func.id)
             if fval is not None and fval.kind == "dtype":
                 return _cast(argvals[0] if argvals else UNKNOWN, fval.dtypes)
-        return self._summary_call(node, name, argvals, st, report)
+        return self._summary_call(node, name, argvals, report)
 
     def _method_call(
         self,
@@ -1062,31 +1049,7 @@ class _FunctionAnalyzer:
         if name not in _LIFECYCLE_ATTRS:
             self._check_use(node, base, st, report)
         if name in _LIFECYCLE_ATTRS and base.resources:
-            if name == "close":
-                self._transition(base, st, add=ResourceState.CLOSED)
-            elif name == "unlink":
-                if report:
-                    for sid in base.resources:
-                        states = st.res.get(sid, frozenset())
-                        site = self._sites.get(sid)
-                        if (
-                            site is not None
-                            and site.kind in ("shm-pack", "shm-block")
-                            and ResourceState.OPEN in states
-                            and ResourceState.CLOSED not in states
-                        ):
-                            self._flag(
-                                node,
-                                "REPRO012",
-                                f"unlink() on a {site.kind} before close(): "
-                                "unlinking destroys the backing segment while "
-                                "mappings are still attached",
-                            )
-                self._transition(base, st, add=ResourceState.UNLINKED)
-            elif name in ("release", "__exit__"):
-                self._transition(
-                    base, st, add=ResourceState.CLOSED, also=ResourceState.UNLINKED
-                )
+            self._close(base, st)
             return AbstractValue(kind="scalar")
         if name == "astype":
             target = kwvals.get("dtype") or (argvals[0] if argvals else UNKNOWN)
@@ -1235,7 +1198,6 @@ class _FunctionAnalyzer:
         node: ast.Call,
         name: str,
         argvals: list[AbstractValue],
-        st: _State,
         report: bool,
     ) -> AbstractValue:
         summary = self.summaries.get(name)
@@ -1258,8 +1220,6 @@ class _FunctionAnalyzer:
                         f"'{summary.params[i]}' (a {expected.value}) but "
                         f"carries a {value.domain.value}",
                     )
-        if summary.creates is not None:
-            return self._alloc(summary.creates, node, st)
         return summary.returns
 
 
@@ -1571,7 +1531,7 @@ def write_sarif(results: Sequence[tuple[LintFinding, str]], out: Path) -> None:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.analysis flow",
-        description="Flow-sensitive dataflow analyses (REPRO009-REPRO013).",
+        description="Flow-sensitive dataflow analyses (REPRO009-REPRO011, REPRO013).",
     )
     parser.add_argument(
         "paths",

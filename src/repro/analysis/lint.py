@@ -4,8 +4,8 @@ The generic linters (ruff, mypy) cannot see the package's *semantic*
 conventions: which arrays are immutable, which module owns bitmask
 construction, which loops are allowed to be scalar.  This module encodes
 those conventions as ten mechanical rules over the Python AST (the
-flow-sensitive rules REPRO009-REPRO013 share this catalog but live in
-:mod:`repro.analysis.flow`):
+flow-sensitive rules REPRO009-REPRO011 and REPRO013 share this catalog but
+live in :mod:`repro.analysis.flow`):
 
 ``REPRO000``
     No bare ``# noqa``: suppression comments must name the rule code(s)
@@ -100,9 +100,10 @@ __all__ = [
 ]
 
 #: Rule id -> one-line summary (the full rationale lives in docs/DEVELOPING.md).
-#: REPRO000-008 are single-pass AST rules checked here; REPRO009-013 are
-#: flow-sensitive and live in :mod:`repro.analysis.flow` (same catalog so
-#: ``--list-rules``, noqa codes and SARIF share one namespace).
+#: REPRO000-008 and REPRO014 are single-pass AST rules checked here;
+#: REPRO009-011 and REPRO013 are flow-sensitive and live in
+#: :mod:`repro.analysis.flow` (same catalog so ``--list-rules``, noqa codes
+#: and SARIF share one namespace).
 RULES: dict[str, str] = {
     "REPRO000": "bare '# noqa' is forbidden; name the rule code(s) to suppress",
     "REPRO001": "CSR arrays are immutable outside repro.graph",
@@ -122,8 +123,6 @@ RULES: dict[str, str] = {
     "landmark-index unit domains (flow-sensitive)",
     "REPRO011": "call arguments carry the unit domain the parameter expects "
     "(flow-sensitive)",
-    "REPRO012": "shared-memory handles follow the close/unlink lifecycle: "
-    "no use-after-close, no leak on any path (flow-sensitive)",
     "REPRO013": "memmap/PowCovTable handles are released and their "
     "read-only views never written (flow-sensitive)",
     "REPRO014": "private repro.kernels backends are imported only inside "
@@ -136,7 +135,7 @@ AST_RULES = frozenset(
      "REPRO006", "REPRO007", "REPRO008", "REPRO014"}
 )
 #: The flow-sensitive rules implemented by :mod:`repro.analysis.flow`.
-FLOW_RULE_IDS = frozenset({"REPRO009", "REPRO010", "REPRO011", "REPRO012", "REPRO013"})
+FLOW_RULE_IDS = frozenset({"REPRO009", "REPRO010", "REPRO011", "REPRO013"})
 
 #: The immutable CSR attribute names of ``EdgeLabeledGraph``.
 _CSR_ATTRS = frozenset({"indptr", "neighbors", "edge_labels"})

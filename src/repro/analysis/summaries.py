@@ -6,9 +6,8 @@ through two layers:
 
 * a **built-in table** for the package's load-bearing primitives — the
   :mod:`repro.graph.labelsets` mask constructors, the constrained-BFS
-  family, the mapped-table probes, and the shared-memory lifecycle
-  entry points.  These pin down return dtypes/domains and, for resource
-  factories, the resource kind a call allocates.
+  family and the mapped-table probes.  These pin down return
+  dtypes/domains.
 * **derived summaries** scanned from the analyzed files' own ``def``
   headers: parameter *names* (so positional arguments can be matched to
   the domain a name implies — ``mask`` expects a label mask, ``source``
@@ -59,14 +58,11 @@ class Summary:
     excluded) — the engine classifies each name via
     :func:`classify_param_name` to get the expected argument domain.  An
     empty tuple disables positional checking (keyword arguments are always
-    checkable by their own name).  ``creates`` names the resource kind a
-    call allocates (``"shm-pack"``, ``"shm-block"``, ``"attached-graph"``,
-    ``"memmap"``), ``None`` for ordinary functions.
+    checkable by their own name).
     """
 
     params: tuple[str, ...] = ()
     returns: AbstractValue = AbstractValue()
-    creates: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -182,11 +178,7 @@ BUILTIN_SUMMARIES: dict[str, Summary] = {
     ),
     "lookup_many": Summary(("vertices", "label_mask"), _DIST_F64_ARRAY),
     "largest_component_vertices": Summary(("graph", "mask"), _VERTEX_ARRAY),
-    # -- shared-memory / mapped-store lifecycle -------------------------
-    "share_graphs": Summary(("graphs",), creates="shm-pack"),
-    "SharedGraphPack": Summary((), creates="shm-pack"),
-    "SharedMemory": Summary((), creates="shm-block"),
-    "attach_graph": Summary(("descriptor",), creates="attached-graph"),
+    # -- mapped store tables ---------------------------------------------
     "PowCovTable": Summary(
         ("key", "dist", "mask", "num_landmarks", "num_vertices"),
         AbstractValue(tag="mapped-table"),
@@ -267,5 +259,4 @@ def summaries_digest(summaries: dict[str, Summary]) -> str:
         hasher.update(name.encode())
         hasher.update(repr(summary.params).encode())
         hasher.update(repr(summary.returns).encode())
-        hasher.update(repr(summary.creates).encode())
     return hasher.hexdigest()

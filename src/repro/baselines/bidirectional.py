@@ -21,7 +21,7 @@ class BidirectionalBFSBaseline(DistanceOracle):
 
     name = "bidirectional-bfs"
 
-    def query(self, source: int, target: int, label_mask: int) -> float:
+    def _query(self, source: int, target: int, label_mask: int) -> float:
         return bidirectional_constrained_bfs(self.graph, source, target, label_mask)
 
     def make_batch_executor(self):
@@ -37,7 +37,7 @@ class UnidirectionalBFSBaseline(DistanceOracle):
 
     name = "unidirectional-bfs"
 
-    def query(self, source: int, target: int, label_mask: int) -> float:
+    def _query(self, source: int, target: int, label_mask: int) -> float:
         if source == target:
             return 0.0
         dist = constrained_bfs(self.graph, source, label_mask)

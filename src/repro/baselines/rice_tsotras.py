@@ -165,7 +165,7 @@ class LabelConstrainedCH(DistanceOracle):
     # ------------------------------------------------------------------
     # Query
     # ------------------------------------------------------------------
-    def query(self, source: int, target: int, label_mask: int) -> float:
+    def _query(self, source: int, target: int, label_mask: int) -> float:
         if not self._built:
             raise RuntimeError("call build() before querying")
         if source == target:

@@ -26,7 +26,7 @@ from ...graph.traversal import UNREACHABLE
 from ...kernels import kernel_name
 from ...obs.trace import span
 from ...perf.batched import batched_constrained_bfs
-from ...perf.parallel import ParallelConfig, resolve_parallel, run_tasks
+from ...perf.parallel import run_tasks, worker_count
 from ..types import DistanceOracle, QueryAnswer
 from .query import auxiliary_graph_distance, simple_triangle_distance
 
@@ -95,7 +95,7 @@ class ChromLandIndex(DistanceOracle):
     # ------------------------------------------------------------------
     # Build
     # ------------------------------------------------------------------
-    def build(self, parallel: "ParallelConfig | int | None" = None) -> "ChromLandIndex":
+    def build(self, parallel: int | None = None) -> "ChromLandIndex":
         """Run the ``k`` mono-chromatic and ``k (|L*|-1)`` bi-chromatic BFS.
 
         ``|L*|`` is the number of *distinct* colors actually assigned;
@@ -105,11 +105,10 @@ class ChromLandIndex(DistanceOracle):
         All sweeps run through the batched multi-source kernel
         (:func:`repro.perf.batched.batched_constrained_bfs`), which
         amortizes the per-level CSR gathers across landmarks; ``parallel``
-        additionally fans chunks of sweeps out over workers (results are
-        reassembled in job order, so the tables are bit-for-bit identical
-        to a serial build).
+        threads (``None``/``1`` serial, ``0`` every core) additionally
+        run contiguous chunks of sweeps (results are reassembled in job
+        order, so the tables are bit-for-bit identical to a serial build).
         """
-        config = resolve_parallel(parallel)
         k = self.num_landmarks
         n = self.graph.num_vertices
         self.mono = np.full((k, n), UNREACHABLE, dtype=np.int32)
@@ -144,7 +143,7 @@ class ChromLandIndex(DistanceOracle):
                 jobs.append((0, x, mask, True))
                 unpackers.append(("bi", i, other_color))
         with span(
-            "chromland.build", backend=config.backend, kernel=kernel_name()
+            "chromland.build", workers=worker_count(parallel), kernel=kernel_name()
         ) as build_span:
             build_span.count("landmarks", k)
             build_span.count("colors", len(color_values))
@@ -153,13 +152,8 @@ class ChromLandIndex(DistanceOracle):
                 _chromland_chunk_task,
                 jobs,
                 graphs=graphs,
-                # The kernel resolves to its concrete backend name in the
-                # parent, so every worker runs the backend it probed.
-                extra={
-                    "landmarks": np.asarray(self.landmarks, dtype=np.int64),
-                    "kernel": kernel_name(),
-                },
-                config=config,
+                extra=np.asarray(self.landmarks, dtype=np.int64),
+                parallel=parallel,
             )
         for what, row in zip(unpackers, results):
             if what[0] == "mono":
@@ -193,10 +187,10 @@ class ChromLandIndex(DistanceOracle):
         value = int(self.mono[landmark_index, vertex])
         return float(value) if value != UNREACHABLE else float("inf")
 
-    def query(self, source: int, target: int, label_mask: int) -> float:
-        return self.query_answer(source, target, label_mask).estimate
+    def _query(self, source: int, target: int, label_mask: int) -> float:
+        return self._query_answer(source, target, label_mask).estimate
 
-    def query_answer(self, source: int, target: int, label_mask: int) -> QueryAnswer:
+    def _query_answer(self, source: int, target: int, label_mask: int) -> QueryAnswer:
         self._require_built()
         if source == target:
             return QueryAnswer(estimate=0.0, lower=0.0, upper=0.0)
@@ -236,18 +230,16 @@ class ChromLandIndex(DistanceOracle):
 
 
 def _chromland_chunk_task(
-    graphs: tuple[EdgeLabeledGraph, ...], items, extra: dict
+    graphs: tuple[EdgeLabeledGraph, ...], items, landmarks: np.ndarray
 ) -> list[np.ndarray]:
     """Run a chunk of ChromLand sweeps as batched multi-source BFS.
 
     Each item is ``(graph_index, source, mask, landmarks_only)``; all items
     sharing a graph become one :func:`batched_constrained_bfs` call, which
     runs them as one kernel sweep (bit-parallel from four rows up, one
-    sparse BFS per row below).  Module level so the process backend can
-    ship it to workers by reference.
+    sparse BFS per row below).  ``landmarks`` are the landmark vertices a
+    ``landmarks_only`` item keeps.
     """
-    landmarks = extra["landmarks"]
-    kernel = extra.get("kernel")
     by_graph: dict[int, list[int]] = {}
     for position, (graph_index, _source, _mask, _landmarks_only) in enumerate(items):
         by_graph.setdefault(graph_index, []).append(position)
@@ -255,9 +247,7 @@ def _chromland_chunk_task(
     for graph_index, positions in by_graph.items():
         sources = [items[p][1] for p in positions]
         masks = [items[p][2] for p in positions]
-        dist = batched_constrained_bfs(
-            graphs[graph_index], sources, masks=masks, kernel=kernel
-        )
+        dist = batched_constrained_bfs(graphs[graph_index], sources, masks=masks)
         for row, p in enumerate(positions):
             full_row = dist[row]
             results[p] = full_row[landmarks] if items[p][3] else full_row

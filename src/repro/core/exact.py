@@ -30,7 +30,7 @@ class ExactOracle(DistanceOracle):
 
     name = "exact-bidirectional-bfs"
 
-    def query(self, source: int, target: int, label_mask: int) -> float:
+    def _query(self, source: int, target: int, label_mask: int) -> float:
         return bidirectional_constrained_bfs(self.graph, source, target, label_mask)
 
     def sssp(self, source: int, label_mask: int) -> np.ndarray:
@@ -53,7 +53,7 @@ class ExactDijkstraOracle(DistanceOracle):
         super().__init__(graph)
         self.weights = weights
 
-    def query(self, source: int, target: int, label_mask: int) -> float:
+    def _query(self, source: int, target: int, label_mask: int) -> float:
         distance = constrained_dijkstra(
             self.graph, source, label_mask, weights=self.weights, target=target
         )

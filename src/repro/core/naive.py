@@ -67,10 +67,10 @@ class NaivePowersetIndex(DistanceOracle):
         if not self._built:
             raise RuntimeError("call build() before querying the index")
 
-    def query(self, source: int, target: int, label_mask: int) -> float:
-        return self.query_answer(source, target, label_mask).estimate
+    def _query(self, source: int, target: int, label_mask: int) -> float:
+        return self._query_answer(source, target, label_mask).estimate
 
-    def query_answer(self, source: int, target: int, label_mask: int) -> QueryAnswer:
+    def _query_answer(self, source: int, target: int, label_mask: int) -> QueryAnswer:
         """Triangle-inequality bounds over the stored exact distances."""
         self._require_built()
         if source == target:

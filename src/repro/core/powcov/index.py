@@ -25,7 +25,7 @@ import numpy as np
 from ...graph.labeled_graph import EdgeLabeledGraph
 from ...kernels import kernel_name
 from ...obs.trace import span
-from ...perf.parallel import ParallelConfig, resolve_parallel, run_tasks
+from ...perf.parallel import run_tasks, worker_count
 from ..types import INF, DistanceOracle, QueryAnswer
 from .spminimal import LandmarkSPMinimal, brute_force_sp_minimal, traverse_powerset
 from .table import PowCovTable
@@ -136,35 +136,28 @@ class PowCovIndex(DistanceOracle):
     # Build
     # ------------------------------------------------------------------
     def _build_task_extra(self) -> dict:
-        """Picklable build parameters shipped to workers (subclass hook).
-
-        The kernel is resolved to its *concrete* backend name here, in the
-        parent: shipping the resolved name keeps every worker (and the
-        serial path) on the backend the parent probed.
-        """
-        return {"builder": self.builder, "kernel": kernel_name()}
+        """Build parameters every landmark task reads (subclass hook)."""
+        return {"builder": self.builder}
 
     def _build_one(self, landmark: int, graph=None) -> LandmarkSPMinimal:
         graph = self.graph if graph is None else graph
         return _build_landmark(graph, landmark, self._build_task_extra())
 
-    def build(self, parallel: "ParallelConfig | int | None" = None) -> "PowCovIndex":
+    def build(self, parallel: int | None = None) -> "PowCovIndex":
         """Compute SP-minimal sets for every landmark and lay out the table.
 
         Parameters
         ----------
         parallel:
-            ``None`` (default) builds serially; an ``int`` is shorthand
-            for ``ParallelConfig(num_workers=n)``.  Per-landmark sweeps are
-            independent and results are reassembled in landmark order, so
-            the built index is bit-for-bit identical for every
-            configuration.
+            Worker threads: ``None`` or ``1`` (default) builds serially,
+            ``0`` uses every core.  Per-landmark sweeps are independent
+            and results are reassembled in landmark order, so the built
+            index is bit-for-bit identical for every worker count.
         """
-        config = resolve_parallel(parallel)
         with span(
             "powcov.build",
             builder=self.builder,
-            backend=config.backend,
+            workers=worker_count(parallel),
             kernel=kernel_name(),
         ) as build_span:
             build_span.count("landmarks", len(self.landmarks))
@@ -178,7 +171,7 @@ class PowCovIndex(DistanceOracle):
                 items,
                 graphs=tuple(graphs),
                 extra=self._build_task_extra(),
-                config=config,
+                parallel=parallel,
             )
             k = len(self.landmarks)
             n = self.graph.num_vertices
@@ -261,10 +254,10 @@ class PowCovIndex(DistanceOracle):
     # ------------------------------------------------------------------
     # Query processing
     # ------------------------------------------------------------------
-    def query(self, source: int, target: int, label_mask: int) -> float:
-        return self.query_answer(source, target, label_mask).estimate
+    def _query(self, source: int, target: int, label_mask: int) -> float:
+        return self._query_answer(source, target, label_mask).estimate
 
-    def query_answer(self, source: int, target: int, label_mask: int) -> QueryAnswer:
+    def _query_answer(self, source: int, target: int, label_mask: int) -> QueryAnswer:
         """Triangle-inequality estimate over all landmarks.
 
         Upper bound: ``min_x d_C(s,x) + d_C(x,t)`` (both legs collapse to
@@ -338,8 +331,7 @@ class PowCovIndex(DistanceOracle):
 
 
 # ----------------------------------------------------------------------
-# Build task functions.  Module-level so the process backend can ship them
-# to workers by reference; serial and parallel builds share this single
+# Build task functions.  Serial and parallel builds share this single
 # code path, which is what makes their outputs bit-for-bit identical.
 # ----------------------------------------------------------------------
 def _build_landmark(
@@ -364,12 +356,11 @@ def _build_landmark_inner(
 
         return weighted_sp_minimal(graph, landmark, weights)
     builder = extra["builder"]
-    kernel = extra.get("kernel")
     if builder == "brute":
         return brute_force_sp_minimal(graph, landmark)
     if builder == "traverse":
         return traverse_powerset(graph, landmark, use_obs4=False)
-    return traverse_powerset_waves(graph, landmark, use_obs4=False, kernel=kernel)
+    return traverse_powerset_waves(graph, landmark, use_obs4=False)
 
 
 def _landmark_chunk_task(
@@ -378,7 +369,7 @@ def _landmark_chunk_task(
     """Chunk task: each item is ``(landmark, graph_index)``.
 
     ``graph_index`` selects the forward (0) or reversed (1) graph — the
-    directed build fans both table families out over the same pool.
+    directed build fans both table families out over the same threads.
     """
     return [
         _build_landmark(graphs[graph_index], landmark, extra)

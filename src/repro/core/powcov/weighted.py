@@ -117,6 +117,4 @@ class WeightedPowCovIndex(PowCovIndex):
         self.weights = np.asarray(weights, dtype=np.float64)
 
     def _build_task_extra(self) -> dict:
-        # The weights array rides along to workers through the pool
-        # initializer (once per worker, not per task).
         return {"builder": self.builder, "weights": self.weights}

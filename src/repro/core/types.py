@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from ..graph.labeled_graph import EdgeLabeledGraph
 
-__all__ = ["INF", "Query", "QueryAnswer", "DistanceOracle"]
+__all__ = ["INF", "Query", "QueryAnswer", "DistanceOracle", "check_query_domain"]
 
 #: Infinite distance, the answer to queries over disconnected label subgraphs.
 INF = math.inf
@@ -60,13 +60,39 @@ class QueryAnswer:
         return math.isinf(self.estimate)
 
 
+def check_query_domain(
+    graph: EdgeLabeledGraph, source: int, target: int, label_mask: int
+) -> None:
+    """Raise ``ValueError`` unless ``⟨source, target, label_mask⟩`` is a
+    query on ``graph``.
+
+    The scalar form of the rule :func:`repro.engine.plan.to_triple_array`
+    applies to batches: both vertices lie in ``[0, num_vertices)`` and the
+    mask lies in ``[0, 2**num_labels)``.
+    """
+    num_vertices, num_labels = graph.num_vertices, graph.num_labels
+    for vertex in (source, target):
+        if not 0 <= vertex < num_vertices:
+            raise ValueError(
+                f"vertex {vertex} outside the vertex range [0, {num_vertices})"
+            )
+    if label_mask < 0 or label_mask >> num_labels:
+        raise ValueError(
+            f"label mask {label_mask} outside the "
+            f"{num_labels}-label domain [0, 2**{num_labels})"
+        )
+
+
 class DistanceOracle(ABC):
     """Interface implemented by every index and baseline in this package.
 
     Implementations are constructed from a graph (plus index-specific
     parameters), may run an expensive :meth:`build` step, and then answer
     queries via :meth:`query`.  ``query_answer`` exposes bound details for
-    evaluation code.
+    evaluation code.  Both check the query's domain
+    (:func:`check_query_domain`) before handing it to the implementation's
+    :meth:`_query` / :meth:`_query_answer`, so no oracle sees a vertex or
+    mask outside its graph.
     """
 
     #: Short name used in experiment tables.
@@ -75,13 +101,27 @@ class DistanceOracle(ABC):
     def __init__(self, graph: EdgeLabeledGraph):
         self.graph = graph
 
-    @abstractmethod
     def query(self, source: int, target: int, label_mask: int) -> float:
-        """Approximate (or exact) ``d_C(source, target)``; ``inf`` if none."""
+        """Approximate (or exact) ``d_C(source, target)``; ``inf`` if none.
+
+        Raises ``ValueError`` for a query outside the graph's domain.
+        """
+        check_query_domain(self.graph, source, target, label_mask)
+        return self._query(source, target, label_mask)
 
     def query_answer(self, source: int, target: int, label_mask: int) -> QueryAnswer:
-        """Detailed answer; default wraps :meth:`query` with trivial bounds."""
-        estimate = self.query(source, target, label_mask)
+        """Detailed answer (same domain check as :meth:`query`)."""
+        check_query_domain(self.graph, source, target, label_mask)
+        return self._query_answer(source, target, label_mask)
+
+    @abstractmethod
+    def _query(self, source: int, target: int, label_mask: int) -> float:
+        """:meth:`query` for an in-domain query."""
+
+    def _query_answer(self, source: int, target: int, label_mask: int) -> QueryAnswer:
+        """:meth:`query_answer` for an in-domain query; default wraps
+        :meth:`_query` with trivial bounds."""
+        estimate = self._query(source, target, label_mask)
         return QueryAnswer(estimate=estimate, lower=0.0, upper=estimate)
 
     def query_labels(self, source: int, target: int, labels: Iterable) -> float:

@@ -28,7 +28,6 @@ import sys
 import time
 
 from ..engine import EngineConfig, reset_global
-from ..perf.parallel import ParallelConfig
 from ..store.cache import IndexStore
 from .export import write_csv
 from .figures import figure6, render_figure6
@@ -80,7 +79,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="comma-separated landmark counts for table4/fig6")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes for index construction "
+                        help="worker threads for index construction "
                         "(1 = serial, 0 = all cores); output is identical "
                         "for every worker count")
     parser.add_argument("--engine", action="store_true",
@@ -160,11 +159,6 @@ def main(argv: list[str] | None = None) -> int:
         from ..obs.profiling import set_profiling
 
         set_profiling(True, directory=args.csv_dir or ".")
-    # Passed down through every command below (None = serial / rebuild /
-    # scalar queries).
-    parallel = (
-        ParallelConfig(num_workers=args.workers) if args.workers != 1 else None
-    )
     if args.save_index and args.load_index:
         parser.error("--save-index and --load-index are mutually exclusive; "
                      "--save-index already reuses cached indexes")
@@ -214,19 +208,19 @@ def main(argv: list[str] | None = None) -> int:
         export("table1", rows)
     if args.what in ("table2", "all"):
         rows = table2(scale=args.scale, k=args.k, seed=args.seed,
-                      parallel=parallel)
+                      parallel=args.workers)
         emit(render_table2(rows))
         export("table2", rows)
         claims.extend(check_table2(rows))
     if args.what in ("table3", "all"):
         rows = table3(scale=args.scale, k=max(3, args.k // 2), seed=args.seed,
-                      parallel=parallel)
+                      parallel=args.workers)
         emit(render_table3(rows))
         export("table3", rows)
         claims.extend(check_table3(rows))
     if args.what in ("table4", "all"):
         cells = table4(scale=args.scale, ks=args.ks, num_pairs=args.pairs,
-                       seed=args.seed, engine=engine, parallel=parallel,
+                       seed=args.seed, engine=engine, parallel=args.workers,
                        index_store=index_store)
         emit(render_table4(cells))
         export("table4", cells)
@@ -234,7 +228,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.what in ("fig6", "all"):
         panels = figure6(scale=min(args.scale, 0.4), ks=args.ks[:4],
                          num_pairs=args.pairs // 2 + 50, seed=args.seed,
-                         parallel=parallel, engine=engine,
+                         parallel=args.workers, engine=engine,
                          index_store=index_store)
         emit(render_figure6(panels))
         export("figure6", panels)
@@ -245,7 +239,7 @@ def main(argv: list[str] | None = None) -> int:
         points = scaling_sweep(scales=(0.25, 0.5, min(1.0, args.scale * 2)),
                                k=args.ks[0] if args.ks else 20,
                                num_pairs=max(60, args.pairs // 3),
-                               seed=args.seed, parallel=parallel,
+                               seed=args.seed, parallel=args.workers,
                                engine=engine, index_store=index_store)
         emit(render_scaling(points))
         export("scaling", points)
@@ -260,7 +254,7 @@ def main(argv: list[str] | None = None) -> int:
             scale=min(args.scale, 0.5), num_windows=args.windows,
             num_updates=args.updates, k=max(3, args.k // 2),
             num_queries=max(100, args.pairs), seed=args.seed,
-            parallel=parallel,
+            parallel=args.workers,
         )
         emit(render_temporal_report(rows))
         export("temporal", rows)

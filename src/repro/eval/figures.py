@@ -22,7 +22,6 @@ from functools import partial
 
 from ..engine import EngineConfig
 from ..graph.datasets import dataset_names, load_dataset
-from ..perf.parallel import ParallelConfig
 from ..store.cache import IndexStore
 from ..workloads.queries import generate_workload
 from .runner import baseline_query_seconds, run_chromland, run_powcov
@@ -54,7 +53,7 @@ def figure6(
     seed: int = 7,
     datasets: tuple[str, ...] | None = None,
     chromland_iterations: int = 4000,
-    parallel: "ParallelConfig | int | None" = None,
+    parallel: int | None = None,
     engine: "EngineConfig | bool | None" = None,
     index_store: "IndexStore | None" = None,
 ) -> list[Figure6Series]:

@@ -20,7 +20,6 @@ from ..graph.labeled_graph import EdgeLabeledGraph
 from ..landmarks import select_landmarks
 from ..obs.profiling import profile_phase
 from ..obs.trace import span
-from ..perf.parallel import ParallelConfig
 from ..store.cache import IndexStore
 from ..workloads.queries import Workload
 from .metrics import OracleMetrics, evaluate_oracle, time_oracle
@@ -98,7 +97,7 @@ def run_powcov(
     seed: int | None = 0,
     baseline_seconds: float | None = None,
     builder: str | None = None,
-    parallel: "ParallelConfig | int | None" = None,
+    parallel: int | None = None,
     engine: "EngineConfig | bool | None" = None,
     index_store: "IndexStore | None" = None,
 ) -> IndexRun:
@@ -158,7 +157,7 @@ def run_chromland(
     seed: int | None = 0,
     baseline_seconds: float | None = None,
     query_mode: str = "auxiliary",
-    parallel: "ParallelConfig | int | None" = None,
+    parallel: int | None = None,
     engine: "EngineConfig | bool | None" = None,
     index_store: "IndexStore | None" = None,
 ) -> IndexRun:

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from ..engine import EngineConfig
 from ..graph.datasets import load_dataset
-from ..perf.parallel import ParallelConfig
 from ..store.cache import IndexStore
 from ..workloads.queries import generate_workload
 from .runner import baseline_query_seconds, run_powcov, run_chromland
@@ -49,7 +48,7 @@ def scaling_sweep(
     num_pairs: int = 120,
     seed: int = 7,
     chromland_iterations: int = 200,
-    parallel: "ParallelConfig | int | None" = None,
+    parallel: int | None = None,
     engine: "EngineConfig | bool | None" = None,
     index_store: "IndexStore | None" = None,
 ) -> list[ScalingPoint]:

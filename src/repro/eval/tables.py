@@ -33,7 +33,6 @@ from ..graph.datasets import dataset_names, load_dataset, paper_synthetic
 from ..graph.traversal import estimate_diameter
 from ..landmarks import select_landmarks
 from ..obs.trace import span
-from ..perf.parallel import ParallelConfig
 from ..store.cache import IndexStore
 from ..workloads.queries import generate_workload
 from .runner import IndexRun, baseline_query_seconds, run_chromland, run_powcov
@@ -159,7 +158,7 @@ _PAPER_TABLE2 = {
 
 
 def _size_row(
-    graph, name: str, k: int, seed: int, parallel: "ParallelConfig | int | None"
+    graph, name: str, k: int, seed: int, parallel: int | None
 ) -> Table2Row:
     landmarks = select_landmarks(graph, k, strategy="greedy-mvc", seed=seed)
     powcov = PowCovIndex(graph, landmarks).build(parallel=parallel)
@@ -183,7 +182,7 @@ def table2(
     synthetic_vertices: int = 2000,
     synthetic_edges: int = 10_000,
     datasets: tuple[str, ...] | None = None,
-    parallel: "ParallelConfig | int | None" = None,
+    parallel: int | None = None,
 ) -> list[Table2Row]:
     """Index sizes on the real stand-ins and the synthetic |L| sweep."""
     rows = []
@@ -250,14 +249,14 @@ class Table3Row:
 
 
 def _time_row(
-    graph, name: str, k: int, seed: int, parallel: "ParallelConfig | int | None"
+    graph, name: str, k: int, seed: int, parallel: int | None
 ) -> Table3Row:
     with span("table3.row", dataset=name, k=k):
         return _time_row_inner(graph, name, k, seed, parallel)
 
 
 def _time_row_inner(
-    graph, name: str, k: int, seed: int, parallel: "ParallelConfig | int | None",
+    graph, name: str, k: int, seed: int, parallel: int | None,
     iterations: int = 30,
 ) -> Table3Row:
     landmarks = select_landmarks(graph, k, strategy="greedy-mvc", seed=seed)
@@ -316,7 +315,7 @@ def table3(
     synthetic_vertices: int = 2000,
     synthetic_edges: int = 10_000,
     datasets: tuple[str, ...] | None = None,
-    parallel: "ParallelConfig | int | None" = None,
+    parallel: int | None = None,
 ) -> list[Table3Row]:
     """Per-landmark indexing time: ChromLand, TraversePowerset, BruteForce.
 
@@ -403,7 +402,7 @@ def table4(
     datasets: tuple[str, ...] | None = None,
     chromland_iterations: int = 4000,
     engine: "EngineConfig | bool | None" = None,
-    parallel: "ParallelConfig | int | None" = None,
+    parallel: int | None = None,
     index_store: "IndexStore | None" = None,
 ) -> list[Table4Cell]:
     """Full query evaluation of PowCov and ChromLand across ``ks``.

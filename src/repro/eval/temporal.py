@@ -28,7 +28,6 @@ from ..core.powcov import PowCovIndex
 from ..graph.datasets import load_dataset
 from ..graph.labeled_graph import EdgeLabeledGraph
 from ..landmarks import select_landmarks
-from ..perf.parallel import ParallelConfig
 from ..workloads.streams import (
     SnapshotOracleSequence,
     TemporalEdge,
@@ -101,7 +100,7 @@ def temporal_report(
     k: int = 6,
     num_queries: int = 400,
     seed: int = 7,
-    parallel: "ParallelConfig | int | None" = None,
+    parallel: int | None = None,
 ) -> list[TemporalReportRow]:
     """One row per dataset: mixed-stream and snapshot-sweep measurements.
 

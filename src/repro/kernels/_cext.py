@@ -108,8 +108,7 @@ int repro_msbfs_bitset(
 }
 
 /* Sparse path: one sequential BFS per row over the out-arc CSR with a
- * per-arc label test.  Rows whose frontier dies stop costing anything
- * (the compiled analogue of the numpy path's active-row compaction).
+ * per-arc label test.  Rows whose frontier dies stop costing anything.
  * dist rows use -1 (UNREACHABLE) for unvisited, 0 pre-seeded at the
  * source.  Returns 0, or -1 on allocation failure. */
 int repro_msbfs_sparse(

@@ -5,8 +5,8 @@ disabled overhead, wired through the build kernels, the parallel
 executor, the query engine and the eval harness:
 
 * :mod:`repro.obs.trace` — structured nested spans (wall + CPU time,
-  counters, tags) with a rendered tree summary and JSONL export; spans
-  cross process boundaries via the worker result payload.
+  counters, tags) with a rendered tree summary and JSONL export; a
+  threaded build's worker spans nest under the build's span.
 * :mod:`repro.obs.metrics` — a process-wide registry of counters, gauges
   and log-bucket histograms (p50/p95/p99 without retaining samples).
 * :mod:`repro.obs.profiling` — opt-in cProfile/tracemalloc hooks
@@ -40,9 +40,7 @@ from .metrics import (
 from .profiling import profile_dir, profile_phase, profiling_enabled, set_profiling
 from .trace import (
     Span,
-    attach_spans,
     current_span,
-    export_trace,
     get_trace,
     render_trace,
     reset_trace,
@@ -61,8 +59,6 @@ __all__ = [
     "tracing_enabled",
     "get_trace",
     "reset_trace",
-    "export_trace",
-    "attach_spans",
     "render_trace",
     "trace_to_jsonl",
     "write_jsonl",

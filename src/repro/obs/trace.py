@@ -12,20 +12,19 @@ returns one shared no-op context manager, so instrumented library code
 pays a single function call and no allocation.  Enable with
 :func:`set_tracing` (the eval CLI's ``--trace`` flag).
 
-Spans cross process boundaries by value: a worker calls
-:func:`export_trace` and ships the plain-dict payload home with its
-results, where :func:`attach_spans` grafts the subtree under the caller's
-active span (see :mod:`repro.perf.parallel`).
-
 Threading: each thread nests spans on its own stack; spans opened on a
 thread with an empty stack become new roots.  The roots list itself is
-lock-protected, so thread-pool builds trace safely.
+lock-protected, so threads trace safely.  A thread pool that works for a
+caller's span opens its workers' spans under it with :func:`spans_under`
+(see :mod:`repro.perf.parallel`), so a parallel build is one tree.
 """
 
 from __future__ import annotations
 
 import json
 import threading
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter, process_time
 from types import TracebackType
@@ -39,8 +38,7 @@ __all__ = [
     "current_span",
     "get_trace",
     "reset_trace",
-    "export_trace",
-    "attach_spans",
+    "spans_under",
     "render_trace",
     "trace_to_jsonl",
     "write_jsonl",
@@ -68,7 +66,7 @@ class Span:
         self.tags[name] = str(value)
 
     def to_dict(self) -> dict[str, Any]:
-        """Plain-dict form (JSON-safe, recursive) for export/IPC."""
+        """Plain-dict form (JSON-safe, recursive) for export."""
         out: dict[str, Any] = {
             "name": self.name,
             "wall_seconds": self.wall_seconds,
@@ -82,19 +80,6 @@ class Span:
         if self.children:
             out["children"] = [child.to_dict() for child in self.children]
         return out
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> Span:
-        """Rebuild a span tree from :meth:`to_dict` output."""
-        return cls(
-            name=str(data["name"]),
-            tags={str(k): str(v) for k, v in data.get("tags", {}).items()},
-            wall_seconds=float(data.get("wall_seconds", 0.0)),
-            cpu_seconds=float(data.get("cpu_seconds", 0.0)),
-            counters={str(k): int(v) for k, v in data.get("counters", {}).items()},
-            children=[cls.from_dict(c) for c in data.get("children", [])],
-            status=str(data.get("status", "ok")),
-        )
 
 
 class _NullSpan:
@@ -168,15 +153,6 @@ class Tracer:
     def active(self) -> Span | None:
         stack = self._stack()
         return stack[-1] if stack else None
-
-    def attach(self, spans: list[Span]) -> None:
-        """Graft already-finished spans under the active span (or roots)."""
-        parent = self.active()
-        if parent is not None:
-            parent.children.extend(spans)
-        else:
-            with self._lock:
-                self.roots.extend(spans)
 
     def reset(self) -> None:
         with self._lock:
@@ -260,21 +236,23 @@ def reset_trace() -> None:
     _TRACER.reset()
 
 
-def export_trace() -> list[dict[str, Any]]:
-    """Root spans as plain dicts — the cross-process payload format."""
-    return [root.to_dict() for root in _TRACER.roots]
+@contextmanager
+def spans_under(parent: Span | _NullSpan) -> Iterator[None]:
+    """Open this thread's spans as children of ``parent``.
 
-
-def attach_spans(payload: list[dict[str, Any]]) -> None:
-    """Graft exported span dicts under this thread's active span.
-
-    The worker side of a process-backend build exports its spans with
-    :func:`export_trace` and ships them with the chunk results; the parent
-    calls this to splice them into its own tree.
+    ``parent`` is a span another thread holds open: a thread pool's
+    caller hands the span it opened for the pool to the workers.  Worker
+    spans append to ``parent.children`` concurrently, which
+    ``list.append`` keeps safe.  A no-op for the null span (tracing off).
     """
-    if not payload:
+    if not isinstance(parent, Span):
+        yield
         return
-    _TRACER.attach([Span.from_dict(entry) for entry in payload])
+    _TRACER._stack().append(parent)
+    try:
+        yield
+    finally:
+        _TRACER.close(parent)
 
 
 # ----------------------------------------------------------------------

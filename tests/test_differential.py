@@ -47,10 +47,8 @@ from repro.engine.executors import PowCovExecutor
 from repro.graph.generators import labeled_erdos_renyi
 from repro.graph.labeled_graph import EdgeLabeledGraph
 from repro.kernels import available_kernels, kernel_name
-from repro.perf.parallel import SERIAL, ParallelConfig
-
-THREADS = ParallelConfig(num_workers=2, backend="thread", chunk_size=1)
-BACKENDS = {"serial": SERIAL, "thread": THREADS}
+#: Build axis: ``parallel=`` values (serial, and two worker threads).
+BACKENDS = {"serial": None, "thread": 2}
 POWCOV_BUILDERS = ("traverse", "wave")
 #: Kernel axis: every backend importable here (numpy always; the
 #: on-demand C extension when a C compiler is present).
@@ -342,8 +340,8 @@ class TestDifferential:
     def test_out_of_domain_masks_rejected_on_every_path(self, graph, which):
         """Out-of-domain axis: a mask outside ``[0, 2**num_labels)`` or a
         vertex outside ``[0, num_vertices)`` never reaches an oracle — the
-        engine paths raise ``ValueError`` and the wire answers 400, for
-        every oracle family."""
+        scalar ``query`` and the engine paths raise ``ValueError`` and the
+        wire answers 400, for every oracle family."""
         top = 1 << graph.num_labels
         n = graph.num_vertices
         bad = {
@@ -363,7 +361,7 @@ class TestDifferential:
             "naive": NaivePowersetIndex(graph, range(k)).build(),
         }
         for name, oracle in oracles.items():
-            for path in ("batch", "session"):
+            for path in ("scalar", "batch", "session"):
                 with pytest.raises(ValueError, match="domain|int64|vertex"):
                     answers_via(oracle, queries, path)
             status, payload = _post_via_http(oracle, queries)

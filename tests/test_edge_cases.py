@@ -109,11 +109,13 @@ class TestBuilderPathological:
 
 class TestLargeMaskSafety:
     def test_mask_beyond_labels_is_harmless(self):
-        """Bits above num_labels in the constraint are ignored."""
+        """Bits above num_labels never give a wrong answer: the traversal
+        ignores them, and an oracle rejects the query as out of domain."""
         g = single_edge_graph()
         assert bidirectional_constrained_bfs(g, 0, 1, 0b1111) == 1.0
         index = PowCovIndex(g, [0]).build()
-        assert index.query(0, 1, 0b1111) == 1.0
+        with pytest.raises(ValueError, match="domain"):
+            index.query(0, 1, 0b1111)
 
     def test_unreachable_answer_consistency(self):
         g = EdgeLabeledGraph.from_edges(

@@ -36,7 +36,6 @@ VIOLATIONS = {
     "REPRO009": ("repro009_violation.py", {(13, 12), (20, 18), (27, 12), (32, 5)}),
     "REPRO010": ("repro010_violation.py", {(11, 12), (15, 12)}),
     "REPRO011": ("repro011_violation.py", {(12, 35), (16, 48)}),
-    "REPRO012": ("repro012_violation.py", {(10, 13), (18, 12), (23, 5)}),
     "REPRO013": ("repro013_violation.py", {(13, 5), (18, 12), (24, 5)}),
 }
 
@@ -44,7 +43,6 @@ CLEAN = {
     "REPRO009": "repro009_clean.py",
     "REPRO010": "repro010_clean.py",
     "REPRO011": "repro011_clean.py",
-    "REPRO012": "repro012_clean.py",
     "REPRO013": "repro013_clean.py",
 }
 
@@ -276,23 +274,25 @@ def test_provable_narrowing_still_fires_after_join():
 
 
 def test_container_escape_suppresses_leak():
-    # Regression for perf/parallel.py: resources held by list elements
-    # escape when the container does.
-    attach = "from repro.perf.shm import attach_graph\n"
-    leaking = attach + textwrap.dedent(
+    # Resources held by list elements escape when the container does.
+    leaking = textwrap.dedent(
         """
-        def f(descs):
-            handles = [attach_graph(d) for d in descs]
+        import numpy as np
+
+        def f(paths):
+            handles = [np.memmap(p, mode="w+", shape=(8,)) for p in paths]
         """
     )
-    escaping = attach + textwrap.dedent(
+    escaping = textwrap.dedent(
         """
-        def f(descs):
-            handles = [attach_graph(d) for d in descs]
+        import numpy as np
+
+        def f(paths):
+            handles = [np.memmap(p, mode="w+", shape=(8,)) for p in paths]
             return handles
         """
     )
-    assert {f.rule for f in analyze_source(leaking, Path("gen.py"))} == {"REPRO012"}
+    assert {f.rule for f in analyze_source(leaking, Path("gen.py"))} == {"REPRO013"}
     assert analyze_source(escaping, Path("gen.py")) == []
 
 
@@ -310,9 +310,9 @@ def test_coded_noqa_suppresses_flow_finding():
 
 
 def test_select_filters_rules():
-    path = FIXTURES / "repro012_violation.py"
+    path = FIXTURES / "repro013_violation.py"
     assert _analyze(path, select=["REPRO009"]) == []
-    assert {f.rule for f in _analyze(path, select=["REPRO012"])} == {"REPRO012"}
+    assert {f.rule for f in _analyze(path, select=["REPRO013"])} == {"REPRO013"}
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +382,11 @@ def test_cli_list_rules(capsys):
 
 
 def test_cli_select(capsys, tmp_path):
-    bad = str(FIXTURES / "repro012_violation.py")
+    bad = str(FIXTURES / "repro013_violation.py")
     empty = str(tmp_path / "baseline.txt")
     assert main([bad, "--no-cache", "--baseline", empty, "--select", "repro009"]) == 0
     capsys.readouterr()
-    assert main([bad, "--no-cache", "--baseline", empty, "--select", "REPRO012"]) == 1
+    assert main([bad, "--no-cache", "--baseline", empty, "--select", "REPRO013"]) == 1
 
 
 def test_cli_rejects_unknown_rule():

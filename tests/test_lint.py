@@ -26,7 +26,7 @@ FIXTURES = Path(__file__).parent / "lint_fixtures"
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 #: rule id -> (violation fixture, minimum expected findings of that rule)
-#: The flow rules (REPRO009-013) have their own corpus in test_flow.py.
+#: The flow rules (REPRO009-011, REPRO013) have their own corpus in test_flow.py.
 VIOLATIONS = {
     "REPRO000": ("repro000_violation.py", 2),
     "REPRO001": ("repro001_violation.py", 3),

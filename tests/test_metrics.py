@@ -31,7 +31,7 @@ class _ConstantOffsetOracle(DistanceOracle):
         self.infinite_every = infinite_every
         self._count = 0
 
-    def query(self, source, target, label_mask):
+    def _query(self, source, target, label_mask):
         self._count += 1
         if self.infinite_every and self._count % self.infinite_every == 0:
             return INF

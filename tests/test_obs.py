@@ -28,14 +28,13 @@ from repro.obs.metrics import (
 from repro.obs.profiling import profile_phase, set_profiling
 from repro.obs.trace import (
     Span,
-    attach_spans,
     current_span,
-    export_trace,
     get_trace,
     render_trace,
     reset_trace,
     set_tracing,
     span,
+    spans_under,
     trace_to_jsonl,
     tracing_enabled,
     write_jsonl,
@@ -70,8 +69,20 @@ class TestSpan:
         root = Span("root", tags={"a": "1"}, wall_seconds=0.5, cpu_seconds=0.25)
         root.count("n", 7)
         root.children.append(Span("child", status="error"))
-        rebuilt = Span.from_dict(root.to_dict())
-        assert rebuilt == root
+        data = root.to_dict()
+        assert json.loads(json.dumps(data)) == data  # JSON-safe
+        assert data == {
+            "name": "root",
+            "wall_seconds": 0.5,
+            "cpu_seconds": 0.25,
+            "status": "ok",
+            "tags": {"a": "1"},
+            "counters": {"n": 7},
+            "children": [
+                {"name": "child", "wall_seconds": 0.0, "cpu_seconds": 0.0,
+                 "status": "error"}
+            ],
+        }
 
     def test_to_dict_omits_empty_fields(self):
         data = Span("bare").to_dict()
@@ -132,25 +143,28 @@ class TestTracer:
         names = sorted(r.name for r in get_trace())
         assert names == ["main-root", "thread-root"]
 
-    def test_attach_spans_grafts_under_active(self):
+    def test_spans_under_adopts_another_threads_span(self):
         set_tracing(True)
-        payload = [Span("shipped", wall_seconds=1.0).to_dict()]
-        with span("parent"):
-            attach_spans(payload)
-        (root,) = get_trace()
-        assert [c.name for c in root.children] == ["shipped"]
-        # Without an active span the graft lands at the roots.
-        attach_spans(payload)
-        assert [r.name for r in get_trace()] == ["parent", "shipped"]
 
-    def test_export_and_reset(self):
+        def worker(parent):
+            with spans_under(parent), span("worker"):
+                pass
+
+        with span("caller") as caller:
+            thread = threading.Thread(target=worker, args=(caller,))
+            thread.start()
+            thread.join()
+        (root,) = get_trace()
+        assert [c.name for c in root.children] == ["worker"]
+
+    def test_reset_drops_spans_not_the_flag(self):
         set_tracing(True)
         with span("once"):
             pass
-        assert [e["name"] for e in export_trace()] == ["once"]
+        assert [r.name for r in get_trace()] == ["once"]
         reset_trace()
-        assert export_trace() == []
-        assert tracing_enabled()  # reset drops spans, not the flag
+        assert get_trace() == []
+        assert tracing_enabled()
 
     def test_render_trace(self):
         set_tracing(True)

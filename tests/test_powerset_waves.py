@@ -4,7 +4,7 @@ The contract under test is *bit-identity*: the wave builder must produce
 exactly the entries (and pruning counters) of the scalar
 ``traverse_powerset`` and of ``brute_force_sp_minimal``, on undirected and
 directed graphs, under every Observation-flag combination, and through
-``PowCovIndex`` under every parallel backend.
+``PowCovIndex`` serially and on worker threads.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from repro.core.powcov.spminimal import (
 from repro.graph.generators import labeled_erdos_renyi
 from repro.graph.labeled_graph import EdgeLabeledGraph
 from repro.graph.labelsets import popcount
-from repro.perf.parallel import ParallelConfig
 
 
 def directed_random(n=40, m=140, labels=4, seed=0) -> EdgeLabeledGraph:
@@ -151,14 +150,7 @@ class TestIndexIntegration:
                         s, t, mask
                     ), (s, t, mask)
 
-    @pytest.mark.parametrize(
-        "parallel",
-        [
-            ParallelConfig(num_workers=2, backend="thread"),
-            ParallelConfig(num_workers=2, backend="process"),
-        ],
-        ids=["thread", "process"],
-    )
+    @pytest.mark.parametrize("parallel", [2, 3])
     def test_wave_builder_under_parallel_backends(self, parallel):
         graph = labeled_erdos_renyi(30, 75, num_labels=3, seed=12)
         landmarks = [0, 10, 20, 29]
