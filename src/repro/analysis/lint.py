@@ -43,9 +43,9 @@ live in :mod:`repro.analysis.flow`):
 ``REPRO007``
     No ``time.time()`` in library code: it is wall-clock epoch time, not
     a monotonic timer — measurements jump on NTP adjustments.  Use
-    ``time.perf_counter()`` for durations and ``time.process_time()`` for
-    CPU time (both already threaded through :mod:`repro.obs.trace` and
-    :mod:`repro.engine.instrument`).  ``from time import time`` is flagged
+    ``time.perf_counter()`` for durations and ``time.process_time()`` (or,
+    per thread as :mod:`repro.obs.trace` spans use it,
+    ``time.thread_time()``) for CPU time.  ``from time import time`` is flagged
     at the import.
 ``REPRO008``
     Graph mutations go through the delta API.  The version-lineage

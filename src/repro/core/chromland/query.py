@@ -11,9 +11,18 @@ Both strategies compute sound *upper bounds* on ``d_C(s, t)``:
   proves this is the *tightest* sound bound derivable from the stored
   distances; it costs ``O(k^2)`` via a dense Dijkstra.
 
-The dense Dijkstra is hand-rolled over numpy arrays: auxiliary graphs have
-at most ``k + 2`` nodes, where ``k ≤ a few hundred``, so the ``O(V^2)``
-variant with vectorized relaxation beats heap-based implementations.
+Theorem 5 is evaluated two ways, with bit-identical answers:
+
+* one query (the scalar ``oracle.query``): the dense Dijkstra of
+  :func:`auxiliary_distance_from_plan`, run on the :mod:`repro.kernels`
+  backend — auxiliary graphs have at most ``k + 2`` nodes, so the
+  ``O(V^2)`` variant beats heap-based implementations;
+* a same-mask group (the query engine): the landmark–landmark edges depend
+  only on the mask, so :func:`landmark_closure` closes them once per mask
+  (Floyd–Warshall) and :func:`closure_distances` answers every query of
+  the group as one min-plus over landmark pairs — the usable landmarks act
+  as 2-hop hubs.  Stored distances are integer hop counts, so every
+  float64 sum is exact and the order of additions cannot change a result.
 """
 
 from __future__ import annotations
@@ -31,9 +40,14 @@ __all__ = [
     "AuxiliaryPlan",
     "prepare_auxiliary",
     "auxiliary_distance_from_plan",
+    "landmark_closure",
+    "closure_distances",
 ]
 
 _INF = np.float64(np.inf)
+#: Element budget of :func:`closure_distances`' ``(chunk, k, k)`` temporary
+#: (2 MiB of float64), so its memory does not grow with the group size.
+_CLOSURE_CHUNK_ELEMENTS = 1 << 18
 
 
 def simple_triangle_distance(
@@ -155,3 +169,43 @@ def auxiliary_distance_from_plan(
     if plan.weights is None:
         return best_single
     return resolve_kernel(kernel).aux_dijkstra(plan.weights, ds, dt, best_single)
+
+
+def landmark_closure(weights: np.ndarray) -> np.ndarray:
+    """All-pairs distances over the usable landmarks of a Theorem 5 plan.
+
+    ``weights`` is :attr:`AuxiliaryPlan.weights` (``inf`` where no edge);
+    the result ``D[i, j]`` is the shortest ``x_i → x_j`` distance on the
+    auxiliary graph's landmark part, ``D[i, i] = 0`` — Floyd–Warshall,
+    one vectorized relaxation per intermediate landmark.
+    """
+    closure = weights.copy()
+    np.fill_diagonal(closure, 0.0)
+    for m in range(len(closure)):
+        np.minimum(closure, closure[:, m, None] + closure[m], out=closure)
+    return closure
+
+
+def closure_distances(
+    closure: np.ndarray, ds: np.ndarray, dt: np.ndarray
+) -> np.ndarray:
+    """Theorem 5 for a group: ``min_j(min_i(ds[i] + D[i, j]) + dt[j])``.
+
+    ``ds`` / ``dt`` are the ``(k_usable, B)`` source/target legs of ``B``
+    queries (``inf`` = unreachable), ``closure`` the
+    :func:`landmark_closure` of their mask.  Queries are processed in
+    chunks so the ``(chunk, k, k)`` temporary stays within a fixed
+    element budget whatever ``B`` is.
+    """
+    k, count = ds.shape
+    out = np.empty(count, dtype=np.float64)
+    step = max(1, _CLOSURE_CHUNK_ELEMENTS // (k * k))
+    # Query-major views keep the landmark axis ``j`` innermost (contiguous
+    # rows of ``closure``) in the (chunk, i, j) temporary.
+    source_legs, target_legs = ds.T, dt.T
+    for lo in range(0, count, step):
+        hi = lo + step
+        via = (source_legs[lo:hi, :, None] + closure).min(axis=1)
+        via += target_legs[lo:hi]
+        out[lo:hi] = via.min(axis=1)
+    return out

@@ -13,9 +13,10 @@ query loop:
   index's sorted table; per-vertex landmark rows are cached on the mask
   plan so repeated-mask streams never re-scan a vertex's entries.
 * :class:`ChromLandExecutor` computes the usable-landmark filter and (for
-  the Theorem 5 strategy) the masked auxiliary adjacency once per mask,
-  then evaluates every pair in the group against the shared plan; the
-  Proposition 2 strategy vectorizes across the whole group.
+  the Theorem 5 strategy) the closure of the masked landmark graph once
+  per mask, then answers the whole group with one min-plus over landmark
+  pairs; the Proposition 2 strategy (and a mask with one usable color)
+  takes the single-landmark minimum across the group.
 * :class:`NaiveExecutor` stacks the per-landmark exact distance vectors of
   the group's mask into one ``(k, n)`` matrix and answers the group with
   two gathers and a min-reduction.
@@ -36,15 +37,14 @@ import numpy as np
 
 from ..core.chromland import ChromLandIndex
 from ..core.chromland.query import (
-    AuxiliaryPlan,
-    auxiliary_distance_from_plan,
+    closure_distances,
+    landmark_closure,
     prepare_auxiliary,
 )
 from ..core.naive import NaivePowersetIndex
 from ..core.powcov import PowCovIndex
 from ..core.types import INF, DistanceOracle
 from ..graph.traversal import UNREACHABLE
-from ..kernels import KernelBackend, resolve_kernel
 from .plan import MaskGroup
 
 __all__ = [
@@ -69,9 +69,6 @@ class OracleExecutor(Generic[OracleT, PlanT]):
 
     def __init__(self, oracle: OracleT) -> None:
         self.oracle: OracleT = oracle
-        #: Compiled-kernel backend for the executor's hot loops, resolved
-        #: once here (``"auto"``) so the hot path never re-probes.
-        self.kernel: KernelBackend = resolve_kernel(None)
 
     def prepare_mask(self, label_mask: int) -> PlanT:
         """Build the reusable per-mask state (cached by the session)."""
@@ -220,18 +217,20 @@ class PowCovExecutor(OracleExecutor[PowCovIndex, _PowCovMaskPlan]):
 # ChromLand
 # ----------------------------------------------------------------------
 class _ChromLandMaskPlan:
-    __slots__ = ("label_mask", "usable", "auxiliary")
+    __slots__ = ("label_mask", "usable", "closure")
 
     def __init__(self, label_mask: int, usable: np.ndarray,
-                 auxiliary: AuxiliaryPlan | None) -> None:
+                 closure: np.ndarray | None) -> None:
         self.label_mask = label_mask
         self.usable = usable
-        #: prepared Theorem 5 plan (``None`` in "simple" query mode).
-        self.auxiliary = auxiliary
+        #: Theorem 5 landmark closure over ``usable`` (``None`` in "simple"
+        #: query mode and when at most one usable color exists: the
+        #: single-landmark bound is then already optimal).
+        self.closure = closure
 
 
 class ChromLandExecutor(OracleExecutor[ChromLandIndex, _ChromLandMaskPlan]):
-    """Shared usable-filter + auxiliary adjacency per mask group."""
+    """Shared usable-filter + landmark closure per mask group."""
 
     def __init__(self, oracle: ChromLandIndex) -> None:
         super().__init__(oracle)
@@ -240,10 +239,20 @@ class ChromLandExecutor(OracleExecutor[ChromLandIndex, _ChromLandMaskPlan]):
     def prepare_mask(self, label_mask: int) -> _ChromLandMaskPlan:
         oracle = self.oracle
         usable = np.nonzero((oracle._color_bits & label_mask) != 0)[0]  # noqa: SLF001
-        auxiliary = None
+        closure = None
         if len(usable) and oracle.query_mode == "auxiliary":
-            auxiliary = prepare_auxiliary(oracle.bi, oracle.colors, usable)
-        return _ChromLandMaskPlan(label_mask, usable, auxiliary)
+            weights = prepare_auxiliary(oracle.bi, oracle.colors, usable).weights
+            if weights is not None:
+                # The min-plus sums paths in another order than the scalar
+                # Dijkstra; only integer distances make that order moot.
+                for table in (oracle.bi, oracle.mono):
+                    if not np.issubdtype(table.dtype, np.integer):
+                        raise TypeError(
+                            "ChromLand landmark closure needs integer "
+                            f"distance tables, got {table.dtype}"
+                        )
+                closure = landmark_closure(weights)
+        return _ChromLandMaskPlan(label_mask, usable, closure)
 
     def execute_group(
         self, mask_plan: _ChromLandMaskPlan, group: MaskGroup
@@ -262,19 +271,15 @@ class ChromLandExecutor(OracleExecutor[ChromLandIndex, _ChromLandMaskPlan]):
         targets = group.targets[live]
         source_table = oracle.mono if oracle.mono_in is None else oracle.mono_in
         # (k_usable, g) legs for the whole group, sentinel-converted once.
-        ds = source_table[np.ix_(mask_plan.usable, sources)].astype(np.float64)
-        dt = oracle.mono[np.ix_(mask_plan.usable, targets)].astype(np.float64)
+        rows = mask_plan.usable[:, None]
+        ds = source_table[rows, sources].astype(np.float64)
+        dt = oracle.mono[rows, targets].astype(np.float64)
         ds[ds == UNREACHABLE] = INF
         dt[dt == UNREACHABLE] = INF
-        if oracle.query_mode == "simple":
+        if mask_plan.closure is None:
             out[live] = (ds + dt).min(axis=0)
         else:
-            estimates = np.empty(ds.shape[1], dtype=np.float64)
-            for i in range(ds.shape[1]):
-                estimates[i] = auxiliary_distance_from_plan(
-                    mask_plan.auxiliary, ds[:, i], dt[:, i], kernel=self.kernel
-                )
-            out[live] = estimates
+            out[live] = closure_distances(mask_plan.closure, ds, dt)
         return out
 
 

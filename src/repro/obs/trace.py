@@ -26,7 +26,7 @@ import threading
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from time import perf_counter, process_time
+from time import perf_counter, thread_time
 from types import TracebackType
 from typing import Any
 
@@ -175,7 +175,11 @@ def tracing_enabled() -> bool:
 
 
 class _SpanHandle:
-    """Enabled-path context manager recording wall + CPU time."""
+    """Enabled-path context manager recording wall + CPU time.
+
+    CPU time is the opening thread's own (``time.thread_time``), so a span
+    never counts the work of sibling threads running beside it.
+    """
 
     __slots__ = ("_span", "_wall0", "_cpu0")
 
@@ -186,7 +190,7 @@ class _SpanHandle:
 
     def __enter__(self) -> Span:
         _TRACER.open(self._span)
-        self._cpu0 = process_time()
+        self._cpu0 = thread_time()
         self._wall0 = perf_counter()
         return self._span
 
@@ -197,7 +201,7 @@ class _SpanHandle:
         tb: TracebackType | None,
     ) -> None:
         self._span.wall_seconds += perf_counter() - self._wall0
-        self._span.cpu_seconds += process_time() - self._cpu0
+        self._span.cpu_seconds += thread_time() - self._cpu0
         if exc_type is not None:
             self._span.status = "error"
         _TRACER.close(self._span)

@@ -9,12 +9,19 @@ import pytest
 
 from repro.core.chromland import ChromLandIndex
 from repro.core.chromland.query import (
+    auxiliary_distance_from_plan,
     auxiliary_graph_distance,
+    closure_distances,
+    landmark_closure,
+    prepare_auxiliary,
     simple_triangle_distance,
 )
+from repro.engine.executors import ChromLandExecutor
+from repro.engine.plan import MaskGroup
 from repro.graph.generators import labeled_erdos_renyi
 from repro.graph.labeled_graph import EdgeLabeledGraph
 from repro.graph.traversal import UNREACHABLE, constrained_bfs
+from repro.kernels import available_kernels, resolve_kernel
 
 from conftest import all_pairs_all_masks, make_line
 
@@ -169,3 +176,123 @@ class TestQueryHelpers:
     def test_describe(self, built):
         _, _, _, aux, _ = built
         assert "chromland" in aux.describe()
+
+
+# ----------------------------------------------------------------------
+# Theorem 5 for a mask group: landmark closure + min-plus
+# ----------------------------------------------------------------------
+def _random_chromland(directed, k, seed, num_labels=4):
+    """A random graph sparse enough for unreachable legs, k landmarks."""
+    rng = np.random.default_rng(seed)
+    n = max(2 * k, 30)
+    edges = [
+        (int(u), int(v), int(c))
+        for u, v, c in zip(
+            rng.integers(n, size=4 * n), rng.integers(n, size=4 * n),
+            rng.integers(num_labels, size=4 * n),
+        )
+        if u != v
+    ]
+    graph = EdgeLabeledGraph.from_edges(
+        n, edges, num_labels=num_labels, directed=directed
+    )
+    landmarks = rng.choice(n, size=k, replace=False).tolist()
+    colors = rng.integers(num_labels, size=k)
+    colors[:2] = (0, 1)  # at least two colors, so some mask composes
+    return ChromLandIndex(graph, landmarks, colors.tolist()).build(), rng
+
+
+def _per_query_dijkstra(index, mask, sources, targets, kernel):
+    """The reference: one auxiliary Dijkstra per query on ``kernel``."""
+    usable = np.nonzero((index._color_bits & mask) != 0)[0]
+    plan = prepare_auxiliary(index.bi, index.colors, usable)
+    source_table = index.mono if index.mono_in is None else index.mono_in
+    out = np.empty(len(sources))
+    composed = 0  # answers below the best single-landmark bound
+    for q, (s, t) in enumerate(zip(sources, targets)):
+        if s == t:
+            out[q] = 0.0
+            continue
+        if mask == 0:
+            out[q] = math.inf
+            continue
+        ds = source_table[usable, s].astype(np.float64)
+        dt = index.mono[usable, t].astype(np.float64)
+        ds[ds == UNREACHABLE] = np.inf
+        dt[dt == UNREACHABLE] = np.inf
+        out[q] = auxiliary_distance_from_plan(plan, ds, dt, kernel=kernel)
+        composed += bool(len(usable)) and out[q] < (ds + dt).min()
+    return out, usable, composed
+
+
+KERNELS = [
+    pytest.param(name, marks=pytest.mark.skipif(
+        name not in available_kernels(), reason=f"{name} kernel unavailable"
+    ))
+    for name in ("numpy", "cext")
+]
+
+
+class TestGroupMatchesDijkstra:
+    """The engine's per-mask closure + min-plus equals the scalar Dijkstra
+    bit for bit, whatever backend the Dijkstra runs on."""
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("directed", [False, True],
+                             ids=["undirected", "directed"])
+    @pytest.mark.parametrize("k", [2, 5, 16, 64])
+    def test_bitwise_equal_on_every_mask(self, kernel, directed, k):
+        index, rng = _random_chromland(directed, k, seed=100 * k + directed)
+        executor = ChromLandExecutor(index)
+        backend = resolve_kernel(kernel)
+        n = index.graph.num_vertices
+        # More queries than one (chunk, k, k) slab holds at k = 64.
+        count = 150 if k == 64 else 40
+        usable_colors = set()
+        composed = 0
+        for mask in range(1 << index.graph.num_labels):
+            sources = rng.integers(n, size=count)
+            targets = rng.integers(n, size=count)
+            targets[:3] = sources[:3]  # s == t
+            group = MaskGroup(mask, np.arange(count), sources, targets)
+            got = executor.execute_group(executor.prepare_mask(mask), group)
+            want, usable, chained = _per_query_dijkstra(
+                index, mask, sources, targets, backend
+            )
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), mask
+            usable_colors.add(min(len(set(index.colors[usable].tolist())), 2))
+            composed += chained
+        # Masks with 0, 1 and >= 2 usable colors all occurred, and beyond
+        # two landmarks some answers needed a multi-landmark path.
+        assert usable_colors == {0, 1, 2}
+        assert composed > 0 or k == 2
+
+    def test_unreachable_legs_and_chunks(self):
+        """All-unreachable legs stay inf; a chunked group equals column-wise
+        evaluation."""
+        rng = np.random.default_rng(3)
+        k = 64
+        weights = rng.integers(1, 9, size=(k, k)).astype(np.float64)
+        weights[rng.random((k, k)) < 0.7] = np.inf
+        closure = landmark_closure(weights)
+        assert np.all(np.diag(closure) == 0.0)
+        count = 300  # 64 queries per chunk at k = 64
+        ds = rng.integers(1, 9, size=(k, count)).astype(np.float64)
+        dt = rng.integers(1, 9, size=(k, count)).astype(np.float64)
+        ds[rng.random(ds.shape) < 0.8] = np.inf
+        dt[rng.random(dt.shape) < 0.8] = np.inf
+        ds[:, 0] = np.inf
+        dt[:, 1] = np.inf
+        got = closure_distances(closure, ds, dt)
+        assert np.isinf(got[0]) and np.isinf(got[1])
+        for q in range(count):
+            want = (ds[:, q, None] + closure + dt[None, :, q]).min()
+            assert got[q] == want
+
+    def test_float_tables_refused(self, built):
+        """The min-plus is exact only over integer distances."""
+        graph, landmarks, colors, _, _ = built
+        index = ChromLandIndex(graph, landmarks, colors).build()
+        index.bi = index.bi.astype(np.float64)
+        with pytest.raises(TypeError, match="integer"):
+            ChromLandExecutor(index).prepare_mask(0b111)

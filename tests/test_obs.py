@@ -157,6 +157,28 @@ class TestTracer:
         (root,) = get_trace()
         assert [c.name for c in root.children] == ["worker"]
 
+    def test_span_cpu_is_its_own_threads(self):
+        # A span that sleeps beside a spinning thread must not be charged
+        # the spinner's CPU: span CPU is per thread, not per process.
+        set_tracing(True)
+        stop = threading.Event()
+
+        def spin():
+            while not stop.is_set():
+                pass
+
+        spinner = threading.Thread(target=spin)
+        spinner.start()
+        try:
+            with span("sleeper") as sp:
+                stop.wait(0.2)
+        finally:
+            stop.set()
+            spinner.join(timeout=10)
+        assert not spinner.is_alive()
+        assert sp.wall_seconds >= 0.15
+        assert sp.cpu_seconds < 0.5 * sp.wall_seconds
+
     def test_reset_drops_spans_not_the_flag(self):
         set_tracing(True)
         with span("once"):
