@@ -12,6 +12,12 @@ PowCov (one packed numpy sweep per mask group instead of per-query dict
 probing), and the warm-cache replay is another order of magnitude on
 top.  The ``*_speedup`` extra_info fields document what the hardware
 allowed.
+
+ChromLand is timed on both sides of its per-mask choice: the repeated-
+mask stream (few masks, many queries each, so masks are closed and
+answered by min-plus) and a one-shot batch with many landmarks and a
+dozen queries per mask, where closing a mask would cost more than the
+Dijkstras it saves.
 """
 
 from __future__ import annotations
@@ -20,7 +26,10 @@ import time
 
 import numpy as np
 
+from repro.core.chromland import ChromLandIndex
+from repro.core.chromland.selection import majority_colors
 from repro.engine import QuerySession, execute_batch
+from repro.landmarks import select_landmarks
 from repro.workloads.streams import run_stream_throughput
 
 from conftest import BENCH_K, BENCH_SEED
@@ -28,6 +37,9 @@ from conftest import BENCH_K, BENCH_SEED
 #: queries per stream; a handful of masks repeated many times each.
 STREAM_QUERIES = 4000
 STREAM_MASKS = 8
+#: The one-shot ChromLand batch: many landmarks, few queries per mask.
+MANY_LANDMARKS = 128
+QUERIES_PER_MASK = 12
 
 
 def repeated_mask_stream(graph, num_queries=STREAM_QUERIES,
@@ -69,7 +81,7 @@ def _scalar_vs_engine(benchmark, oracle, stream, kernel="numpy",
     assert cached == expected
 
     benchmark.extra_info["num_queries"] = len(stream)
-    benchmark.extra_info["num_masks"] = STREAM_MASKS
+    benchmark.extra_info["num_masks"] = len({m for _, _, m in stream})
     benchmark.extra_info["scalar_seconds"] = scalar_seconds
     benchmark.extra_info["batch_seconds"] = batch_seconds
     benchmark.extra_info["cached_seconds"] = cached_seconds
@@ -99,6 +111,26 @@ def test_chromland_scalar_vs_batch_vs_cached(benchmark, biogrid,
     benchmark.extra_info["k"] = BENCH_K
     _scalar_vs_engine(benchmark, biogrid_chromland, stream,
                       kernel=bench_kernel, min_batch_speedup=2.0)
+
+
+def test_chromland_few_queries_per_mask(benchmark, biogrid, bench_kernel):
+    """Every mask once, a dozen queries each, k = 128: the batch must not
+    close masks it cannot amortize (closing each one here ran slower than
+    the scalar loop)."""
+    landmarks = select_landmarks(biogrid, MANY_LANDMARKS, strategy="degree",
+                                 seed=BENCH_SEED)
+    oracle = ChromLandIndex(biogrid, landmarks,
+                            majority_colors(biogrid, landmarks)).build()
+    rng = np.random.default_rng(BENCH_SEED)
+    stream = [
+        (int(rng.integers(biogrid.num_vertices)),
+         int(rng.integers(biogrid.num_vertices)), mask)
+        for mask in range(1, 1 << biogrid.num_labels)
+        for _ in range(QUERIES_PER_MASK)
+    ]
+    benchmark.extra_info["k"] = MANY_LANDMARKS
+    _scalar_vs_engine(benchmark, oracle, stream, kernel=bench_kernel,
+                      min_batch_speedup=2.0)
 
 
 def test_session_stream_throughput(benchmark, biogrid, biogrid_powcov,

@@ -17,10 +17,11 @@ Theorem 5 is evaluated two ways, with bit-identical answers:
   :func:`auxiliary_distance_from_plan`, run on the :mod:`repro.kernels`
   backend — auxiliary graphs have at most ``k + 2`` nodes, so the
   ``O(V^2)`` variant beats heap-based implementations;
-* a same-mask group (the query engine): the landmark–landmark edges depend
-  only on the mask, so :func:`landmark_closure` closes them once per mask
+* a mask asked many queries (the query engine, once a mask has been
+  asked ``k_usable`` of them): the landmark–landmark edges depend only on
+  the mask, so :func:`landmark_closure` closes them once per mask
   (Floyd–Warshall) and :func:`closure_distances` answers every query of
-  the group as one min-plus over landmark pairs — the usable landmarks act
+  a group as one min-plus over landmark pairs — the usable landmarks act
   as 2-hop hubs.  Stored distances are integer hop counts, so every
   float64 sum is exact and the order of additions cannot change a result.
 """

@@ -7,7 +7,8 @@ repeat heavily.  This package turns any oracle into a batch server:
 * :mod:`repro.engine.plan` groups a batch by constraint mask;
 * :mod:`repro.engine.executors` evaluates each mask group vectorized
   (PowCov: one packed subset-sweep per group; ChromLand: one usable
-  filter + landmark closure per mask, one min-plus per group; naive:
+  filter + auxiliary adjacency per mask, closed into one min-plus per
+  group once the mask has been asked ``k_usable`` queries; naive:
   stacked gathers;
   everything else: the trivial scalar-loop adapter);
 * :mod:`repro.engine.session` adds the LRU answer cache, the per-mask

@@ -13,10 +13,11 @@ query loop:
   index's sorted table; per-vertex landmark rows are cached on the mask
   plan so repeated-mask streams never re-scan a vertex's entries.
 * :class:`ChromLandExecutor` computes the usable-landmark filter and (for
-  the Theorem 5 strategy) the closure of the masked landmark graph once
-  per mask, then answers the whole group with one min-plus over landmark
-  pairs; the Proposition 2 strategy (and a mask with one usable color)
-  takes the single-landmark minimum across the group.
+  the Theorem 5 strategy) the masked auxiliary adjacency once per mask;
+  the mask's first ``k_usable`` queries run the per-query Dijkstra, then
+  the mask is closed once and every later group is one min-plus over
+  landmark pairs.  The Proposition 2 strategy (and a mask with one usable
+  color) takes the single-landmark minimum across the group.
 * :class:`NaiveExecutor` stacks the per-landmark exact distance vectors of
   the group's mask into one ``(k, n)`` matrix and answers the group with
   two gathers and a min-reduction.
@@ -37,6 +38,8 @@ import numpy as np
 
 from ..core.chromland import ChromLandIndex
 from ..core.chromland.query import (
+    AuxiliaryPlan,
+    auxiliary_distance_from_plan,
     closure_distances,
     landmark_closure,
     prepare_auxiliary,
@@ -45,6 +48,7 @@ from ..core.naive import NaivePowersetIndex
 from ..core.powcov import PowCovIndex
 from ..core.types import INF, DistanceOracle
 from ..graph.traversal import UNREACHABLE
+from ..kernels import resolve_kernel
 from .plan import MaskGroup
 
 __all__ = [
@@ -217,42 +221,56 @@ class PowCovExecutor(OracleExecutor[PowCovIndex, _PowCovMaskPlan]):
 # ChromLand
 # ----------------------------------------------------------------------
 class _ChromLandMaskPlan:
-    __slots__ = ("label_mask", "usable", "closure")
+    __slots__ = ("label_mask", "usable", "auxiliary", "closure", "dijkstra_queries")
 
     def __init__(self, label_mask: int, usable: np.ndarray,
-                 closure: np.ndarray | None) -> None:
+                 auxiliary: AuxiliaryPlan | None) -> None:
         self.label_mask = label_mask
         self.usable = usable
-        #: Theorem 5 landmark closure over ``usable`` (``None`` in "simple"
-        #: query mode and when at most one usable color exists: the
-        #: single-landmark bound is then already optimal).
-        self.closure = closure
+        #: prepared Theorem 5 plan (``None`` in "simple" query mode and
+        #: once ``closure`` replaces it).
+        self.auxiliary = auxiliary
+        #: Closure of ``auxiliary.weights``, built once enough queries have
+        #: asked this mask (``None`` until then, and for good when at most
+        #: one usable color exists: the single-landmark bound is then
+        #: already optimal).
+        self.closure: np.ndarray | None = None
+        #: Queries of this mask answered by the per-query Dijkstra so far.
+        self.dijkstra_queries = 0
 
 
 class ChromLandExecutor(OracleExecutor[ChromLandIndex, _ChromLandMaskPlan]):
-    """Shared usable-filter + landmark closure per mask group."""
+    """Shared usable-filter + landmark adjacency (then closure) per mask.
+
+    A Theorem 5 mask pays for its landmark closure (``O(k^3)``) once its
+    queries would otherwise have run about ``k_usable`` Dijkstras
+    (``O(k^2)`` each, plus a kernel call): until then each query runs the
+    kernel Dijkstra, from then on every group is one min-plus.  Large
+    groups and warm sessions close the mask at once or soon; a one-shot
+    batch with few queries per mask and many landmarks never pays for a
+    closure it could not amortize.
+    """
 
     def __init__(self, oracle: ChromLandIndex) -> None:
         super().__init__(oracle)
         oracle._require_built()  # noqa: SLF001 - engine is a friend module
+        if oracle.query_mode == "auxiliary":
+            # The min-plus sums paths in another order than the Dijkstra;
+            # only integer distances make that order moot.
+            for table in (oracle.bi, oracle.mono, oracle.mono_in):
+                if table is not None and not np.issubdtype(table.dtype, np.integer):
+                    raise TypeError(
+                        "ChromLand landmark closure needs integer "
+                        f"distance tables, got {table.dtype}"
+                    )
 
     def prepare_mask(self, label_mask: int) -> _ChromLandMaskPlan:
         oracle = self.oracle
         usable = np.nonzero((oracle._color_bits & label_mask) != 0)[0]  # noqa: SLF001
-        closure = None
+        auxiliary = None
         if len(usable) and oracle.query_mode == "auxiliary":
-            weights = prepare_auxiliary(oracle.bi, oracle.colors, usable).weights
-            if weights is not None:
-                # The min-plus sums paths in another order than the scalar
-                # Dijkstra; only integer distances make that order moot.
-                for table in (oracle.bi, oracle.mono):
-                    if not np.issubdtype(table.dtype, np.integer):
-                        raise TypeError(
-                            "ChromLand landmark closure needs integer "
-                            f"distance tables, got {table.dtype}"
-                        )
-                closure = landmark_closure(weights)
-        return _ChromLandMaskPlan(label_mask, usable, closure)
+            auxiliary = prepare_auxiliary(oracle.bi, oracle.colors, usable)
+        return _ChromLandMaskPlan(label_mask, usable, auxiliary)
 
     def execute_group(
         self, mask_plan: _ChromLandMaskPlan, group: MaskGroup
@@ -276,6 +294,23 @@ class ChromLandExecutor(OracleExecutor[ChromLandIndex, _ChromLandMaskPlan]):
         dt = oracle.mono[rows, targets].astype(np.float64)
         ds[ds == UNREACHABLE] = INF
         dt[dt == UNREACHABLE] = INF
+        auxiliary = mask_plan.auxiliary
+        if auxiliary is not None and auxiliary.weights is not None:
+            # Dijkstra per query until the mask has been asked k_usable
+            # queries, then the closure (see the class docstring).
+            asked = mask_plan.dijkstra_queries + ds.shape[1]
+            if asked < len(auxiliary.usable):
+                mask_plan.dijkstra_queries = asked
+                kernel = resolve_kernel(None)  # loaded on first need
+                out[live] = [
+                    auxiliary_distance_from_plan(
+                        auxiliary, ds[:, i], dt[:, i], kernel=kernel
+                    )
+                    for i in range(ds.shape[1])
+                ]
+                return out
+            mask_plan.closure = landmark_closure(auxiliary.weights)
+            mask_plan.auxiliary = None
         if mask_plan.closure is None:
             out[live] = (ds + dt).min(axis=0)
         else:

@@ -1,7 +1,7 @@
 """Batch planning: group a query batch by label mask.
 
 Every specialized executor amortizes *per-mask* work — PowCov's subset
-scans, ChromLand's usable-landmark filter and landmark closure —
+scans, ChromLand's usable-landmark filter and landmark adjacency —
 so the first step of batch execution is always the same: partition the
 batch into :class:`MaskGroup`\\ s, one per distinct constraint mask.  The
 plan records original positions so answers can be scattered back into

@@ -11,8 +11,8 @@ with
   the surviving entries instead of recomputing them;
 * a **plan cache** — an LRU over constraint masks holding whatever the
   oracle's executor precomputes per mask (PowCov: resolved per-vertex
-  landmark rows; ChromLand: the usable filter + the closure of the
-  masked landmark graph);
+  landmark rows; ChromLand: the usable filter + the masked landmark
+  graph, closed once the mask has been asked enough queries);
 * an :class:`~repro.engine.instrument.Instrumentation` of counters and
   stage timers, exposed as ``session.stats``.
 

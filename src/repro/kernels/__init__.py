@@ -4,8 +4,8 @@ The paper's construction and query costs concentrate in three inner
 loops — the bit-parallel MS-BFS sweep (:mod:`repro.perf.batched`), the
 Theorem 2 one-removed subset sweep (:mod:`repro.core.powcov.waves`), and
 the ChromLand auxiliary-graph Dijkstra of a one-query Theorem 5
-evaluation (:mod:`repro.core.chromland`; the query engine answers mask
-groups with a numpy min-plus instead).
+evaluation (:mod:`repro.core.chromland`; the query engine answers a mask
+asked ``k_usable`` queries or more with a numpy min-plus instead).
 This package puts those loops behind a :class:`KernelBackend` protocol
 with two interchangeable implementations:
 

@@ -234,8 +234,9 @@ KERNELS = [
 
 
 class TestGroupMatchesDijkstra:
-    """The engine's per-mask closure + min-plus equals the scalar Dijkstra
-    bit for bit, whatever backend the Dijkstra runs on."""
+    """Both engine paths — the per-query Dijkstra a mask starts on and the
+    closure + min-plus it moves to — equal the scalar Dijkstra bit for
+    bit, whatever backend the Dijkstra runs on."""
 
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("directed", [False, True],
@@ -253,19 +254,55 @@ class TestGroupMatchesDijkstra:
         for mask in range(1 << index.graph.num_labels):
             sources = rng.integers(n, size=count)
             targets = rng.integers(n, size=count)
-            targets[:3] = sources[:3]  # s == t
-            group = MaskGroup(mask, np.arange(count), sources, targets)
-            got = executor.execute_group(executor.prepare_mask(mask), group)
+            sources[1:4] = targets[1:4]  # s == t
             want, usable, chained = _per_query_dijkstra(
                 index, mask, sources, targets, backend
             )
+            plan = executor.prepare_mask(mask)
+            # One query first: below k_usable, so it runs the Dijkstra;
+            # the rest reach k_usable and close the mask.
+            first = executor.execute_group(
+                plan, MaskGroup(mask, np.arange(1), sources[:1], targets[:1])
+            )
+            assert plan.closure is None
+            rest = executor.execute_group(
+                plan, MaskGroup(mask, np.arange(count - 1), sources[1:], targets[1:])
+            )
+            colors = len(set(index.colors[usable].tolist()))
+            assert (plan.closure is not None) == (colors >= 2), mask
+            got = np.concatenate([first, rest])
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), mask
-            usable_colors.add(min(len(set(index.colors[usable].tolist())), 2))
+            usable_colors.add(min(colors, 2))
             composed += chained
         # Masks with 0, 1 and >= 2 usable colors all occurred, and beyond
         # two landmarks some answers needed a multi-landmark path.
         assert usable_colors == {0, 1, 2}
         assert composed > 0 or k == 2
+
+    def test_closure_waits_for_k_usable_queries(self):
+        """Groups below ``k_usable`` queries run the Dijkstra; the closure is
+        built once the mask's queries reach ``k_usable`` in total."""
+        index, rng = _random_chromland(False, 16, seed=7)
+        executor = ChromLandExecutor(index)
+        mask = (1 << index.graph.num_labels) - 1
+        plan = executor.prepare_mask(mask)
+        k_usable = len(plan.usable)
+        n = index.graph.num_vertices
+        sources = rng.integers(n, size=k_usable)
+        targets = (sources + 1 + rng.integers(n - 1, size=k_usable)) % n
+        want, _, _ = _per_query_dijkstra(
+            index, mask, sources, targets, resolve_kernel("numpy")
+        )
+        got = []
+        for lo, hi in ((0, 5), (5, k_usable - 1), (k_usable - 1, k_usable)):
+            got.append(executor.execute_group(
+                plan, MaskGroup(mask, np.arange(hi - lo), sources[lo:hi],
+                                targets[lo:hi])
+            ))
+            assert (plan.closure is None) == (hi < k_usable)
+        assert plan.auxiliary is None  # the closure replaced the adjacency
+        assert np.array_equal(np.concatenate(got).view(np.int64),
+                              want.view(np.int64))
 
     def test_unreachable_legs_and_chunks(self):
         """All-unreachable legs stay inf; a chunked group equals column-wise
@@ -289,10 +326,10 @@ class TestGroupMatchesDijkstra:
             want = (ds[:, q, None] + closure + dt[None, :, q]).min()
             assert got[q] == want
 
-    def test_float_tables_refused(self, built):
+    @pytest.mark.parametrize("table", ["bi", "mono", "mono_in"])
+    def test_float_tables_refused(self, table):
         """The min-plus is exact only over integer distances."""
-        graph, landmarks, colors, _, _ = built
-        index = ChromLandIndex(graph, landmarks, colors).build()
-        index.bi = index.bi.astype(np.float64)
+        index, _ = _random_chromland(True, 5, seed=11)
+        setattr(index, table, getattr(index, table).astype(np.float64))
         with pytest.raises(TypeError, match="integer"):
-            ChromLandExecutor(index).prepare_mask(0b111)
+            ChromLandExecutor(index)
