@@ -62,10 +62,8 @@ from .core import (
     WeightedPowCovIndex,
     assert_repair_matches_rebuild,
     constrained_nearest,
-    load_index,
     rank_candidates,
     repair_index,
-    save_index,
 )
 from .core.chromland import local_search_selection, random_selection
 from .engine import EngineConfig, QuerySession, execute_batch
@@ -84,6 +82,8 @@ from .graph import (
     paper_synthetic,
 )
 from .landmarks import select_landmarks
+from .store.index_store import open_index as load_index
+from .store.index_store import save_index
 from .workloads import Workload, generate_workload
 
 __version__ = "1.0.0"

@@ -15,10 +15,6 @@ from .exact import ExactDijkstraOracle, ExactOracle
 from .naive import NaivePowersetIndex
 from .nearest import constrained_nearest, rank_candidates
 from .powcov import PowCovIndex, WeightedPowCovIndex
-from .serialize import (
-    load_index,
-    save_index,
-)
 from .trie import LabelSetTrie
 from .types import INF, DistanceOracle, Query, QueryAnswer
 
@@ -43,6 +39,4 @@ __all__ = [
     "local_search_selection",
     "constrained_nearest",
     "rank_candidates",
-    "load_index",
-    "save_index",
 ]

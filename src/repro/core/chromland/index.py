@@ -21,7 +21,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from ...graph.labeled_graph import EdgeLabeledGraph
-from ...graph.labelsets import label_bit, np_label_bits
+from ...graph.labelsets import full_mask, label_bit, np_label_bits
 from ...graph.traversal import UNREACHABLE
 from ...kernels import kernel_name
 from ...obs.trace import span
@@ -100,79 +100,109 @@ class ChromLandIndex(DistanceOracle):
 
         ``|L*|`` is the number of *distinct* colors actually assigned;
         bi-chromatic traversals are shared across all landmarks of the same
-        target color.
+        target color.  The sweeps are :meth:`run_sweeps` with every label
+        touched; ``parallel`` threads (``None``/``1`` serial, ``0`` every
+        core) run contiguous chunks of them.
+        """
+        with span(
+            "chromland.build", workers=worker_count(parallel), kernel=kernel_name()
+        ) as build_span:
+            build_span.count("landmarks", self.num_landmarks)
+            build_span.count("colors", len(set(self.colors.tolist())))
+            swept, _kept = self.run_sweeps(
+                self.graph, full_mask(self.graph.num_labels), parallel
+            )
+            build_span.count("sweeps", swept)
+        self._built = True
+        return self
+
+    def run_sweeps(
+        self,
+        graph: EdgeLabeledGraph,
+        touched_labels: int,
+        parallel: int | None = None,
+    ) -> tuple[int, int]:
+        """Run on ``graph`` every sweep whose mask meets ``touched_labels``.
+
+        The sweep list of Section 4: per landmark ``x``, the sweep over
+        ``{c(x)}`` (on directed graphs also over the reversed graph, for
+        ``mono_in``) and one sweep over ``{c(x), c'}`` per other assigned
+        color ``c'``.  A sweep whose mask avoids ``touched_labels`` sees
+        the same label-restricted subgraph as before and keeps its cells.
 
         All sweeps run through the batched multi-source kernel
         (:func:`repro.perf.batched.batched_constrained_bfs`), which
         amortizes the per-level CSR gathers across landmarks; ``parallel``
-        threads (``None``/``1`` serial, ``0`` every core) additionally
-        run contiguous chunks of sweeps (results are reassembled in job
-        order, so the tables are bit-for-bit identical to a serial build).
-        """
-        k = self.num_landmarks
-        n = self.graph.num_vertices
-        self.mono = np.full((k, n), UNREACHABLE, dtype=np.int32)
-        self.bi = np.full((k, k), UNREACHABLE, dtype=np.int32)
-        color_values = sorted(set(int(c) for c in self.colors))
-        landmarks_by_color = {
-            color: np.nonzero(self.colors == color)[0] for color in color_values
-        }
-        directed = self.graph.directed
-        graphs: tuple[EdgeLabeledGraph, ...] = (self.graph,)
-        if directed:
-            graphs = (self.graph, self.graph.reversed())
-            self.mono_in = np.full((k, n), UNREACHABLE, dtype=np.int32)
+        threads run contiguous chunks of sweeps (results are reassembled
+        in sweep order, so the tables are bit-for-bit identical to a
+        serial run).
 
-        # One job per sweep: (graph_index, source, mask, landmarks_only).
+        The rows land in fresh tables when no sweep is kept and in copies
+        of the current ones otherwise; ``mono``, ``mono_in``, ``bi`` and
+        ``graph`` are assigned together once every sweep has finished, so
+        no array a reader or a store mapping holds is ever written.
+        Returns ``(sweeps run, sweeps kept)``.
+        """
+        k, n = self.num_landmarks, graph.num_vertices
+        directed = graph.directed
+        targets_of = {
+            color: np.nonzero(self.colors == color)[0]
+            for color in sorted(set(self.colors.tolist()))
+        }
+        # One job per sweep: (graph_index, source, mask, landmarks_only),
+        # and where its row goes: (table, landmark row, bi target columns).
         # ``landmarks_only`` jobs return just the distances at the landmark
         # vertices (all a bi-chromatic row needs), not the full array.
-        jobs: list[tuple[int, int, int, bool]] = []
-        unpackers: list = []
-        for i in range(k):
-            x = int(self.landmarks[i])
-            own_color = int(self.colors[i])
-            jobs.append((0, x, label_bit(own_color), False))
-            unpackers.append(("mono", i))
+        sweeps: list[
+            tuple[tuple[int, int, int, bool], tuple[str, int, np.ndarray | None]]
+        ] = []
+        for i, (x, color) in enumerate(
+            zip(self.landmarks.tolist(), self.colors.tolist())
+        ):
+            own = label_bit(color)
+            sweeps.append(((0, x, own, False), ("mono", i, None)))
             if directed:
-                jobs.append((1, x, label_bit(own_color), False))
-                unpackers.append(("mono_in", i))
-            for other_color in color_values:
-                if other_color == own_color:
-                    continue
-                mask = label_bit(own_color) | label_bit(other_color)
-                jobs.append((0, x, mask, True))
-                unpackers.append(("bi", i, other_color))
-        with span(
-            "chromland.build", workers=worker_count(parallel), kernel=kernel_name()
-        ) as build_span:
-            build_span.count("landmarks", k)
-            build_span.count("colors", len(color_values))
-            build_span.count("sweeps", len(jobs))
-            results = run_tasks(
-                _chromland_chunk_task,
-                jobs,
-                graphs=graphs,
-                extra=np.asarray(self.landmarks, dtype=np.int64),
-                parallel=parallel,
-            )
-        for what, row in zip(unpackers, results):
-            if what[0] == "mono":
-                self.mono[what[1]] = row
-            elif what[0] == "mono_in":
-                self.mono_in[what[1]] = row
+                sweeps.append(((1, x, own, False), ("mono_in", i, None)))
+            for other, targets in targets_of.items():
+                if other != color:
+                    sweeps.append(
+                        ((0, x, own | label_bit(other), True), ("bi", i, targets))
+                    )
+        run = [sweep for sweep in sweeps if sweep[0][2] & touched_labels]
+        kept = len(sweeps) - len(run)
+        if kept:
+            self._require_built()
+            if not run:
+                self.graph = graph
+                return 0, kept
+
+        def table(current: np.ndarray | None, rows: int) -> np.ndarray:
+            if kept:
+                return np.array(current)
+            return np.full((k, rows), UNREACHABLE, dtype=np.int32)
+
+        tables = {"mono": table(self.mono, n), "bi": table(self.bi, k)}
+        if directed:
+            tables["mono_in"] = table(self.mono_in, n)
+        results = run_tasks(
+            _chromland_chunk_task,
+            [job for job, _slot in run],
+            graphs=(graph, graph.reversed()) if directed else (graph,),
+            extra=self.landmarks,
+            parallel=parallel,
+        )
+        # A bi cell ``(i, j)`` and its mirror ``(j, i)`` share one mask, so
+        # both run or both are kept; on undirected graphs BFS distances are
+        # symmetric, so ``bi`` comes out symmetric with no extra pass.
+        for (_job, (name, i, targets)), row in zip(run, results):
+            if targets is None:
+                tables[name][i] = row
             else:
-                _tag, i, other_color = what
-                targets = landmarks_by_color[other_color]
-                self.bi[i, targets] = row[targets]
-        # cd is symmetric on undirected graphs; keep the best of both runs
-        # (they agree there, and on directed graphs this stays an upper
-        # bound in each direction).
-        if not self.graph.directed:
-            both = np.where(self.bi == UNREACHABLE, np.iinfo(np.int32).max, self.bi)
-            both = np.minimum(both, both.T)
-            self.bi = np.where(both == np.iinfo(np.int32).max, UNREACHABLE, both)
-        self._built = True
-        return self
+                tables[name][i, targets] = row[targets]
+        self.graph, self.mono, self.mono_in, self.bi = (
+            graph, tables["mono"], tables.get("mono_in"), tables["bi"]
+        )
+        return len(run), kept
 
     def _require_built(self) -> None:
         if not self._built:

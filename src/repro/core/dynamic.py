@@ -36,15 +36,22 @@ Landmarks with no changed row keep their entries verbatim.
 
 ChromLand repair
 ----------------
-Falls back to per-landmark sweep rebuilds: only the mono/bi sweeps whose
-constraint mask intersects the delta's touched labels are re-run through
-the batched BFS kernel; everything else is carried over.
+Re-runs the build's own sweeps
+(:meth:`~repro.core.chromland.ChromLandIndex.run_sweeps`): only the
+mono/bi sweeps whose constraint mask meets the delta's touched labels
+run, on the new graph, through the batched BFS kernel; the other cells
+are carried over.
 
-Every PowCov repair publishes a new :class:`~repro.core.powcov.table.
-PowCovTable`: clean landmarks keep their slice of the old table, re-swept
-ones contribute new arrays, and one concatenation assembles the result —
-the old columns (possibly a read-only store mapping) are never written,
-so an index opened from a store file repairs exactly like a built one.
+Repairs publish new tables rather than write the old ones.  A PowCov
+repair that changes a landmark builds a new
+:class:`~repro.core.powcov.table.PowCovTable`: clean landmarks keep
+their slice of the old table, re-swept ones contribute new arrays, and
+one concatenation assembles the result.  A ChromLand repair writes the
+re-run rows into copies of ``mono``/``mono_in``/``bi`` and assigns the
+copies once every sweep has finished.  The old arrays (possibly a
+read-only store mapping, or tables a reader still holds) are never
+written, so an index opened from a store file repairs exactly like a
+built one.
 
 Fallbacks
 ---------
@@ -52,9 +59,8 @@ Directed or weighted PowCov indexes, unbuilt indexes, and indexes where
 one landmark's lattice (``n·2^|L|`` cells) exceeds ``_SOS_TABLE_CELLS``
 rebuild in full (reported via :attr:`RepairStats.full_rebuild`).  An
 incremental repair leaves :attr:`PowCovIndex.per_landmark` as it was: it
-keeps the build's counters.  A store-opened ChromLand index first copies
-its read-only tables.  Oracles without a build step (the BFS baselines)
-just rebind their graph.
+keeps the build's counters.  Oracles without a build step (the BFS
+baselines) just rebind their graph.
 """
 
 from __future__ import annotations
@@ -62,7 +68,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any
 
 import numpy as np
 
@@ -480,105 +485,28 @@ def _repair_table(
 def repair_chromland(
     index: ChromLandIndex, new_graph: EdgeLabeledGraph
 ) -> RepairStats:
-    """Absorb ``new_graph``'s delta into a built ChromLand index, in place.
+    """Absorb ``new_graph``'s delta into a built ChromLand index.
 
-    Per-landmark granularity: only the mono/bi sweeps whose constraint
-    mask intersects the delta's touched labels are re-run (on the new
-    graph, through the same batched BFS kernel as the build); the rest of
-    the tables are carried over, and the result is bit-identical to a
-    fresh build.
+    Re-runs the build's own sweeps (:meth:`ChromLandIndex.run_sweeps`)
+    whose constraint mask meets the delta's touched labels, on the new
+    graph, into copies of the tables; the index then points at the new
+    tables, which are bit-identical to a fresh build.  The old arrays,
+    possibly held by a reader or mapped from a store file, are never
+    written.  An unbuilt index builds in full.
     """
     delta = _require_descendant(index.graph, new_graph)
     stats = RepairStats(kind="chromland", num_landmarks=index.num_landmarks)
     started = perf_counter()
-    if getattr(index, "source_store", None) is not None:
-        # Store sections are read-only memmaps (or arrays the store caches):
-        # repair a private copy, which no longer mirrors the file.
-        index.mono = np.array(index.mono)
-        index.bi = np.array(index.bi)
-        if index.mono_in is not None:
-            index.mono_in = np.array(index.mono_in)
-        index.source_store = None  # type: ignore[attr-defined]
     if not index._built:
         index.graph = new_graph
         index.build()
         stats.full_rebuild = True
-        stats.seconds = perf_counter() - started
-        _flush_metrics(stats)
-        return stats
-    with span("dynamic.repair_chromland", ops=delta.num_ops) as repair_span:
-        touched = delta.touched_label_mask()
-        color_values = sorted({int(c) for c in index.colors})
-        landmarks_by_color = {
-            color: np.nonzero(index.colors == color)[0] for color in color_values
-        }
-        directed = new_graph.directed
-        graphs: tuple[EdgeLabeledGraph, ...] = (new_graph,)
-        if directed:
-            graphs = (new_graph, new_graph.reversed())
-        jobs: list[tuple[int, int, int]] = []  # (graph_index, source, mask)
-        unpackers: list[tuple[Any, ...]] = []
-        for i in range(index.num_landmarks):
-            x = int(index.landmarks[i])
-            own_color = int(index.colors[i])
-            own_bit = label_bit(own_color)
-            if own_bit & touched:
-                jobs.append((0, x, own_bit))
-                unpackers.append(("mono", i))
-                if directed:
-                    jobs.append((1, x, own_bit))
-                    unpackers.append(("mono_in", i))
-            else:
-                stats.sweeps_kept += 1 + (1 if directed else 0)
-            for other_color in color_values:
-                if other_color == own_color:
-                    continue
-                mask = own_bit | label_bit(other_color)
-                if mask & touched:
-                    jobs.append((0, x, mask))
-                    unpackers.append(("bi", i, other_color))
-                else:
-                    stats.sweeps_kept += 1
-        stats.sweeps_rerun = len(jobs)
-        repair_span.count("sweeps_rerun", len(jobs))
-        if jobs:
-            by_graph: dict[int, list[int]] = {}
-            for position, (graph_index, _s, _m) in enumerate(jobs):
-                by_graph.setdefault(graph_index, []).append(position)
-            results: list[np.ndarray | None] = [None] * len(jobs)
-            for graph_index, positions in by_graph.items():
-                dist = batched_constrained_bfs(
-                    graphs[graph_index],
-                    [jobs[p][1] for p in positions],
-                    masks=[jobs[p][2] for p in positions],
-                )
-                for row, p in enumerate(positions):
-                    results[p] = dist[row]
-            assert index.mono is not None and index.bi is not None
-            for what, row in zip(unpackers, results):
-                assert row is not None
-                if what[0] == "mono":
-                    index.mono[what[1]] = row
-                elif what[0] == "mono_in":
-                    assert index.mono_in is not None
-                    index.mono_in[what[1]] = row
-                else:
-                    _tag, i, other_color = what
-                    targets = landmarks_by_color[other_color]
-                    # ``row`` is vertex-indexed; gather at the landmark
-                    # vertices of the target color.
-                    index.bi[i, targets] = row[index.landmarks[targets]]
-            if not directed:
-                # Same symmetrization as the build; untouched cells are
-                # already symmetric, so re-applying it is idempotent there.
-                both = np.where(
-                    index.bi == UNREACHABLE, np.iinfo(np.int32).max, index.bi
-                )
-                both = np.minimum(both, both.T)
-                index.bi = np.where(
-                    both == np.iinfo(np.int32).max, UNREACHABLE, both
-                )
-    index.graph = new_graph
+    else:
+        with span("dynamic.repair_chromland", ops=delta.num_ops) as repair_span:
+            stats.sweeps_rerun, stats.sweeps_kept = index.run_sweeps(
+                new_graph, delta.touched_label_mask()
+            )
+            repair_span.count("sweeps_rerun", stats.sweeps_rerun)
     _clear_stored_fingerprint(index)
     stats.seconds = perf_counter() - started
     _flush_metrics(stats)

@@ -10,13 +10,22 @@ dataclasses and the :class:`DistanceOracle` interface every index implements.
 from __future__ import annotations
 
 import math
+import operator
 from abc import ABC, abstractmethod
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from typing import Any
 
 from ..graph.labeled_graph import EdgeLabeledGraph
 
-__all__ = ["INF", "Query", "QueryAnswer", "DistanceOracle", "check_query_domain"]
+__all__ = [
+    "INF",
+    "Query",
+    "QueryAnswer",
+    "DistanceOracle",
+    "check_query_domain",
+    "integer_fields",
+]
 
 #: Infinite distance, the answer to queries over disconnected label subgraphs.
 INF = math.inf
@@ -60,6 +69,24 @@ class QueryAnswer:
         return math.isinf(self.estimate)
 
 
+def integer_fields(
+    source: Any, target: Any, label_mask: Any
+) -> tuple[int, int, int]:
+    """The query's fields as ``int``; ``ValueError`` for a field that is
+    not an integer (a float is rejected, never truncated)."""
+    fields = []
+    for name, value in (
+        ("vertex", source), ("vertex", target), ("label mask", label_mask)
+    ):
+        try:
+            fields.append(operator.index(value))
+        except TypeError:
+            raise ValueError(
+                f"{name} {value!r} is not an integer, so outside the query domain"
+            ) from None
+    return fields[0], fields[1], fields[2]
+
+
 def check_query_domain(
     graph: EdgeLabeledGraph, source: int, target: int, label_mask: int
 ) -> None:
@@ -67,9 +94,10 @@ def check_query_domain(
     query on ``graph``.
 
     The scalar form of the rule :func:`repro.engine.plan.to_triple_array`
-    applies to batches: both vertices lie in ``[0, num_vertices)`` and the
-    mask lies in ``[0, 2**num_labels)``.
+    applies to batches: every field is an integer, both vertices lie in
+    ``[0, num_vertices)`` and the mask lies in ``[0, 2**num_labels)``.
     """
+    source, target, label_mask = integer_fields(source, target, label_mask)
     num_vertices, num_labels = graph.num_vertices, graph.num_labels
     for vertex in (source, target):
         if not 0 <= vertex < num_vertices:

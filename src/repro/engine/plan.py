@@ -20,6 +20,8 @@ from typing import Any, Protocol
 
 import numpy as np
 
+from ..core.types import integer_fields
+
 __all__ = [
     "MaskGroup",
     "ExecutionPlan",
@@ -39,12 +41,13 @@ class QueryLike(Protocol):
 
 
 def as_triple(query: QueryLike | tuple[int, ...]) -> tuple[int, int, int]:
-    """Normalize a ``Query`` / ``LabeledQuery`` / plain triple to a tuple."""
+    """Normalize a ``Query`` / ``LabeledQuery`` / plain triple to a tuple.
+
+    Raises ``ValueError`` for a field that is not an integer.
+    """
     if isinstance(query, tuple):
-        source, target, mask = query[0], query[1], query[2]
-    else:
-        source, target, mask = query.source, query.target, query.label_mask
-    return int(source), int(target), int(mask)
+        return integer_fields(query[0], query[1], query[2])
+    return integer_fields(query.source, query.target, query.label_mask)
 
 
 def to_triple_array(
@@ -54,12 +57,15 @@ def to_triple_array(
 ) -> np.ndarray:
     """Normalize a batch to an ``(n, 3)`` int64 array of (s, t, mask) rows.
 
-    Plain tuple/list batches convert in one C-level pass; batches of
-    ``Query`` / ``LabeledQuery`` objects fall back to per-item attribute
-    access.  With ``num_labels``, every mask must lie in the label
-    domain ``[0, 2**num_labels)``; with ``num_vertices``, every source
-    and target must lie in ``[0, num_vertices)``.  A query outside
-    either domain raises ``ValueError`` rather than reaching an oracle.
+    Plain tuple/list batches of integers convert in one C-level pass;
+    batches of ``Query`` / ``LabeledQuery`` objects, or tuples holding
+    anything else, fall back to per-item :func:`as_triple`.  A field that
+    is not an integer (a float, or a float-dtype array) raises
+    ``ValueError`` rather than being truncated.  With ``num_labels``,
+    every mask must lie in the label domain ``[0, 2**num_labels)``; with
+    ``num_vertices``, every source and target must lie in
+    ``[0, num_vertices)``.  A query outside either domain raises
+    ``ValueError`` rather than reaching an oracle.
     """
     try:
         arr = _triples(queries)
@@ -86,14 +92,21 @@ def to_triple_array(
 
 def _triples(queries: Sequence[Any] | np.ndarray) -> np.ndarray:
     if isinstance(queries, np.ndarray):
-        if queries.ndim == 2 and queries.shape[1] >= 3:
-            return np.ascontiguousarray(queries[:, :3], dtype=np.int64)
-        raise ValueError("query array must have shape (n, >=3)")
+        if queries.ndim != 2 or queries.shape[1] < 3:
+            raise ValueError("query array must have shape (n, >=3)")
+        if queries.dtype.kind not in "biu":
+            raise ValueError(
+                f"query array of dtype {queries.dtype} is not integer, so "
+                "outside the query domain"
+            )
+        return np.ascontiguousarray(queries[:, :3], dtype=np.int64)
     queries = list(queries)
     if not queries:
         return np.empty((0, 3), dtype=np.int64)
     if isinstance(queries[0], tuple):
-        return np.asarray(queries, dtype=np.int64)[:, :3]
+        arr = np.asarray(queries)
+        if arr.ndim == 2 and arr.dtype.kind in "biu":
+            return arr[:, :3].astype(np.int64, copy=False)
     return np.asarray([as_triple(q) for q in queries], dtype=np.int64)
 
 

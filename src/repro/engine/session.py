@@ -120,12 +120,12 @@ class QuerySession:
     def _check_stored_fingerprint(self, oracle: DistanceOracle) -> None:
         """Reject oracles loaded from an index file of a different graph.
 
-        Indexes deserialized by :mod:`repro.core.serialize` /
-        :mod:`repro.store` carry the fingerprint embedded in their file as
-        ``stored_fingerprint``; the loaders verify it against the graph
-        they were given, and this re-check at session-open time closes the
-        remaining gap — an oracle whose graph was swapped *after* loading
-        (or a hand-built oracle with a stale attribute) can never serve.
+        Indexes opened by :mod:`repro.store` carry the fingerprint
+        embedded in their file as ``stored_fingerprint``; the loaders
+        verify it against the graph they were given, and this re-check
+        at session-open time closes the remaining gap — an oracle whose
+        graph was swapped *after* loading (or a hand-built oracle with a
+        stale attribute) can never serve.
         """
         stored = getattr(oracle, "stored_fingerprint", None)
         if stored is not None and int(stored) != self._fingerprint:

@@ -15,8 +15,7 @@ Two kinds of fingerprint identify a graph version:
   identifies a *version*, not a canonical content encoding.
 
 Both kinds live in the same 63-bit space and are memoized on
-``graph._fingerprint``; :func:`repro.core.serialize.graph_fingerprint`
-re-exports :func:`graph_fingerprint` for callers above the graph layer.
+``graph._fingerprint``.
 """
 
 from __future__ import annotations

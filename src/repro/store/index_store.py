@@ -168,7 +168,6 @@ def open_index(
             graph, landmarks, *tables, estimator=str(estimator)
         )
         index.stored_fingerprint = stored
-        index.source_store = store
         return index
     if store.kind == "chromland":
         stored = _check_fingerprint(store, graph)
@@ -185,7 +184,6 @@ def open_index(
             index.mono_in = store.array("mono_in")
         index._built = True  # noqa: SLF001 - store is a friend module
         index.stored_fingerprint = stored
-        index.source_store = store
         return index
     raise FormatError(
         f"{store.path} does not hold an index (kind={store.kind!r})"

@@ -151,9 +151,9 @@ def _post_via_http(oracle, queries) -> tuple[int, dict]:
     server, registry = _http_server()
     registry.register("diff", oracle.graph, {"oracle-under-test": oracle})
     body = json.dumps({
-        "queries": [[int(s), int(t), int(m)] for s, t, m in queries],
+        "queries": [list(query) for query in queries],
         "oracle": "oracle-under-test",
-    })
+    }, default=int)
     conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=60)
     try:
         conn.request(
@@ -333,25 +333,24 @@ class TestDifferential:
 
 
     @DIFFERENTIAL
-    @given(
-        small_graphs(),
-        st.sampled_from(["2^L", "2^L+1", "2^70", "vertex n", "vertex -1"]),
-    )
-    def test_out_of_domain_masks_rejected_on_every_path(self, graph, which):
-        """Out-of-domain axis: a mask outside ``[0, 2**num_labels)`` or a
-        vertex outside ``[0, num_vertices)`` never reaches an oracle — the
+    @given(small_graphs())
+    def test_out_of_domain_masks_rejected_on_every_path(self, graph):
+        """Out-of-domain axis: a mask outside ``[0, 2**num_labels)``, a
+        vertex outside ``[0, num_vertices)`` or a float field (never
+        truncated to an integer) never reaches an oracle — the
         scalar ``query`` and the engine paths raise ``ValueError`` and the
-        wire answers 400, for every oracle family."""
+        wire answers 400, for every oracle family and every bad query."""
         top = 1 << graph.num_labels
         n = graph.num_vertices
-        bad = {
+        bad_queries = {
             "2^L": (0, 1, top),
             "2^L+1": (0, 1, top + 1),
             "2^70": (0, 1, 2**70),
             "vertex n": (n, 1, top - 1),
             "vertex -1": (0, -1, top - 1),
-        }[which]
-        queries = [(0, 1, top - 1), bad]
+            "vertex 1.5": (1.5, 1, top - 1),
+            "mask 3.5": (0, 1, 3.5),
+        }
         k = min(4, graph.num_vertices)
         oracles = {
             "powcov": PowCovIndex(graph, range(graph.num_vertices)).build(),
@@ -360,12 +359,14 @@ class TestDifferential:
             ).build(),
             "naive": NaivePowersetIndex(graph, range(k)).build(),
         }
-        for name, oracle in oracles.items():
-            for path in ("scalar", "batch", "session"):
-                with pytest.raises(ValueError, match="domain|int64|vertex"):
-                    answers_via(oracle, queries, path)
-            status, payload = _post_via_http(oracle, queries)
-            assert status == 400, (name, payload)
+        for which, bad in bad_queries.items():
+            queries = [(0, 1, top - 1), bad]
+            for name, oracle in oracles.items():
+                for path in ("scalar", "batch", "session"):
+                    with pytest.raises(ValueError, match="domain|int64|vertex"):
+                        answers_via(oracle, queries, path)
+                status, payload = _post_via_http(oracle, queries)
+                assert status == 400, (which, name, payload)
 
 
 # ----------------------------------------------------------------------

@@ -4,10 +4,11 @@ Covers ``GraphDelta``/``apply_delta`` semantics (validation, copy-on-write
 adoption, lineage fingerprints), PowCov repair (one path for insertions,
 deletions and relabels over built and store-opened tables, lattice
 chunking and the oversized-lattice rebuild), ChromLand per-sweep repair
-(undirected and directed), the differential harness itself, and
-hypothesis-driven randomized mutation checks — op sequences and single
-multi-op deltas — asserting bit-identity with a from-scratch rebuild after
-every delta.
+(undirected and directed, publishing new tables), the differential
+harness itself, and hypothesis-driven randomized mutation checks over
+undirected and directed graphs — op sequences and single multi-op
+deltas — asserting bit-identity with a from-scratch rebuild after every
+delta.
 """
 
 from __future__ import annotations
@@ -43,12 +44,13 @@ DYNAMIC = settings(
 )
 
 
-def undirected_edge_set(graph: EdgeLabeledGraph) -> set[tuple[int, int, int]]:
-    """The ``(u < v, label)`` edge set of an undirected graph."""
+def edge_set(graph: EdgeLabeledGraph) -> set[tuple[int, int, int]]:
+    """The ``(u, v, label)`` edge set: every arc of a directed graph, the
+    ``u < v`` orientation of each edge of an undirected one."""
     edges = set()
     for u in range(graph.num_vertices):
         for neighbor, label in zip(graph.neighbors_of(u), graph.labels_of(u)):
-            if u < int(neighbor):
+            if graph.directed or u < int(neighbor):
                 edges.add((u, int(neighbor), int(label)))
     return edges
 
@@ -85,7 +87,7 @@ def landmarks(base_graph) -> list[int]:
 # ----------------------------------------------------------------------
 class TestGraphDelta:
     def test_insertion_versions_and_parent_untouched(self, base_graph):
-        edges_before = undirected_edge_set(base_graph)
+        edges_before = edge_set(base_graph)
         missing = next(
             (u, v, 0)
             for u in range(base_graph.num_vertices)
@@ -98,27 +100,27 @@ class TestGraphDelta:
         assert child.parent_fingerprint == graph_fingerprint(base_graph)
         assert child.applied_delta is delta
         assert child.num_edges == base_graph.num_edges + 1
-        assert undirected_edge_set(child) == edges_before | {missing}
+        assert edge_set(child) == edges_before | {missing}
         # The parent is untouched.
-        assert undirected_edge_set(base_graph) == edges_before
+        assert edge_set(base_graph) == edges_before
         assert base_graph.applied_delta is None
 
     def test_deletion_and_relabel(self, base_graph):
-        u, v, label = min(undirected_edge_set(base_graph))
+        u, v, label = min(edge_set(base_graph))
         removed = apply_delta(base_graph, GraphDelta(deletions=((u, v, label),)))
         assert removed.num_edges == base_graph.num_edges - 1
-        assert (u, v, label) not in undirected_edge_set(removed)
+        assert (u, v, label) not in edge_set(removed)
 
         new_label = (label + 1) % base_graph.num_labels
         relabeled = apply_delta(
             base_graph, GraphDelta(relabels=((u, v, label, new_label),))
         )
-        edges = undirected_edge_set(relabeled)
+        edges = edge_set(relabeled)
         assert (u, v, label) not in edges
         assert (u, v, new_label) in edges
 
     def test_relabel_only_shares_csr_zero_copy(self, base_graph):
-        u, v, label = min(undirected_edge_set(base_graph))
+        u, v, label = min(edge_set(base_graph))
         new_label = (label + 1) % base_graph.num_labels
         child = apply_delta(
             base_graph, GraphDelta(relabels=((u, v, label, new_label),))
@@ -128,16 +130,16 @@ class TestGraphDelta:
         assert child.edge_labels is not base_graph.edge_labels
 
     def test_apply_edges_convenience_matches_apply_delta(self, base_graph):
-        u, v, label = min(undirected_edge_set(base_graph))
+        u, v, label = min(edge_set(base_graph))
         via_method = base_graph.apply_edges(deletions=[(u, v, label)])
         via_delta = apply_delta(
             base_graph, GraphDelta(deletions=((u, v, label),))
         )
         assert graph_fingerprint(via_method) == graph_fingerprint(via_delta)
-        assert undirected_edge_set(via_method) == undirected_edge_set(via_delta)
+        assert edge_set(via_method) == edge_set(via_delta)
 
     def test_validation_errors(self, base_graph):
-        u, v, label = min(undirected_edge_set(base_graph))
+        u, v, label = min(edge_set(base_graph))
         with pytest.raises(ValueError, match="already exists"):
             apply_delta(base_graph, GraphDelta(insertions=((u, v, label),)))
         with pytest.raises(ValueError, match="does not exist"):
@@ -160,7 +162,7 @@ class TestGraphDelta:
     def test_lineage_fingerprint_is_deterministic_and_discriminating(
         self, base_graph
     ):
-        u, v, label = min(undirected_edge_set(base_graph))
+        u, v, label = min(edge_set(base_graph))
         delta = GraphDelta(deletions=((u, v, label),))
         once = apply_delta(base_graph, delta)
         twice = apply_delta(base_graph, delta)
@@ -210,7 +212,7 @@ class TestPowCovRepair:
             (u, v, 1)
             for u in range(base_graph.num_vertices)
             for v in range(u + 1, base_graph.num_vertices)
-            if (u, v, 1) not in undirected_edge_set(base_graph)
+            if (u, v, 1) not in edge_set(base_graph)
         )
         new_graph = apply_delta(base_graph, GraphDelta(insertions=(missing,)))
         stats = repair_powcov(index, new_graph)
@@ -239,7 +241,7 @@ class TestPowCovRepair:
             (u, v, 1)
             for u in range(base_graph.num_vertices)
             for v in range(u + 1, base_graph.num_vertices)
-            if (u, v, 1) not in undirected_edge_set(base_graph)
+            if (u, v, 1) not in edge_set(base_graph)
         )
         new_graph = apply_delta(base_graph, GraphDelta(insertions=(missing,)))
         stats = repair_powcov(index, new_graph)
@@ -269,7 +271,7 @@ class TestPowCovRepair:
 
         monkeypatch.setattr(dynamic, "_stacked_subset_min", recording)
         index = PowCovIndex(base_graph, landmarks).build()
-        edges = undirected_edge_set(base_graph)
+        edges = edge_set(base_graph)
         deleted = min(edges)
         missing = next(
             (u, v, 1)
@@ -292,7 +294,7 @@ class TestPowCovRepair:
         self, base_graph, landmarks
     ):
         index = PowCovIndex(base_graph, landmarks).build()
-        u, v, label = min(undirected_edge_set(base_graph))
+        u, v, label = min(edge_set(base_graph))
         new_graph = apply_delta(
             base_graph, GraphDelta(deletions=((u, v, label),))
         )
@@ -303,13 +305,13 @@ class TestPowCovRepair:
 
     def test_multi_op_delta_matches_rebuild(self, base_graph, landmarks):
         index = PowCovIndex(base_graph, landmarks).build()
-        edges = sorted(undirected_edge_set(base_graph))
+        edges = sorted(edge_set(base_graph))
         (du, dv, dl), (ru, rv, rl) = edges[0], edges[1]
         missing = next(
             (u, v, 2)
             for u in range(base_graph.num_vertices)
             for v in range(u + 1, base_graph.num_vertices)
-            if (u, v, 2) not in undirected_edge_set(base_graph)
+            if (u, v, 2) not in edge_set(base_graph)
             and (u, v) not in {(du, dv), (ru, rv)}
         )
         new_graph = apply_delta(
@@ -329,7 +331,7 @@ class TestPowCovRepair:
         with pytest.raises(ValueError, match="descendant|delta|lineage"):
             repair_powcov(index, stranger)
         # Two versions ahead is also refused: repairs span exactly one delta.
-        u, v, label = min(undirected_edge_set(base_graph))
+        u, v, label = min(edge_set(base_graph))
         one = apply_delta(base_graph, GraphDelta(deletions=((u, v, label),)))
         two = apply_delta(one, GraphDelta(insertions=((u, v, label),)))
         with pytest.raises(ValueError):
@@ -342,7 +344,7 @@ class TestPowCovRepair:
         queries = sample_queries(base_graph, seed=3)
         session = QuerySession(index)
         session.run(queries)
-        u, v, label = min(undirected_edge_set(base_graph))
+        u, v, label = min(edge_set(base_graph))
         new_graph = apply_delta(
             base_graph, GraphDelta(deletions=((u, v, label),))
         )
@@ -360,7 +362,7 @@ class TestPowCovRepair:
         from repro.core.powcov.index import _build_landmark
 
         index = PowCovIndex(base_graph, landmarks).build()
-        u, v, label = min(undirected_edge_set(base_graph))
+        u, v, label = min(edge_set(base_graph))
         new_graph = apply_delta(
             base_graph, GraphDelta(deletions=((u, v, label),))
         )
@@ -446,7 +448,7 @@ class TestStoreBackedRepair:
         graph, landmarks = biogrid
         save_index(PowCovIndex(graph, landmarks).build(), tmp_path / "p.repro")
         opened = open_index(tmp_path / "p.repro", graph)
-        edges = undirected_edge_set(graph)
+        edges = edge_set(graph)
         missing = next(
             (u, v, 0)
             for u in landmarks
@@ -473,7 +475,7 @@ class TestStoreBackedRepair:
         store.save(built)
         opened = store.load("chromland", graph)
         assert not opened.mono.flags.writeable
-        u, v, label = min(undirected_edge_set(graph))
+        u, v, label = min(edge_set(graph))
         new_graph = apply_delta(graph, GraphDelta(deletions=((u, v, label),)))
         assert repair_index(opened, new_graph).sweeps_rerun > 0
         assert_repair_matches_rebuild(opened, queries=sample_queries(new_graph))
@@ -491,7 +493,7 @@ class TestChromLandRepair:
         colors = [0, 1, 0, 1]
         for mutate in ("insert", "delete", "relabel"):
             index = ChromLandIndex(base_graph, [0, 10, 20, 30], colors).build()
-            u, v, label = min(undirected_edge_set(base_graph))
+            u, v, label = min(edge_set(base_graph))
             if mutate == "insert":
                 op = GraphDelta(
                     insertions=(
@@ -499,7 +501,7 @@ class TestChromLandRepair:
                             (a, b, 0)
                             for a in range(base_graph.num_vertices)
                             for b in range(a + 1, base_graph.num_vertices)
-                            if (a, b, 0) not in undirected_edge_set(base_graph)
+                            if (a, b, 0) not in edge_set(base_graph)
                         ),
                     )
                 )
@@ -521,7 +523,7 @@ class TestChromLandRepair:
         index = ChromLandIndex(base_graph, [0, 10, 20, 30], [0, 1, 2, 3]).build()
         # A relabel between labels 2 and 3 leaves label-{0,1} sweeps alone.
         edge = next(
-            (u, v, l) for (u, v, l) in sorted(undirected_edge_set(base_graph))
+            (u, v, l) for (u, v, l) in sorted(edge_set(base_graph))
             if l == 2
         )
         u, v, label = edge
@@ -549,13 +551,32 @@ class TestChromLandRepair:
         repair_chromland(index, new_graph)
         assert_repair_matches_rebuild(index, queries=sample_queries(new_graph))
 
+    def test_repair_publishes_new_tables(self):
+        """Copy-on-write: tables a reader holds across a repair keep their
+        bits, and the index moves to new tables equal to a rebuild."""
+        edges = [
+            (0, 1, 0), (1, 2, 0), (2, 3, 0), (3, 4, 1), (4, 5, 1), (5, 0, 1),
+            (2, 5, 1),
+        ]
+        graph = EdgeLabeledGraph.from_edges(6, edges, num_labels=2, directed=True)
+        index = ChromLandIndex(graph, [0, 3], [0, 1]).build()
+        held = {name: getattr(index, name) for name in ("mono", "mono_in", "bi")}
+        before = {name: table.copy() for name, table in held.items()}
+        new_graph = apply_delta(graph, GraphDelta(deletions=((1, 2, 0),)))
+        repair_chromland(index, new_graph)
+        assert not np.array_equal(index.mono, before["mono"])
+        for name, table in held.items():
+            assert np.array_equal(table, before[name]), name
+            assert getattr(index, name) is not table, name
+        assert_repair_matches_rebuild(index, queries=sample_queries(new_graph))
+
 
 # ----------------------------------------------------------------------
 # repair_index dispatch + RepairStats
 # ----------------------------------------------------------------------
 class TestRepairDispatch:
     def test_dispatches_by_index_type(self, base_graph, landmarks):
-        u, v, label = min(undirected_edge_set(base_graph))
+        u, v, label = min(edge_set(base_graph))
         new_graph = apply_delta(
             base_graph, GraphDelta(deletions=((u, v, label),))
         )
@@ -587,7 +608,8 @@ class TestRepairDispatch:
 # ----------------------------------------------------------------------
 @st.composite
 def graph_and_ops(draw):
-    """A small graph plus a raw op tape to replay against it.
+    """A small graph, undirected or directed, plus a raw op tape to replay
+    against it.
 
     Ops are drawn blind — each ``(kind, u, v, label, alt)`` tuple is
     resolved against the *evolving* edge set at replay time and skipped if
@@ -596,7 +618,10 @@ def graph_and_ops(draw):
     """
     n = draw(st.integers(min_value=5, max_value=9))
     num_labels = draw(st.integers(min_value=2, max_value=3))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    directed = draw(st.booleans())
+    pairs = [
+        (u, v) for u in range(n) for v in range(n) if u < v or (directed and u != v)
+    ]
     chosen = draw(
         st.lists(
             st.sampled_from(pairs),
@@ -613,7 +638,9 @@ def graph_and_ops(draw):
         )
     )
     edges = [(u, v, lab) for (u, v), lab in zip(chosen, labels)]
-    graph = EdgeLabeledGraph.from_edges(n, edges, num_labels=num_labels)
+    graph = EdgeLabeledGraph.from_edges(
+        n, edges, num_labels=num_labels, directed=directed
+    )
     ops = draw(
         st.lists(
             st.tuples(
@@ -660,7 +687,7 @@ class TestRandomizedMutationSequences:
         graph, ops = case
         landmarks = list(range(min(3, graph.num_vertices)))
         index = PowCovIndex(graph, landmarks).build()
-        edges = undirected_edge_set(graph)
+        edges = edge_set(graph)
         for op in ops:
             delta = resolve_op(edges, op)
             if delta is None:
@@ -671,14 +698,20 @@ class TestRandomizedMutationSequences:
                 index, queries=sample_queries(graph, count=15)
             )
 
+    @pytest.mark.parametrize("family", ["powcov", "chromland"])
     @DYNAMIC
     @given(graph_and_ops())
-    def test_powcov_multi_op_delta_stays_bit_identical(self, case):
+    def test_multi_op_delta_stays_bit_identical(self, family, case):
         """All drawn ops folded into one delta: arriving and leaving edges
         meet in the same repair (an edge touched twice is skipped)."""
         graph, ops = case
-        index = PowCovIndex(graph, list(range(min(3, graph.num_vertices)))).build()
-        edges = undirected_edge_set(graph)
+        landmarks = list(range(min(3, graph.num_vertices)))
+        if family == "powcov":
+            index = PowCovIndex(graph, landmarks).build()
+        else:
+            colors = [i % 2 for i in range(len(landmarks))]
+            index = ChromLandIndex(graph, landmarks, colors).build()
+        edges = edge_set(graph)
         insertions, deletions, relabels = [], [], []
         seen: set[tuple[int, int]] = set()
         for op in ops:
@@ -712,7 +745,7 @@ class TestRandomizedMutationSequences:
         landmarks = list(range(min(3, graph.num_vertices)))
         colors = [i % 2 for i in range(len(landmarks))]
         index = ChromLandIndex(graph, landmarks, colors).build()
-        edges = undirected_edge_set(graph)
+        edges = edge_set(graph)
         for op in ops:
             delta = resolve_op(edges, op)
             if delta is None:
@@ -728,7 +761,7 @@ class TestRandomizedMutationSequences:
         avoids every touched label answers identically across the delta."""
         graph, ops = case
         index = PowCovIndex(graph, list(range(min(3, graph.num_vertices)))).build()
-        edges = undirected_edge_set(graph)
+        edges = edge_set(graph)
         top = full_mask(graph.num_labels)
         for op in ops:
             delta = resolve_op(edges, op)

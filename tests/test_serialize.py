@@ -5,9 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import load_index, save_index
 from repro.core.chromland import ChromLandIndex
 from repro.core.powcov import PowCovIndex
-from repro.core.serialize import graph_fingerprint, load_index, save_index
+from repro.graph.fingerprint import graph_fingerprint
 from repro.graph.generators import labeled_erdos_renyi
 from repro.graph.labeled_graph import EdgeLabeledGraph
 from repro.store import FormatError

@@ -17,8 +17,8 @@ import pytest
 from repro.core.chromland import ChromLandIndex
 from repro.core.powcov import PowCovIndex
 from repro.core.powcov.weighted import WeightedPowCovIndex
-from repro.core.serialize import graph_fingerprint, load_index, save_index
 from repro.engine import QuerySession
+from repro.graph.fingerprint import graph_fingerprint
 from repro.graph.generators import labeled_erdos_renyi
 from repro.graph.labeled_graph import EdgeLabeledGraph
 from repro.graph.labelsets import LabelUniverse
@@ -32,7 +32,7 @@ from repro.store.compress import (
     zigzag_decode,
     zigzag_encode,
 )
-from repro.store.index_store import open_graph, open_index, save_graph
+from repro.store.index_store import open_graph, open_index, save_graph, save_index
 
 from conftest import all_pairs_all_masks
 
@@ -199,7 +199,7 @@ class TestContainer:
 def _roundtrip(index, path, compress=False):
     path = path.with_suffix(".repro")
     save_index(index, path, compress=compress)
-    return load_index(path, index.graph)
+    return open_index(path, index.graph)
 
 
 @pytest.mark.parametrize("compress", [False, True], ids=["mmap-False", "mmap-True"])
@@ -263,7 +263,7 @@ class TestRoundtripMatrix:
         save_index(index, path, compress=compress)
         other = labeled_erdos_renyi(40, 110, num_labels=3, seed=99)
         with pytest.raises(FormatError, match="different graph"):
-            load_index(path, other)
+            open_index(path, other)
 
     def test_exactness_against_differential_harness(self, tmp_path, compress):
         # The loaded oracle's estimate must match the original's for every
@@ -360,7 +360,7 @@ class TestFormatError:
         path = tmp_path / "old.npz"
         np.savez(path, kind=np.str_("powcov"), fingerprint=np.int64(0))
         with pytest.raises(FormatError, match="not a repro store file"):
-            load_index(path, graph)
+            open_index(path, graph)
 
 
 class TestSessionFingerprintCheck:
