@@ -5,10 +5,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import load_index, save_index
 from repro.core.nearest import constrained_nearest, rank_candidates
 from repro.core.powcov import PowCovIndex, WeightedPowCovIndex
 from repro.core.reachability import LandmarkReachabilityIndex
-from repro.core.serialize import load_index, save_index
 
 from conftest import BENCH_SEED
 

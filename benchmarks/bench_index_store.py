@@ -21,7 +21,7 @@ import sys
 import pytest
 
 import repro
-from repro.core.serialize import load_index, save_index
+from repro import load_index, save_index
 from repro.obs.trace import span
 
 from conftest import BENCH_SCALE, BENCH_SEED, run_queries
@@ -105,7 +105,7 @@ def private_rss_kb():
 
 import numpy as np
 
-from repro.core.serialize import load_index
+from repro import load_index
 from repro.graph.datasets import load_dataset
 from repro.store import index_store  # noqa: F401 - imported before measuring
 

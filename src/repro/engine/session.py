@@ -288,10 +288,17 @@ class QuerySession:
                 self.stats.count("cache_misses", len(arr))
                 return self._execute(arr).tolist()
             # Cached path: probe with the submitted tuples directly (no
-            # array round-trip on an all-hits batch).
-            queries = list(queries)
-            if queries and not isinstance(queries[0], tuple):
-                queries = [as_triple(q) for q in queries]
+            # array round-trip on an all-hits batch).  Anything but a
+            # plain triple of ints goes through as_triple first, so a
+            # float field raises rather than hitting the key of its int.
+            queries = [
+                q
+                if type(q) is tuple
+                and len(q) == 3
+                and type(q[0]) is type(q[1]) is type(q[2]) is int
+                else as_triple(q)
+                for q in queries
+            ]
             n = len(queries)
             self.stats.count("queries", n)
             _count_logical_queries(n)

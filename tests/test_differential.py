@@ -339,7 +339,8 @@ class TestDifferential:
         vertex outside ``[0, num_vertices)`` or a float field (never
         truncated to an integer) never reaches an oracle — the
         scalar ``query`` and the engine paths raise ``ValueError`` and the
-        wire answers 400, for every oracle family and every bad query."""
+        wire answers 400, for every oracle family and every bad query,
+        even when a caching session holds the answer of its int twin."""
         top = 1 << graph.num_labels
         n = graph.num_vertices
         bad_queries = {
@@ -367,6 +368,14 @@ class TestDifferential:
                         answers_via(oracle, queries, path)
                 status, payload = _post_via_http(oracle, queries)
                 assert status == 400, (which, name, payload)
+        for name, oracle in oracles.items():
+            # A cached answer is no way round the check: the float twin of
+            # a query the session has answered still raises.
+            session = QuerySession(oracle)
+            session.run([(0, 1, top - 1)])
+            for twin in ((0.0, 1, top - 1), (0, 1, float(top - 1))):
+                with pytest.raises(ValueError, match="domain"):
+                    session.run([twin])
 
 
 # ----------------------------------------------------------------------

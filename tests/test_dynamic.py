@@ -5,10 +5,10 @@ adoption, lineage fingerprints), PowCov repair (one path for insertions,
 deletions and relabels over built and store-opened tables, lattice
 chunking and the oversized-lattice rebuild), ChromLand per-sweep repair
 (undirected and directed, publishing new tables), the differential
-harness itself, and hypothesis-driven randomized mutation checks over
-undirected and directed graphs — op sequences and single multi-op
-deltas — asserting bit-identity with a from-scratch rebuild after every
-delta.
+harness itself, and hypothesis-driven randomized mutation checks — op
+sequences and single multi-op deltas, over undirected graphs for PowCov
+and undirected or directed ones for ChromLand — asserting bit-identity
+with a from-scratch rebuild after every delta.
 """
 
 from __future__ import annotations
@@ -607,9 +607,11 @@ class TestRepairDispatch:
 # Hypothesis-driven randomized mutation sequences (the acceptance bar)
 # ----------------------------------------------------------------------
 @st.composite
-def graph_and_ops(draw):
-    """A small graph, undirected or directed, plus a raw op tape to replay
-    against it.
+def graph_and_ops(draw, directed=st.just(False)):
+    """A small graph plus a raw op tape to replay against it; ``directed``
+    draws whether the graph is directed (undirected by default, so PowCov
+    tests keep exercising incremental repair rather than its directed
+    full-rebuild fallback).
 
     Ops are drawn blind — each ``(kind, u, v, label, alt)`` tuple is
     resolved against the *evolving* edge set at replay time and skipped if
@@ -618,7 +620,7 @@ def graph_and_ops(draw):
     """
     n = draw(st.integers(min_value=5, max_value=9))
     num_labels = draw(st.integers(min_value=2, max_value=3))
-    directed = draw(st.booleans())
+    directed = draw(directed)
     pairs = [
         (u, v) for u in range(n) for v in range(n) if u < v or (directed and u != v)
     ]
@@ -700,11 +702,12 @@ class TestRandomizedMutationSequences:
 
     @pytest.mark.parametrize("family", ["powcov", "chromland"])
     @DYNAMIC
-    @given(graph_and_ops())
-    def test_multi_op_delta_stays_bit_identical(self, family, case):
+    @given(st.data())
+    def test_multi_op_delta_stays_bit_identical(self, family, data):
         """All drawn ops folded into one delta: arriving and leaving edges
         meet in the same repair (an edge touched twice is skipped)."""
-        graph, ops = case
+        directed = st.just(False) if family == "powcov" else st.booleans()
+        graph, ops = data.draw(graph_and_ops(directed))
         landmarks = list(range(min(3, graph.num_vertices)))
         if family == "powcov":
             index = PowCovIndex(graph, landmarks).build()
@@ -739,7 +742,7 @@ class TestRandomizedMutationSequences:
         assert_repair_matches_rebuild(index, queries=sample_queries(graph, count=15))
 
     @DYNAMIC
-    @given(graph_and_ops())
+    @given(graph_and_ops(st.booleans()))
     def test_chromland_repair_stays_bit_identical(self, case):
         graph, ops = case
         landmarks = list(range(min(3, graph.num_vertices)))
