@@ -17,14 +17,13 @@ of four independent component lattices:
 * **interval** — a small integer range (:class:`Interval`) used by the
   REPRO009 shift-overflow check (``1 << k`` where ``k`` can reach the
   operand width).  Unknown bounds are ``None``; the engine widens loops.
-* **resources** — the set of *allocation sites* a value may refer to; the
-  per-site lifecycle state (:class:`ResourceState`) lives in the flow
-  state, not in the value, so that aliases observe each other's
-  ``close()``/``release()`` transitions (REPRO013).
+* **readonly** — whether the value may be a read-only array view
+  (``memmap(mode="r")``, a ``PowCovTable`` column, a CSR accessor) that
+  REPRO013 forbids writing into.  It joins by ``or``.
 
 Joins are pointwise over the product; every component join goes *up* (sets
 union and saturate to ``None``, intervals hull, differing domains become
-``None``), so the fixpoint iteration in the engine terminates.
+``None``, ``readonly`` ors), so the fixpoint iteration in the engine terminates.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ __all__ = [
     "DType",
     "Domain",
     "Interval",
-    "ResourceState",
     "AbstractValue",
     "UNKNOWN",
     "dtype_set",
@@ -224,16 +222,6 @@ def _join_domain(a: Domain | None, b: Domain | None) -> Domain | None:
     return a if a == b else None
 
 
-class ResourceState(Enum):
-    """Lifecycle state of one resource allocation site (REPRO013)."""
-
-    OPEN = "open"
-    CLOSED = "closed"
-    #: The resource left the function (returned / stored / passed on):
-    #: cleanup responsibility transferred, no leak is reported.
-    ESCAPED = "escaped"
-
-
 @dataclass(frozen=True)
 class Interval:
     """Integer range ``[lo, hi]``; ``None`` bounds mean unbounded."""
@@ -296,7 +284,6 @@ class AbstractValue:
     domain: Domain | None = None
     ivl: Interval | None = None
     readonly: bool = False
-    resources: frozenset[int] = frozenset()
     tag: str | None = None
     elem: "AbstractValue | None" = None
 
@@ -312,7 +299,6 @@ class AbstractValue:
             domain=_join_domain(self.domain, other.domain),
             ivl=_join_interval(self.ivl, other.ivl),
             readonly=self.readonly or other.readonly,
-            resources=self.resources | other.resources,
             tag=self.tag if self.tag == other.tag else None,
             elem=elem,
         )

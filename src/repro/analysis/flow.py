@@ -18,17 +18,17 @@ replays the final states through three checkers:
     parameter names.  REPRO010 flags arithmetic/comparison that mixes two
     known domains; REPRO011 flags a call argument whose domain contradicts
     the parameter it binds to.
-``REPRO013`` (resources)
-    Allocation-site lifecycle tracking for ``np.memmap`` handles plus
-    read-only ``PowCovTable`` columns: use-after-close, handles leaked on
-    normal or exception paths, and writes into read-only views.
+``REPRO013`` (read-only views)
+    Writes into arrays the package serves read-only: ``np.memmap(mode="r")``
+    mappings, ``PowCovTable`` columns (store mappings once an index is
+    opened from disk) and the CSR accessors.  An element store or a
+    mutating method (``fill``, ``sort``, ...) on such a view is flagged;
+    ``.copy()`` and ``astype`` yield a writable array.
 
-Exception edges propagate the *entry* state of the raising block, so a
-resource that is open when a statement can raise is seen as open at the
-enclosing handler / function exit — that is what makes the
-leak-on-exception check sound.  ``with`` statements mark their context
-managers as externally managed (no leak report) while still modeling the
-close-on-exit transition for use-after-close detection.
+Exception edges propagate the *entry* state of the raising block, so the
+state that reaches an ``except`` / ``finally`` body is the state before the
+statement that raised; the REPRO009–011 checks see those bodies only
+through these edges.
 
 Findings flow through the same :class:`~repro.analysis.lint.LintFinding` /
 ``# noqa: REPRO0xx`` machinery as the AST rules.  On top of that sit three
@@ -63,7 +63,6 @@ from .domains import (
     Domain,
     DType,
     Interval,
-    ResourceState,
     dtype_set,
     may_narrow,
     min_width,
@@ -93,7 +92,7 @@ __all__ = [
 ]
 
 #: Bumped whenever the engine's semantics change; invalidates the cache.
-ENGINE_VERSION = 2
+ENGINE_VERSION = 3
 
 #: The rules this engine owns (catalog text lives in ``lint.RULES``).
 FLOW_RULES = ("REPRO009", "REPRO010", "REPRO011", "REPRO013")
@@ -106,8 +105,6 @@ DEFAULT_CACHE = Path(".repro-flow-cache.json")
 #: (Gosper's hack et al. legitimately does ``mask + lowest``).
 _DOMAIN_EXEMPT_MODULES = ("graph/labelsets.py",)
 
-#: Lifecycle method names (never "use" of a resource).
-_LIFECYCLE_ATTRS = frozenset({"close", "unlink", "release", "__exit__"})
 #: Mutating ndarray methods (REPRO013 on read-only views).
 _ARRAY_WRITE_METHODS = frozenset(
     {"fill", "sort", "partition", "put", "itemset", "setflags", "resize"}
@@ -136,8 +133,6 @@ _MAPPED_COLUMNS = {
     ),
 }
 
-_OPEN = frozenset({ResourceState.OPEN})
-
 
 # ---------------------------------------------------------------------------
 # Control-flow graph
@@ -150,10 +145,10 @@ class Block:
 
     ``ops`` are small tagged tuples (``("stmt", node)``, ``("expr", node)``,
     ``("for", target, iter)``, ``("with-enter", item)``,
-    ``("with-exit", names)``, ``("except", handler)``, ``("return", node)``,
-    ``("bind", names)``).  ``exc_succs`` receive the block's *entry* state —
-    may-raise statements are isolated into single-op blocks so that entry
-    state is exactly the state before the raising statement.
+    ``("except", handler)``, ``("return", node)``, ``("bind", names)``).
+    ``exc_succs`` receive the block's *entry* state — may-raise statements
+    are isolated into single-op blocks so that entry state is exactly the
+    state before the raising statement.
     """
 
     ops: list[tuple[object, ...]] = field(default_factory=list)
@@ -177,26 +172,7 @@ class _CFG:
             self.blocks[src].succs.append(dst)
 
 
-def _is_cleanup_stmt(node: ast.AST) -> bool:
-    """``x.close()`` / ``.unlink()`` / ``.release()`` as a whole statement.
-
-    Cleanup calls are modeled as non-raising: their own exception edge
-    would otherwise report the handle they are releasing as leaked, and a
-    release that throws has nothing left to clean anyway.
-    """
-    return (
-        isinstance(node, ast.Expr)
-        and isinstance(node.value, ast.Call)
-        and isinstance(node.value.func, ast.Attribute)
-        and node.value.func.attr in ("close", "unlink", "release")
-        and not node.value.args
-        and not node.value.keywords
-    )
-
-
 def _may_raise(node: ast.AST) -> bool:
-    if _is_cleanup_stmt(node):
-        return False
     return any(
         isinstance(sub, (ast.Call, ast.Raise, ast.Assert)) for sub in ast.walk(node)
     )
@@ -308,13 +284,9 @@ class _CFGBuilder:
         elif isinstance(s, ast.Try):
             self._try(s)
         elif isinstance(s, (ast.With, ast.AsyncWith)):
-            names: list[str] = []
             for item in s.items:
                 self._emit(("with-enter", item), may_raise=True)
-                if isinstance(item.optional_vars, ast.Name):
-                    names.append(item.optional_vars.id)
             self._stmts(s.body)
-            self._emit(("with-exit", tuple(names)))
         elif isinstance(s, ast.Return):
             self._emit(("return", s.value), may_raise=_may_raise(s))
             self._terminate(self.cfg.exit)
@@ -410,20 +382,15 @@ def build_cfg(body: Sequence[ast.stmt]) -> tuple[list[Block], int, int, int]:
 
 
 class _State:
-    """Variable environment plus per-allocation-site resource states."""
+    """The variable environment: name -> abstract value."""
 
-    __slots__ = ("vars", "res")
+    __slots__ = ("vars",)
 
-    def __init__(
-        self,
-        vars: dict[str, AbstractValue] | None = None,
-        res: dict[int, frozenset[ResourceState]] | None = None,
-    ) -> None:
+    def __init__(self, vars: dict[str, AbstractValue] | None = None) -> None:
         self.vars: dict[str, AbstractValue] = vars if vars is not None else {}
-        self.res: dict[int, frozenset[ResourceState]] = res if res is not None else {}
 
     def copy(self) -> "_State":
-        return _State(dict(self.vars), dict(self.res))
+        return _State(dict(self.vars))
 
     def join(self, other: "_State", widen: bool = False) -> "_State":
         merged: dict[str, AbstractValue] = {}
@@ -431,30 +398,13 @@ class _State:
             a = self.vars.get(name, UNKNOWN)
             b = other.vars.get(name, UNKNOWN)
             merged[name] = b.widen_against(a) if widen else a.join(b)
-        res: dict[int, frozenset[ResourceState]] = {}
-        for sid in self.res.keys() | other.res.keys():
-            res[sid] = self.res.get(sid, frozenset()) | other.res.get(sid, frozenset())
-        return _State(merged, res)
+        return _State(merged)
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, _State)
-            and self.vars == other.vars
-            and self.res == other.res
-        )
+        return isinstance(other, _State) and self.vars == other.vars
 
     def __hash__(self) -> int:  # pragma: no cover - states are not hashed
         raise TypeError("_State is unhashable")
-
-
-@dataclass
-class _Site:
-    """One resource allocation site (a specific call expression)."""
-
-    kind: str
-    line: int
-    col: int
-    managed: bool = False  # context-managed: cleanup is someone else's job
 
 
 #: Visits to one block before interval widening kicks in.
@@ -482,11 +432,9 @@ class _FunctionAnalyzer:
         self.module = module
         self.path = path
         self.summaries = summaries
-        self.blocks, self.entry, self.exit, self.raise_exit = build_cfg(body)
+        self.blocks, self.entry, _exit, _raise_exit = build_cfg(body)
         self.args = args
         self.check_domains = module not in _DOMAIN_EXEMPT_MODULES
-        self._sites: dict[int, _Site] = {}
-        self._site_ids: dict[tuple[int, int, str], int] = {}
         self._findings: dict[tuple[int, int, str], LintFinding] = {}
 
     # -- reporting -----------------------------------------------------
@@ -534,7 +482,6 @@ class _FunctionAnalyzer:
         for bid, state in in_states.items():
             if self.blocks[bid].ops:
                 self._transfer(self.blocks[bid], state, report=True)
-        self._check_leaks(in_states)
         return list(self._findings.values())
 
     def _merge(
@@ -557,39 +504,6 @@ class _FunctionAnalyzer:
             in_states[target] = joined
             work.append(target)
 
-    def _check_leaks(self, in_states: dict[int, _State]) -> None:
-        exit_state = in_states.get(self.exit)
-        raise_state = in_states.get(self.raise_exit)
-
-        def leaking(state: _State | None, sid: int) -> bool:
-            if state is None or sid not in state.res:
-                return False
-            states = state.res[sid]
-            return (
-                ResourceState.OPEN in states
-                and ResourceState.ESCAPED not in states
-            )
-
-        for sid, site in self._sites.items():
-            if site.managed:
-                continue
-            anchor = _Anchor(site.line, site.col)
-            if leaking(exit_state, sid):
-                self._flag(
-                    anchor,
-                    "REPRO013",
-                    f"{site.kind} handle opened here is not released on every "
-                    "path; call close()/unlink() (or release()) before "
-                    "returning",
-                )
-            elif leaking(raise_state, sid):
-                self._flag(
-                    anchor,
-                    "REPRO013",
-                    f"{site.kind} handle opened here leaks when an exception "
-                    "unwinds; release it in a finally block",
-                )
-
     # -- transfer function --------------------------------------------
     def _transfer(self, block: Block, state: _State, report: bool) -> _State:
         st = state.copy()
@@ -605,24 +519,15 @@ class _FunctionAnalyzer:
             elif tag == "with-enter":
                 item = op[1]
                 value = self._eval(item.context_expr, st, report)  # type: ignore[union-attr]
-                for sid in value.resources:
-                    if sid in self._sites:
-                        self._sites[sid].managed = True
                 if item.optional_vars is not None:  # type: ignore[union-attr]
                     self._bind(item.optional_vars, value, st, report)  # type: ignore[union-attr]
-            elif tag == "with-exit":
-                for name in op[1]:  # type: ignore[union-attr]
-                    value = st.vars.get(name)
-                    if value is not None:
-                        self._close(value, st)
             elif tag == "except":
                 handler = op[1]
                 if handler.name:  # type: ignore[union-attr]
                     st.vars[handler.name] = UNKNOWN  # type: ignore[union-attr, index]
             elif tag == "return":
                 if op[1] is not None:
-                    value = self._eval(op[1], st, report)  # type: ignore[arg-type]
-                    self._escape(value, st)
+                    self._eval(op[1], st, report)  # type: ignore[arg-type]
             elif tag == "bind":
                 for name in op[1]:  # type: ignore[union-attr]
                     st.vars[name] = UNKNOWN  # type: ignore[index]
@@ -680,8 +585,6 @@ class _FunctionAnalyzer:
                 self._bind(sub, elem, st, report)
         elif isinstance(target, ast.Attribute):
             self._eval(target.value, st, report)
-            # Stored into an object: lifetime responsibility moves with it.
-            self._escape(value, st)
         elif isinstance(target, ast.Subscript):
             base = self._eval(target.value, st, report)
             self._eval(target.slice, st, report)
@@ -702,43 +605,6 @@ class _FunctionAnalyzer:
                     "REPRO009",
                     f"element store may narrow {_fmt_dtypes(value.dtypes)} "
                     f"to {_fmt_dtypes(base.dtypes)} silently",
-                )
-            self._escape(value, st)
-
-    # -- resource helpers ---------------------------------------------
-    def _alloc(self, kind: str, node: ast.expr, st: _State) -> AbstractValue:
-        key = (getattr(node, "lineno", 0), getattr(node, "col_offset", 0), kind)
-        sid = self._site_ids.setdefault(key, len(self._site_ids))
-        self._sites.setdefault(sid, _Site(kind, key[0], key[1]))
-        st.res[sid] = _OPEN
-        return AbstractValue(resources=frozenset({sid}), tag=f"resource:{kind}")
-
-    def _close(self, value: AbstractValue, st: _State) -> None:
-        for sid in value.resources:
-            states = st.res.get(sid, frozenset())
-            st.res[sid] = (states - {ResourceState.OPEN}) | {ResourceState.CLOSED}
-
-    def _escape(self, value: AbstractValue, st: _State) -> None:
-        for sid in value.resources:
-            st.res[sid] = st.res.get(sid, frozenset()) | {ResourceState.ESCAPED}
-
-    def _check_use(
-        self, node: ast.AST, value: AbstractValue, st: _State, report: bool
-    ) -> None:
-        if not report or not value.resources:
-            return
-        for sid in value.resources:
-            states = st.res.get(sid)
-            if not states or ResourceState.OPEN in states:
-                continue
-            if ResourceState.CLOSED in states:
-                site = self._sites.get(sid)
-                kind = site.kind if site else "resource"
-                self._flag(
-                    node,
-                    "REPRO013",
-                    f"use of a {kind} handle after close()/unlink(); the "
-                    "mapping is gone on every path reaching this line",
                 )
 
     # -- expression evaluation ----------------------------------------
@@ -791,21 +657,16 @@ class _FunctionAnalyzer:
             return AbstractValue(kind="slice")
         if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
             elem: AbstractValue | None = None
-            resources: frozenset[int] = frozenset()
             for sub in node.elts:
                 value = self._eval(sub, st, report)
-                resources = resources | value.resources
                 elem = value if elem is None else elem.join(value)
-            # The container carries its elements' resources: storing or
-            # returning it transfers their cleanup responsibility too.
-            return AbstractValue(kind="iter", elem=elem, resources=resources)
+            return AbstractValue(kind="iter", elem=elem)
         if isinstance(node, ast.Dict):
-            resources = frozenset()
             for key, value_node in zip(node.keys, node.values):
                 if key is not None:
                     self._eval(key, st, report)
-                resources = resources | self._eval(value_node, st, report).resources
-            return AbstractValue(kind="iter", resources=resources)
+                self._eval(value_node, st, report)
+            return AbstractValue(kind="iter")
         if isinstance(node, ast.Starred):
             return self._eval(node.value, st, report)
         if isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.SetComp)):
@@ -814,8 +675,7 @@ class _FunctionAnalyzer:
                 self._bind(gen.target, _elem_of(iterable), st, report)
                 for cond in gen.ifs:
                     self._eval(cond, st, report)
-            elt = self._eval(node.elt, st, report)
-            return AbstractValue(kind="iter", elem=elt, resources=elt.resources)
+            return AbstractValue(kind="iter", elem=self._eval(node.elt, st, report))
         if isinstance(node, ast.DictComp):
             for gen in node.generators:
                 iterable = self._eval(gen.iter, st, report)
@@ -837,13 +697,9 @@ class _FunctionAnalyzer:
         if isinstance(node, ast.FormattedValue):
             self._eval(node.value, st, report)
             return AbstractValue(kind="scalar")
-        if isinstance(node, (ast.Await, ast.YieldFrom)):
+        if isinstance(node, (ast.Await, ast.Yield, ast.YieldFrom)):
             if node.value is not None:
-                self._escape(self._eval(node.value, st, report), st)
-            return UNKNOWN
-        if isinstance(node, ast.Yield):
-            if node.value is not None:
-                self._escape(self._eval(node.value, st, report), st)
+                self._eval(node.value, st, report)
             return UNKNOWN
         if isinstance(node, ast.Lambda):
             return AbstractValue(kind="scalar")
@@ -861,8 +717,6 @@ class _FunctionAnalyzer:
             return AbstractValue(tag=f"module:numpy.{attr}")
         if base.tag == "mapped-table" and attr in _MAPPED_COLUMNS:
             return _MAPPED_COLUMNS[attr]
-        if attr not in _LIFECYCLE_ATTRS:
-            self._check_use(node, base, st, report)
         if attr in _CSR_READONLY:
             return _CSR_READONLY[attr]
         return UNKNOWN
@@ -872,7 +726,6 @@ class _FunctionAnalyzer:
     ) -> AbstractValue:
         base = self._eval(node.value, st, report)
         index = self._eval(node.slice, st, report)
-        self._check_use(node, base, st, report)
         if base.kind == "iter":
             return _elem_of(base)
         if base.kind == "array":
@@ -1016,12 +869,8 @@ class _FunctionAnalyzer:
                         f"keyword argument '{kw.arg}' expects a "
                         f"{expected.value} but receives a {got.domain.value}",
                     )
-        # Arguments handed to another callable escape our responsibility.
-        for value in [*argvals, *kwvals.values()]:
-            self._escape(value, st)
-
         if base is not None:
-            result = self._method_call(node, name, base, argvals, kwvals, st, report)
+            result = self._method_call(node, name, base, argvals, kwvals, report)
             if result is not None:
                 return result
         builtin = self._builtin_call(node, name, argvals, kwvals)
@@ -1041,16 +890,10 @@ class _FunctionAnalyzer:
         base: AbstractValue,
         argvals: list[AbstractValue],
         kwvals: dict[str | None, AbstractValue],
-        st: _State,
         report: bool,
     ) -> AbstractValue | None:
         if base.tag == "module:numpy":
-            return self._numpy_call(node, name, argvals, kwvals, st)
-        if name not in _LIFECYCLE_ATTRS:
-            self._check_use(node, base, st, report)
-        if name in _LIFECYCLE_ATTRS and base.resources:
-            self._close(base, st)
-            return AbstractValue(kind="scalar")
+            return self._numpy_call(name, argvals, kwvals)
         if name == "astype":
             target = kwvals.get("dtype") or (argvals[0] if argvals else UNKNOWN)
             target_dtypes = target.dtypes if target.kind == "dtype" else None
@@ -1073,16 +916,14 @@ class _FunctionAnalyzer:
                 )
             return AbstractValue(kind="scalar")
         if name == "copy":
-            return replace(base, readonly=False, resources=frozenset())
+            return replace(base, readonly=False)
         return None
 
     def _numpy_call(
         self,
-        node: ast.Call,
         name: str,
         argvals: list[AbstractValue],
         kwvals: dict[str | None, AbstractValue],
-        st: _State,
     ) -> AbstractValue:
         dt = parse_dtype_token(name)
         if dt is not None:  # np.uint64(x): a scalar cast
@@ -1114,10 +955,10 @@ class _FunctionAnalyzer:
         if name == "searchsorted":
             return AbstractValue(dtypes=dtype_set(DType.INT64), kind="array")
         if name == "memmap":
-            value = self._alloc("memmap", node, st)
             mode = kwvals.get("mode")
-            readonly = mode is not None and mode.tag == "const:r"
-            return replace(value, kind="array", readonly=readonly)
+            return AbstractValue(
+                kind="array", readonly=mode is not None and mode.tag == "const:r"
+            )
         if name in ("minimum", "maximum", "where"):
             arrays = [a for a in argvals if a.kind == "array"]
             result = UNKNOWN
@@ -1221,14 +1062,6 @@ class _FunctionAnalyzer:
                         f"carries a {value.domain.value}",
                     )
         return summary.returns
-
-
-class _Anchor:
-    """A synthetic AST-node stand-in carrying just a source position."""
-
-    def __init__(self, line: int, col: int) -> None:
-        self.lineno = line
-        self.col_offset = col
 
 
 _OP_NAMES: dict[type[ast.operator], str] = {

@@ -123,8 +123,8 @@ RULES: dict[str, str] = {
     "landmark-index unit domains (flow-sensitive)",
     "REPRO011": "call arguments carry the unit domain the parameter expects "
     "(flow-sensitive)",
-    "REPRO013": "memmap/PowCovTable handles are released and their "
-    "read-only views never written (flow-sensitive)",
+    "REPRO013": "read-only array views (memmap mode='r', PowCovTable "
+    "columns, CSR accessors) are never written (flow-sensitive)",
     "REPRO014": "private repro.kernels backends are imported only inside "
     "repro.kernels; go through resolve_kernel",
 }

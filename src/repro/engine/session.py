@@ -291,14 +291,20 @@ class QuerySession:
             # array round-trip on an all-hits batch).  Anything but a
             # plain triple of ints goes through as_triple first, so a
             # float field raises rather than hitting the key of its int.
-            queries = [
-                q
-                if type(q) is tuple
-                and len(q) == 3
-                and type(q[0]) is type(q[1]) is type(q[2]) is int
-                else as_triple(q)
-                for q in queries
-            ]
+            # An array is checked whole and probed by its int rows.
+            if isinstance(queries, np.ndarray):
+                queries = list(
+                    map(tuple, to_triple_array(queries, num_labels, num_vertices).tolist())
+                )
+            else:
+                queries = [
+                    q
+                    if type(q) is tuple
+                    and len(q) == 3
+                    and type(q[0]) is type(q[1]) is type(q[2]) is int
+                    else as_triple(q)
+                    for q in queries
+                ]
             n = len(queries)
             self.stats.count("queries", n)
             _count_logical_queries(n)

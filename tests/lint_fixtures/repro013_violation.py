@@ -1,5 +1,5 @@
 # lint-module: repro/perf/scratch.py
-"""Fixture: memmap/PowCovTable misuse — read-only writes, leaked maps."""
+"""Fixture: writes into read-only memmap / PowCovTable views."""
 
 from __future__ import annotations
 
@@ -14,11 +14,6 @@ def _write_readonly_map(path: str) -> "np.ndarray":
     return view
 
 
-def _leaked_map(path: str) -> float:
-    view = np.memmap(path, mode="w+", dtype=np.float64, shape=(8,))  # line 18
-    return float(view[0])  # writable map dropped without release
-
-
 def _write_table_column(key: object, payload: object, bits: object) -> None:
     table = PowCovTable(key, payload, bits, 4, 16)
-    table.dist[0] = 0.0  # line 24: mmap-backed column is read-only
+    table.dist[0] = 0.0  # line 19: mmap-backed column is read-only

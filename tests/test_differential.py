@@ -6,7 +6,8 @@ cross-product
     {PowCov scalar builder, PowCov wave builder, ChromLand, naive baseline}
   × {serial build, thread-pool build}
   × {scalar ``oracle.query`` loop, vectorized ``execute_batch``,
-     cached ``QuerySession``, the ``repro.serve`` HTTP wire}
+     cached ``QuerySession`` on triples and on an ``(n, 3)`` int array,
+     the ``repro.serve`` HTTP wire}
 
 asserting that
 
@@ -173,19 +174,27 @@ def _answers_via_http(oracle, queries) -> list[float]:
 
 
 def answers_via(oracle, queries, path: str) -> list[float]:
-    """Answer ``queries`` through one of the four executor paths."""
+    """Answer ``queries`` through one of the executor paths."""
     if path == "scalar":
         return [oracle.query(s, t, m) for s, t, m in queries]
     if path == "batch":
         return execute_batch(oracle, queries)
     if path == "session":
         return QuerySession(oracle).run(queries)
+    if path == "session-array":
+        # An (n, 3) int array through the cached path: all misses, then
+        # the same array again from the answer cache.
+        session = QuerySession(oracle)
+        arr = np.array(queries, dtype=np.int64).reshape(-1, 3)
+        answers = session.run(arr)
+        assert session.run(arr) == answers
+        return answers
     if path == "http":
         return _answers_via_http(oracle, queries)
     raise ValueError(path)
 
 
-EXECUTOR_PATHS = ("scalar", "batch", "session", "http")
+EXECUTOR_PATHS = ("scalar", "batch", "session", "session-array", "http")
 
 
 def assert_paths_agree(oracle, queries, reference: list[float], label: str):
@@ -373,9 +382,13 @@ class TestDifferential:
             # a query the session has answered still raises.
             session = QuerySession(oracle)
             session.run([(0, 1, top - 1)])
-            for twin in ((0.0, 1, top - 1), (0, 1, float(top - 1))):
+            for twin in (
+                [(0.0, 1, top - 1)],
+                [(0, 1, float(top - 1))],
+                np.array([[0, 1, top - 1]], dtype=np.float64),
+            ):
                 with pytest.raises(ValueError, match="domain"):
-                    session.run([twin])
+                    session.run(twin)
 
 
 # ----------------------------------------------------------------------
