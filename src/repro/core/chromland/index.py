@@ -135,7 +135,10 @@ class ChromLandIndex(DistanceOracle):
         amortizes the per-level CSR gathers across landmarks; ``parallel``
         threads run contiguous chunks of sweeps (results are reassembled
         in sweep order, so the tables are bit-for-bit identical to a
-        serial run).
+        serial run).  At most one thread per 64 sweeps: the bit-parallel
+        kernel carries 64 rows per word and costs about as much for a
+        part of a word as for all of it, so a list that fits one word is
+        one kernel call.
 
         The rows land in fresh tables when no sweep is kept and in copies
         of the current ones otherwise; ``mono``, ``mono_in``, ``bi`` and
@@ -189,7 +192,7 @@ class ChromLandIndex(DistanceOracle):
             [job for job, _slot in run],
             graphs=(graph, graph.reversed()) if directed else (graph,),
             extra=self.landmarks,
-            parallel=parallel,
+            parallel=min(worker_count(parallel), -(-len(run) // 64)),
         )
         # A bi cell ``(i, j)`` and its mirror ``(j, i)`` share one mask, so
         # both run or both are kept; on undirected graphs BFS distances are

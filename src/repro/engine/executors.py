@@ -8,10 +8,11 @@ therefore *reorganizations* of the scalar arithmetic — same lookups, same
 additions, same minima — with the per-mask work hoisted out of the per-
 query loop:
 
-* :class:`PowCovExecutor` resolves the Theorem 1 reconstruction for *all*
-  unique endpoints of a mask group in one subset-filter sweep over the
-  index's sorted table; per-vertex landmark rows are cached on the mask
-  plan so repeated-mask streams never re-scan a vertex's entries.
+* :class:`PowCovExecutor` resolves the Theorem 1 reconstruction for the
+  endpoints of a mask group not yet resolved under that mask in one
+  subset-filter sweep over the index's sorted table; per-vertex landmark
+  rows are cached on the mask plan so repeated-mask streams never re-scan
+  a vertex's entries.
 * :class:`ChromLandExecutor` computes the usable-landmark filter and (for
   the Theorem 5 strategy) the masked auxiliary adjacency once per mask;
   the mask's first ``k_usable`` queries run the per-query Dijkstra, then
@@ -103,25 +104,28 @@ class _RowCache:
     """Resolved per-vertex landmark rows for one (mask, table) pair.
 
     Rows live in one doubling-capacity matrix so group assembly is a
-    single fancy-index gather; ``row_of`` maps vertex id to matrix row.
+    single fancy-index gather.  ``row_of`` is an int32 array over the
+    graph's vertices giving each vertex's matrix row, ``-1`` while the
+    vertex is not resolved: it costs ``4n`` bytes per cache, under
+    ``1/(2k)`` of the rows once every vertex is resolved, and turns the
+    vertex-to-row lookup into one more fancy index.
     """
 
     __slots__ = ("row_of", "data", "size")
 
-    def __init__(self, k: int) -> None:
-        self.row_of: dict[int, int] = {}
+    def __init__(self, n: int, k: int) -> None:
+        self.row_of = np.full(n, -1, dtype=np.int32)
         self.data = np.empty((16, k), dtype=np.float64)
         self.size = 0
 
-    def append(self, table: np.ndarray, vertices: list[int]) -> None:
+    def append(self, table: np.ndarray, vertices: np.ndarray) -> None:
         need = self.size + len(table)
         if need > len(self.data):
             grown = np.empty((max(need, 2 * len(self.data)), self.data.shape[1]))
             grown[: self.size] = self.data[: self.size]
             self.data = grown
         self.data[self.size:need] = table
-        for offset, u in enumerate(vertices):
-            self.row_of[u] = self.size + offset
+        self.row_of[vertices] = np.arange(self.size, need, dtype=np.int32)
         self.size = need
 
 
@@ -130,10 +134,10 @@ class _PowCovMaskPlan:
 
     __slots__ = ("label_mask", "rows", "rows_reverse")
 
-    def __init__(self, label_mask: int, k: int, directed: bool) -> None:
+    def __init__(self, label_mask: int, n: int, k: int, directed: bool) -> None:
         self.label_mask = label_mask
-        self.rows = _RowCache(k)
-        self.rows_reverse = _RowCache(k) if directed else None
+        self.rows = _RowCache(n, k)
+        self.rows_reverse = _RowCache(n, k) if directed else None
 
 
 class PowCovExecutor(OracleExecutor[PowCovIndex, _PowCovMaskPlan]):
@@ -146,29 +150,29 @@ class PowCovExecutor(OracleExecutor[PowCovIndex, _PowCovMaskPlan]):
 
     def prepare_mask(self, label_mask: int) -> _PowCovMaskPlan:
         return _PowCovMaskPlan(
-            label_mask, len(self.oracle.landmarks), self._directed
+            label_mask,
+            self.oracle.graph.num_vertices,
+            len(self.oracle.landmarks),
+            self._directed,
         )
 
     def _gather(
         self,
         label_mask: int,
-        unique_vertices: np.ndarray,
+        vertices: np.ndarray,
         direction: str,
         cache: _RowCache,
     ) -> np.ndarray:
-        """Landmark rows for ``unique_vertices``, resolving any new ones."""
-        row_of = cache.row_of
-        missing = [u for u in unique_vertices.tolist() if u not in row_of]
-        if missing:
-            table = self.oracle.landmark_rows(
-                np.asarray(missing, dtype=np.int64), label_mask, direction
+        """Landmark rows for ``vertices``, resolving any new ones first."""
+        rows = cache.row_of[vertices]
+        unresolved = rows < 0
+        if unresolved.any():
+            missing = np.unique(vertices[unresolved])
+            cache.append(
+                self.oracle.landmark_rows(missing, label_mask, direction), missing
             )
-            cache.append(table, missing)
-        idx = np.fromiter(
-            (row_of[u] for u in unique_vertices.tolist()),
-            dtype=np.int64, count=len(unique_vertices),
-        )
-        return cache.data[idx]
+            rows = cache.row_of[vertices]
+        return cache.data[rows]
 
     def execute_group(
         self, mask_plan: _PowCovMaskPlan, group: MaskGroup
@@ -188,19 +192,15 @@ class PowCovExecutor(OracleExecutor[PowCovIndex, _PowCovMaskPlan]):
         if mask_plan.rows_reverse is not None:
             # Directed estimate: min_x d_C(s → x) + d_C(x → t); the s-leg
             # comes from the reversed-graph table.
-            su, s_inv = np.unique(sources, return_inverse=True)
-            tu, t_inv = np.unique(targets, return_inverse=True)
-            ds = self._gather(
-                mask, su, "to-landmark", mask_plan.rows_reverse
-            )[s_inv]
-            dt = self._gather(mask, tu, "from-landmark", mask_plan.rows)[t_inv]
+            ds = self._gather(mask, sources, "to-landmark", mask_plan.rows_reverse)
+            dt = self._gather(mask, targets, "from-landmark", mask_plan.rows)
         else:
-            endpoints, inverse = np.unique(
-                np.concatenate([sources, targets]), return_inverse=True
+            matrix = self._gather(
+                mask, np.concatenate([sources, targets]), "from-landmark",
+                mask_plan.rows,
             )
-            matrix = self._gather(mask, endpoints, "from-landmark", mask_plan.rows)
-            ds = matrix[inverse[: len(sources)]]
-            dt = matrix[inverse[len(sources):]]
+            ds = matrix[: len(sources)]
+            dt = matrix[len(sources):]
         sums = ds + dt
         if self.oracle.estimator == "median":
             estimates = np.empty(len(sums), dtype=np.float64)
@@ -287,11 +287,14 @@ class ChromLandExecutor(OracleExecutor[ChromLandIndex, _ChromLandMaskPlan]):
         oracle = self.oracle
         sources = group.sources[live]
         targets = group.targets[live]
-        source_table = oracle.mono if oracle.mono_in is None else oracle.mono_in
+        # Plain ndarray views: a store-opened index holds memmaps, whose
+        # Python-level __getitem__ would run on every gather.
+        mono = np.asarray(oracle.mono)
+        source_table = mono if oracle.mono_in is None else np.asarray(oracle.mono_in)
         # (k_usable, g) legs for the whole group, sentinel-converted once.
         rows = mask_plan.usable[:, None]
         ds = source_table[rows, sources].astype(np.float64)
-        dt = oracle.mono[rows, targets].astype(np.float64)
+        dt = mono[rows, targets].astype(np.float64)
         ds[ds == UNREACHABLE] = INF
         dt[dt == UNREACHABLE] = INF
         auxiliary = mask_plan.auxiliary

@@ -16,9 +16,16 @@ with
 * an :class:`~repro.engine.instrument.Instrumentation` of counters and
   stage timers, exposed as ``session.stats``.
 
-``run()`` takes a batch (``Query`` objects or ``(s, t, mask)`` triples),
-serves what it can from the answer cache, groups the misses by mask, and
-executes each group vectorized.  Answers are bit-identical to the scalar
+``run()`` takes a batch (``Query`` objects, ``(s, t, mask)`` triples or
+an ``(n, 3)`` int array), serves what it can from the answer cache,
+groups the misses by mask, and executes each group vectorized.  An array
+is checked and keyed whole: one ``to_triple_array``, one ``.tolist()``,
+one bulk probe (``map(cache.get, keys)``), the misses sliced out of the
+array, and a fill that inserts every miss at once and evicts the excess
+once.  A list, a single lookup above all, is probed one tuple at a time
+and touches no numpy when it hits.  Either way the cache ends in the
+LRU order, and with the hit/miss/eviction counts, of one probe and one
+put per query.  Answers are bit-identical to the scalar
 ``oracle.query`` loop — property-tested in ``tests/test_engine.py`` — so
 sessions are a pure serving-layer optimization.
 
@@ -28,8 +35,9 @@ sessions are a pure serving-layer optimization.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from collections.abc import Iterable, Sequence
+from itertools import repeat
 from time import perf_counter
 from typing import Any
 
@@ -206,6 +214,32 @@ class QuerySession:
             self._answers.popitem(last=False)
             self.stats.count("cache_evictions")
 
+    def _cache_put_many(
+        self, keys: list[tuple[int, int, int, int]], values: list[float]
+    ) -> None:
+        """``_cache_put`` of each miss in turn, evicting the excess once.
+
+        Missed keys are absent from the cache, so when no key repeats,
+        inserting them all and then dropping the oldest entries leaves the
+        same entries, in the same order, after the same number of
+        evictions as one put at a time.  A repeated key could have been
+        evicted between its puts and counted twice, so such a batch is
+        taken back out and put one key at a time.
+        """
+        answers = self._answers
+        size = len(answers)
+        answers.update(zip(keys, values))
+        if len(answers) - size < len(keys):
+            for key in keys:
+                answers.pop(key, None)
+            for key, value in zip(keys, values):
+                self._cache_put(key, value)
+            return
+        excess = len(answers) - self.cache_size
+        if excess > 0:
+            deque(map(answers.popitem, repeat(False, excess)), maxlen=0)
+            self.stats.count("cache_evictions", excess)
+
     def _plan_for(self, label_mask: int) -> Any:
         plan = self._plans.get(label_mask)
         if plan is not None or label_mask in self._plans:
@@ -287,16 +321,28 @@ class QuerySession:
                     return []
                 self.stats.count("cache_misses", len(arr))
                 return self._execute(arr).tolist()
-            # Cached path: probe with the submitted tuples directly (no
-            # array round-trip on an all-hits batch).  Anything but a
-            # plain triple of ints goes through as_triple first, so a
-            # float field raises rather than hitting the key of its int.
-            # An array is checked whole and probed by its int rows.
+            # Cached path.  The whole batch is probed before any answer
+            # lands, so a triple repeated within a batch misses every time
+            # it misses.
+            fingerprint = self._fingerprint
+            arr: np.ndarray | None = None
+            miss_positions: list[int] | None = None
             if isinstance(queries, np.ndarray):
-                queries = list(
-                    map(tuple, to_triple_array(queries, num_labels, num_vertices).tolist())
-                )
+                arr = to_triple_array(queries, num_labels, num_vertices)
+                keys = list(zip(repeat(fingerprint), *arr.T.tolist()))
+                answers: list[float | None] = list(map(self._answers.get, keys))
+                misses = answers.count(None)
+                if misses < len(keys):
+                    touch = self._answers.move_to_end
+                    for key, value in zip(keys, answers):
+                        if value is not None:
+                            touch(key)
             else:
+                # A list (a single lookup above all) is probed one tuple at
+                # a time: no numpy on a hit, and no set-up a batch of one
+                # would not pay back.  Anything but a plain triple of ints
+                # goes through as_triple first, so a float field raises
+                # rather than hitting the key of its int.
                 queries = [
                     q
                     if type(q) is tuple
@@ -305,37 +351,49 @@ class QuerySession:
                     else as_triple(q)
                     for q in queries
                 ]
-            n = len(queries)
+                answers = [None] * len(queries)
+                miss_positions = []
+                keys = []
+                for i, (s, t, mask) in enumerate(queries):
+                    key = (fingerprint, s, t, mask)
+                    keys.append(key)
+                    cached = self._cache_get(key)
+                    if cached is None:
+                        miss_positions.append(i)
+                    else:
+                        answers[i] = cached
+                misses = len(miss_positions)
+            n = len(keys)
             self.stats.count("queries", n)
             _count_logical_queries(n)
             self.stats.count("batches")
             run_span.count("queries", n)
             if n == 0:
                 return []
-            fingerprint = self._fingerprint
-            answers: list[float | None] = [None] * n
-            miss_positions: list[int] = []
-            keys: list[tuple[int, int, int, int]] = []
-            for i, (s, t, mask) in enumerate(queries):
-                key = (fingerprint, s, t, mask)
-                keys.append(key)
-                cached = self._cache_get(key)
-                if cached is None:
-                    miss_positions.append(i)
-                else:
-                    answers[i] = cached
-            self.stats.count("cache_hits", n - len(miss_positions))
-            self.stats.count("cache_misses", len(miss_positions))
-            run_span.count("cache_hits", n - len(miss_positions))
-            run_span.count("cache_misses", len(miss_positions))
-            if miss_positions:
-                misses = [queries[i] for i in miss_positions]
-                values = self._execute(
-                    to_triple_array(misses, num_labels, num_vertices)
+            self.stats.count("cache_hits", n - misses)
+            self.stats.count("cache_misses", misses)
+            run_span.count("cache_hits", n - misses)
+            run_span.count("cache_misses", misses)
+            if not misses:
+                return answers  # type: ignore[return-value]
+            if misses == n:
+                if arr is None:
+                    arr = to_triple_array(queries, num_labels, num_vertices)
+                values = self._execute(arr).tolist()
+                self._cache_put_many(keys, values)
+                return values
+            if miss_positions is None:
+                miss_positions = [i for i, value in enumerate(answers) if value is None]
+            if arr is None:
+                arr = to_triple_array(
+                    [queries[i] for i in miss_positions], num_labels, num_vertices
                 )
-                for i, value in zip(miss_positions, values.tolist()):
-                    answers[i] = value
-                    self._cache_put(keys[i], value)
+            else:
+                arr = arr[miss_positions]
+            values = self._execute(arr).tolist()
+            self._cache_put_many([keys[i] for i in miss_positions], values)
+            for i, value in zip(miss_positions, values):
+                answers[i] = value
             return answers  # type: ignore[return-value]
 
     def _execute(self, arr: np.ndarray) -> np.ndarray:

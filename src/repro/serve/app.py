@@ -2,8 +2,13 @@
 
 Request flow for ``POST /graphs/{name}/query``::
 
-    connection handler ──> dispatch ──> MicroBatcher.submit
-                                             │  (idle: flush now; busy: coalesce / max_batch)
+    connection handler ──> dispatch ──> handle_query: decode
+                                             │  (triple batch: one (n, 3) int64 array;
+                                             │   any doubt: the per-item parser)
+                                             ▼
+                                        MicroBatcher.submit
+                                             │  (idle: flush now; busy: coalesce / max_batch;
+                                             │   a lone request passes through untouched)
                                              ▼
                               ThreadPoolExecutor: session.run(batch)
                                              │  (numpy work off the loop)
@@ -40,16 +45,20 @@ import asyncio
 import math
 import os
 import threading
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Any
 
+import numpy as np
+
+from ..engine.plan import to_triple_array
 from ..graph.delta import GraphDelta
 from ..graph.labelsets import full_mask, mask_from_labels
 from ..obs.metrics import registry as _metrics_registry
 from ..store.format import FormatError
-from .batching import MicroBatcher, Triple
+from .batching import MicroBatcher, Queries, Triple
 from .http import (
     HttpError,
     HttpRequest,
@@ -99,6 +108,13 @@ def wire_distance(value: float) -> float | None:
     return None if math.isinf(value) else float(value)
 
 
+def wire_distances(answers: list[float]) -> Sequence[float | None]:
+    """:func:`wire_distance` over a batch: the list itself when all finite."""
+    if math.inf in answers or -math.inf in answers:
+        return [None if math.isinf(d) else d for d in answers]
+    return answers
+
+
 def from_wire_distance(value: float | None) -> float:
     """Inverse of :func:`wire_distance` for clients."""
     return math.inf if value is None else float(value)
@@ -144,7 +160,7 @@ class ServeApp:
             return lock
 
     def _execute_sync(
-        self, name: str, kind: str, triples: list[Triple]
+        self, name: str, kind: str, triples: Queries
     ) -> list[float]:
         session = self.registry.session(name, kind)
         with self._key_lock((name, kind)):
@@ -157,7 +173,7 @@ class ServeApp:
             if batcher is None:
 
                 def execute(
-                    triples: list[Triple], _name: str = name, _kind: str = kind
+                    triples: Queries, _name: str = name, _kind: str = kind
                 ) -> "asyncio.Future[list[float]]":
                     loop = asyncio.get_running_loop()
                     return loop.run_in_executor(
@@ -236,6 +252,31 @@ class ServeApp:
         mask = self._coerce_mask(item, num_labels)
         return (source, target, mask)
 
+    def _decode_queries(
+        self, raw: list[Any], body: bytes, num_vertices: int, num_labels: int
+    ) -> Queries:
+        """A batch's ``queries`` list as the engine takes it.
+
+        A list of ``[source, target, mask]`` triples of in-domain ints
+        becomes one ``(n, 3)`` int64 array, checked by
+        :func:`~repro.engine.plan.to_triple_array`'s domain rule.  Anything
+        else goes through the per-item parser, which raises each 400 with
+        its own message: object-form or ragged items, a non-int64 dtype
+        (floats, strings, ``null``, ints past int64), a field out of
+        domain, and any JSON boolean in the body, since ``true`` and
+        ``false`` would otherwise pass as the ints 1 and 0.
+        """
+        if raw and b"true" not in body and b"false" not in body:
+            try:
+                arr = np.asarray(raw)
+                if arr.dtype == np.int64 and arr.ndim == 2 and arr.shape[1] == 3:
+                    return to_triple_array(arr, num_labels, num_vertices)
+            except (ValueError, TypeError, OverflowError):
+                pass
+        return [
+            self._parse_query_item(item, num_vertices, num_labels) for item in raw
+        ]
+
     def _resolve_oracle_kind(self, name: str, payload: dict[str, Any]) -> str:
         kinds = self.registry.oracle_kinds(name)
         if not kinds:
@@ -271,10 +312,9 @@ class ServeApp:
             raw = payload["queries"]
             if not isinstance(raw, list):
                 raise HttpError(400, "'queries' must be a list")
-            triples = [
-                self._parse_query_item(item, num_vertices, num_labels)
-                for item in raw
-            ]
+            triples: Queries = self._decode_queries(
+                raw, request.body, num_vertices, num_labels
+            )
         else:
             triples = [self._parse_query_item(payload, num_vertices, num_labels)]
 
@@ -289,7 +329,7 @@ class ServeApp:
             body: dict[str, Any] = {
                 "graph": name,
                 "oracle": kind,
-                "distances": [wire_distance(d) for d in answers],
+                "distances": wire_distances(answers),
             }
         else:
             body = {

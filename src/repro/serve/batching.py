@@ -13,6 +13,11 @@ coalescing comes from the engine being busy, never from a clock:
 * the pending buffer is flushed early as soon as it holds ``max_batch``
   queries.
 
+A request's queries reach ``execute`` as submitted: a lone request's
+``(n, 3)`` int64 array or triple list is passed through untouched, and
+only a coalesced batch is concatenated (into one array when any member
+is an array).
+
 Ordering and isolation guarantees, property-tested in
 ``tests/test_serve.py``:
 
@@ -32,14 +37,30 @@ import inspect
 from collections.abc import Awaitable, Callable, Sequence
 from typing import Union
 
+import numpy as np
+
 from ..obs.metrics import registry as _metrics_registry
 
 __all__ = ["MicroBatcher"]
 
 Triple = tuple[int, int, int]
+#: One request's queries: ``(s, t, mask)`` triples, or an ``(n, 3)`` int64
+#: array of them.
+Queries = Union[Sequence[Triple], np.ndarray]
 ExecuteFn = Callable[
-    [list[Triple]], Union[Sequence[float], Awaitable[Sequence[float]]]
+    [Queries], Union[Sequence[float], Awaitable[Sequence[float]]]
 ]
+
+
+def _concatenate(parts: list[Queries]) -> Queries:
+    """One batch from the members' queries, in member order."""
+    if len(parts) == 1:
+        return parts[0]
+    if not any(isinstance(part, np.ndarray) for part in parts):
+        return [t for part in parts for t in part]
+    return np.concatenate(
+        [np.asarray(part, dtype=np.int64).reshape(-1, 3) for part in parts]
+    )
 
 
 class _PendingRequest:
@@ -48,7 +69,7 @@ class _PendingRequest:
     __slots__ = ("triples", "future")
 
     def __init__(
-        self, triples: list[Triple], future: "asyncio.Future[list[float]]"
+        self, triples: Queries, future: "asyncio.Future[list[float]]"
     ) -> None:
         self.triples = triples
         self.future = future
@@ -60,7 +81,7 @@ class MicroBatcher:
     Parameters
     ----------
     execute:
-        Called with the concatenated triples of every coalesced request;
+        Called with the queries of every coalesced request, concatenated;
         may return the answers directly or an awaitable of them (the
         serving app hands back ``run_in_executor`` futures so numpy work
         leaves the event loop).
@@ -81,19 +102,19 @@ class MicroBatcher:
         # only keeps weak ones); while any runs, new requests wait.
         self._running: set[asyncio.Task[None]] = set()
 
-    async def submit(self, triples: Sequence[Triple]) -> list[float]:
+    async def submit(self, triples: Queries) -> list[float]:
         """Queue one request's queries; await its answers.
 
         Returns answers in the request's own submission order.  An empty
         request resolves immediately with an empty list.
         """
-        items = [tuple(t) for t in triples]
-        loop = asyncio.get_running_loop()
-        if not items:
+        if len(triples) == 0:
             return []
-        future: "asyncio.Future[list[float]]" = loop.create_future()
-        self._pending.append(_PendingRequest(items, future))
-        self._pending_queries += len(items)
+        future: "asyncio.Future[list[float]]" = (
+            asyncio.get_running_loop().create_future()
+        )
+        self._pending.append(_PendingRequest(triples, future))
+        self._pending_queries += len(triples)
         if not self._running or self._pending_queries >= self.max_batch:
             self.flush_now()
         return await future
@@ -127,7 +148,7 @@ class MicroBatcher:
         if not self._running:
             self.flush_now()
 
-    async def _call_execute(self, triples: list[Triple]) -> list[float]:
+    async def _call_execute(self, triples: Queries) -> list[float]:
         result = self._execute(triples)
         if inspect.isawaitable(result):
             result = await result
@@ -140,9 +161,10 @@ class MicroBatcher:
         return answers
 
     async def _run_batch(self, batch: list[_PendingRequest]) -> None:
-        triples = [t for pending in batch for t in pending.triples]
         try:
-            answers = await self._call_execute(triples)
+            answers = await self._call_execute(
+                _concatenate([pending.triples for pending in batch])
+            )
         except Exception:
             # The whole batch failed: isolate the poison request(s) by
             # retrying each request on its own, so every healthy request

@@ -11,6 +11,7 @@ cover the planning layer, session caches, counters, and config plumbing.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -426,6 +427,77 @@ class TestQuerySession:
         session.run([(0, 1, 3)])
         text = session.format_stats()
         assert "cache" in text and "queries" in text
+
+
+class _PerItemLRU:
+    """The answer cache one lookup at a time: probe every query of a batch
+    (a hit moves to the back), then put each miss in turn, evicting the
+    oldest entry whenever the cache overflows."""
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self.entries: OrderedDict[tuple, float] = OrderedDict()
+        self.counters = {"cache_hits": 0, "cache_misses": 0, "cache_evictions": 0}
+
+    def run(self, fingerprint, batch, oracle):
+        keys = [(fingerprint, *q) for q in batch]
+        answers = []
+        for key in keys:
+            value = self.entries.get(key)
+            if value is not None:
+                self.entries.move_to_end(key)
+            answers.append(value)
+        misses = [i for i, value in enumerate(answers) if value is None]
+        self.counters["cache_hits"] += len(keys) - len(misses)
+        self.counters["cache_misses"] += len(misses)
+        for i in misses:
+            answers[i] = oracle.query(*batch[i])
+            if keys[i] in self.entries:
+                self.entries.move_to_end(keys[i])
+            self.entries[keys[i]] = answers[i]
+            while len(self.entries) > self.size:
+                self.entries.popitem(last=False)
+                self.counters["cache_evictions"] += 1
+        return answers
+
+
+# Few distinct triples, so batches repeat triples and hit the cache.
+_SMALL_TRIPLES = st.tuples(
+    st.integers(0, 4), st.integers(0, 4), st.integers(0, 15)
+)
+
+
+class TestBulkAnswerCache:
+    @pytest.fixture(scope="class")
+    def index(self, undirected, landmarks):
+        return PowCovIndex(undirected, landmarks).build()
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        cache_size=st.integers(1, 8),
+        batches=st.lists(
+            st.tuples(
+                st.lists(_SMALL_TRIPLES, min_size=1, max_size=14),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_bulk_lru_equals_per_item_lru(self, index, cache_size, batches):
+        """The session's bulk probe and fill leave the answers, the key
+        order and the hit/miss/eviction counters of the per-item loop,
+        for list and array batches alike."""
+        session = QuerySession(index, cache_size=cache_size)
+        reference = _PerItemLRU(cache_size)
+        for batch, as_array in batches:
+            submitted = np.array(batch, dtype=np.int64) if as_array else batch
+            got = session.run(submitted)
+            assert got == reference.run(session._fingerprint, batch, index)
+            assert list(session._answers) == list(reference.entries)
+            for name, value in reference.counters.items():
+                assert session.stats.counters.get(name, 0) == value, name
+
 
 
 class TestExecutorDispatch:

@@ -17,6 +17,7 @@ import http.client
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -277,6 +278,117 @@ class TestMalformedRequests:
         assert "JSON" in body["error"]
 
 
+def request_raw(server, body: bytes):
+    """POST ``body`` as is (for JSON a dict cannot spell, such as ``1e3``)."""
+    conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+    try:
+        conn.request(
+            "POST", "/graphs/g/query", body, {"Content-Type": "application/json"}
+        )
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
+
+
+def parser_verdict(graph, items):
+    """What the per-item parser alone says about a ``queries`` list."""
+    app = ServeApp(registry=GraphRegistry())
+    try:
+        for item in items:
+            app._parse_query_item(item, graph.num_vertices, graph.num_labels)
+    except HttpError as exc:
+        return exc.status, exc.message
+    finally:
+        app.close()
+    return 200, None
+
+
+class TestColumnarDecode:
+    """A triple-form batch decodes to one array; any doubt falls back to
+    the per-item parser, so a bad batch gets that parser's 400."""
+
+    # On the 40-vertex, 4-label graph: n = 40 and 2**L = 16.
+    BAD_BODIES = {
+        "true-source": b'{"queries": [[1, 2, 3], [true, 1, 3]]}',
+        "false-target": b'{"queries": [[1, 2, 3], [1, false, 3]]}',
+        "float-source": b'{"queries": [[1, 2, 3], [1.0, 2, 3]]}',
+        "exponent-mask": b'{"queries": [[1, 2, 3], [1, 2, 1e3]]}',
+        "vertex-n": b'{"queries": [[1, 2, 3], [40, 2, 3]]}',
+        "target-n": b'{"queries": [[1, 2, 3], [1, 40, 3]]}',
+        "vertex-minus-1": b'{"queries": [[1, 2, 3], [-1, 2, 3]]}',
+        "mask-2^L": b'{"queries": [[1, 2, 3], [1, 2, 16]]}',
+        "mask-minus-1": b'{"queries": [[1, 2, 3], [1, 2, -1]]}',
+        "source-2^70": b'{"queries": [[1, 2, 3], [1180591620717411303424, 2, 3]]}',
+        "mask-2^70": b'{"queries": [[1, 2, 3], [1, 2, 1180591620717411303424]]}',
+        "mask-2^63": b'{"queries": [[1, 2, 3], [1, 2, 9223372036854775808]]}',
+        "ragged-short": b'{"queries": [[1, 2, 3], [1, 2]]}',
+        "ragged-long": b'{"queries": [[1, 2, 3], [1, 2, 3, 4]]}',
+        "mixed-bad-object": b'{"queries": [[1, 2, 3], {"source": 1, "target": 40}]}',
+        "null-field": b'{"queries": [[1, 2, 3], [1, null, 3]]}',
+        "string-field": b'{"queries": [[1, 2, 3], ["1", 2, 3]]}',
+        "nested": b'{"queries": [[[1, 2, 3]]]}',
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_BODIES))
+    def test_bad_batch_gets_the_parsers_400(self, server, graph, case):
+        body = self.BAD_BODIES[case]
+        want_status, want_message = parser_verdict(
+            graph, json.loads(body)["queries"]
+        )
+        assert want_status == 400
+        status, reply = request_raw(server, body)
+        assert (status, reply["error"]) == (want_status, want_message)
+
+    def test_valid_bodies_with_doubt_answer_as_before(self, server, oracles):
+        """A boolean elsewhere in the body, object items mixed with
+        triples, and an empty list all take the per-item path and
+        answer as they did."""
+        want = execute_batch(oracles["powcov"], [(1, 2, 3), (4, 5, 6)])
+        for body in (
+            b'{"queries": [[1, 2, 3], {"source": 4, "target": 5, "mask": 6}],'
+            b' "oracle": "powcov"}',
+            b'{"queries": [[1, 2, 3], [4, 5, 6]], "oracle": "powcov",'
+            b' "debug": true}',
+        ):
+            status, reply = request_raw(server, body)
+            assert status == 200, reply
+            assert [from_wire_distance(d) for d in reply["distances"]] == want
+        status, reply = request_raw(server, b'{"queries": [], "oracle": "powcov"}')
+        assert (status, reply["distances"]) == (200, [])
+
+    def test_what_reaches_the_session(self, graph, oracles):
+        """A triple batch reaches ``QuerySession.run`` as one int64
+        ``(n, 3)`` array; a single-form request as a list."""
+        registry = GraphRegistry()
+        registry.register("g", graph, {"powcov": oracles["powcov"]})
+        session = registry.session("g", "powcov")
+        seen = []
+        run = session.run
+
+        def spy(queries):
+            seen.append(queries)
+            return run(queries)
+
+        session.run = spy
+        with ServerThread(ServeApp(registry=registry)) as live:
+            status, body = request_json(
+                live, "POST", "/graphs/g/query",
+                {"queries": [[1, 2, 3], [4, 5, 6], [1, 2, 3]]},
+            )
+            assert status == 200, body
+            status, body = request_json(
+                live, "POST", "/graphs/g/query",
+                {"source": 7, "target": 8, "mask": 5},
+            )
+            assert status == 200, body
+        batch, single = seen
+        assert isinstance(batch, np.ndarray)
+        assert batch.dtype == np.int64 and batch.shape == (3, 3)
+        assert batch.tolist() == [[1, 2, 3], [4, 5, 6], [1, 2, 3]]
+        assert single == [(7, 8, 5)]
+
+
 # ----------------------------------------------------------------------
 # MicroBatcher semantics
 # ----------------------------------------------------------------------
@@ -426,6 +538,43 @@ class TestMicroBatcher:
 
         run_async(scenario())
         assert calls == [[(0, 0, 1)], [(0, 0, 2)]]  # one call per request
+
+    def test_arrays_pass_through_and_concatenate(self):
+        """A lone request's array reaches ``execute`` as the same object; a
+        coalesced batch holding an array is one int64 array, rows in
+        submission order."""
+        engine = ControlledEngine()
+        seen = []
+
+        def execute(triples):
+            seen.append(triples)
+            return engine(triples)
+
+        lone = np.array([[1, 1, 1], [2, 2, 1]], dtype=np.int64)
+        later = np.array([[4, 4, 2]], dtype=np.int64)
+
+        async def scenario():
+            batcher = MicroBatcher(execute, max_batch=100)
+            futures = [asyncio.ensure_future(batcher.submit(lone))]
+            await settle()
+            assert seen[0] is lone
+            futures.append(asyncio.ensure_future(batcher.submit([(3, 3, 1)])))
+            futures.append(asyncio.ensure_future(batcher.submit(later)))
+            await settle()
+            engine.complete()
+            await settle()
+            engine.complete()
+            return await asyncio.gather(*futures)
+
+        results = run_async(scenario())
+        coalesced = seen[1]
+        assert isinstance(coalesced, np.ndarray) and coalesced.dtype == np.int64
+        assert coalesced.tolist() == [[3, 3, 1], [4, 4, 2]]
+        assert results == [
+            [answer((1, 1, 1)), answer((2, 2, 1))],
+            [answer((3, 3, 1))],
+            [answer((4, 4, 2))],
+        ]
 
     def test_error_isolation(self):
         """A poison query fails only the request that carried it."""
