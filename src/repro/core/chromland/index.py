@@ -23,7 +23,7 @@ import numpy as np
 from ...graph.labeled_graph import EdgeLabeledGraph
 from ...graph.labelsets import full_mask, label_bit, np_label_bits
 from ...graph.traversal import UNREACHABLE
-from ...kernels import kernel_name
+from ...kernels import BITSET_LANE_ROWS, kernel_name
 from ...obs.trace import span
 from ...perf.batched import batched_constrained_bfs
 from ...perf.parallel import run_tasks, worker_count
@@ -135,10 +135,10 @@ class ChromLandIndex(DistanceOracle):
         amortizes the per-level CSR gathers across landmarks; ``parallel``
         threads run contiguous chunks of sweeps (results are reassembled
         in sweep order, so the tables are bit-for-bit identical to a
-        serial run).  At most one thread per 64 sweeps: the bit-parallel
-        kernel carries 64 rows per word and costs about as much for a
-        part of a word as for all of it, so a list that fits one word is
-        one kernel call.
+        serial run).  At most one thread per ``BITSET_LANE_ROWS`` (64)
+        sweeps: the bit-parallel kernel carries 64 rows per word and costs
+        about as much for a part of a word as for all of it, so a list
+        that fits one word is one kernel call.
 
         The rows land in fresh tables when no sweep is kept and in copies
         of the current ones otherwise; ``mono``, ``mono_in``, ``bi`` and
@@ -187,12 +187,13 @@ class ChromLandIndex(DistanceOracle):
         tables = {"mono": table(self.mono, n), "bi": table(self.bi, k)}
         if directed:
             tables["mono_in"] = table(self.mono_in, n)
+        workers = min(worker_count(parallel), -(-len(run) // BITSET_LANE_ROWS))
         results = run_tasks(
             _chromland_chunk_task,
             [job for job, _slot in run],
             graphs=(graph, graph.reversed()) if directed else (graph,),
             extra=self.landmarks,
-            parallel=min(worker_count(parallel), -(-len(run) // 64)),
+            parallel=workers,
         )
         # A bi cell ``(i, j)`` and its mirror ``(j, i)`` share one mask, so
         # both run or both are kept; on undirected graphs BFS distances are

@@ -106,9 +106,11 @@ class _RowCache:
     Rows live in one doubling-capacity matrix so group assembly is a
     single fancy-index gather.  ``row_of`` is an int32 array over the
     graph's vertices giving each vertex's matrix row, ``-1`` while the
-    vertex is not resolved: it costs ``4n`` bytes per cache, under
-    ``1/(2k)`` of the rows once every vertex is resolved, and turns the
-    vertex-to-row lookup into one more fancy index.
+    vertex is not resolved, and turns the vertex-to-row lookup into one
+    more fancy index.  It costs ``4n`` bytes per cache however few
+    vertices a mask resolves (two caches per plan on directed graphs, up
+    to ``plan_cache_size`` plans, again after every ``rebind``); only
+    once every vertex is resolved is that under ``1/(2k)`` of the rows.
     """
 
     __slots__ = ("row_of", "data", "size")

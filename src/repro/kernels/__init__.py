@@ -40,6 +40,7 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 __all__ = [
+    "BITSET_LANE_ROWS",
     "KernelBackend",
     "KernelFallbackWarning",
     "KERNEL_CHOICES",
@@ -50,6 +51,10 @@ __all__ = [
 
 #: Names accepted by :func:`resolve_kernel`.
 KERNEL_CHOICES = ("auto", "numpy", "cext")
+
+#: Rows one ``msbfs_bitset`` pass packs into a ``uint64`` lane; every
+#: backend chunks its rows by this width.
+BITSET_LANE_ROWS = 64
 
 
 @runtime_checkable

@@ -32,17 +32,19 @@ from pathlib import Path
 
 import numpy as np
 
+from . import BITSET_LANE_ROWS
+
 __all__ = ["CExtensionKernel"]
 
-_SOURCE = r"""
+_SOURCE = f"#define LANE_ROWS {BITSET_LANE_ROWS}\n" + r"""
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 #include <math.h>
 
 /* Bit-parallel multi-source constrained BFS over the in-arc CSR.
- * Rows are packed 64 to a uint64 lane; one level expands every row of a
- * chunk with a single full-arc sweep.  dist is (num_rows, n) int32,
+ * Rows are packed LANE_ROWS to a uint64 lane; one level expands every row
+ * of a chunk with a single full-arc sweep.  dist is (num_rows, n) int32,
  * pre-seeded with 0 at each row's source; levels are written in place.
  * max_level < 0 means unbounded.  Returns 0, or -1 on allocation failure. */
 int repro_msbfs_bitset(
@@ -64,8 +66,8 @@ int repro_msbfs_bitset(
         free(frontier); free(next); free(visited); free(label_bits);
         return -1;
     }
-    for (int64_t lo = 0; lo < num_rows; lo += 64) {
-        int chunk = (int)(num_rows - lo < 64 ? num_rows - lo : 64);
+    for (int64_t lo = 0; lo < num_rows; lo += LANE_ROWS) {
+        int chunk = (int)(num_rows - lo < LANE_ROWS ? num_rows - lo : LANE_ROWS);
         for (int64_t l = 0; l < num_labels; l++) {
             uint64_t bits = 0;
             for (int b = 0; b < chunk; b++)

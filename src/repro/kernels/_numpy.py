@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.traversal import csr_constrained_bfs
+from . import BITSET_LANE_ROWS
 
 __all__ = ["NumpyKernel"]
 
@@ -38,15 +39,16 @@ class NumpyKernel:
     ) -> None:
         """Bit-parallel multi-source constrained BFS (MS-BFS style).
 
-        Rows are packed 64 to a ``uint64`` lane: ``frontier[v]`` holds one
-        bit per row whose BFS front currently contains ``v``, and a level
-        expands *every* row of a chunk with one full-arc sweep — gather
-        the frontier word of each arc's source, AND it with the arc
-        label's row mask, and OR-reduce per target vertex
-        (``np.bitwise_or.reduceat`` over the in-arc CSR).  Per-level cost
-        is therefore independent of how many rows the chunk holds, which
-        is what makes wide PowCov waves cheap.  Writes levels into
-        ``dist`` in place (rows already seeded with 0 at their sources).
+        Rows are packed :data:`BITSET_LANE_ROWS` to a ``uint64`` lane:
+        ``frontier[v]`` holds one bit per row whose BFS front currently
+        contains ``v``, and a level expands *every* row of a chunk with
+        one full-arc sweep — gather the frontier word of each arc's
+        source, AND it with the arc label's row mask, and OR-reduce per
+        target vertex (``np.bitwise_or.reduceat`` over the in-arc CSR).
+        Per-level cost is therefore independent of how many rows the
+        chunk holds, which is what makes wide PowCov waves cheap.  Writes
+        levels into ``dist`` in place (rows already seeded with 0 at
+        their sources).
         """
         n = num_vertices
         num_arcs = len(in_neighbors)
@@ -60,8 +62,8 @@ class NumpyKernel:
         # arc range the way a clamped trailing start would.
         nonempty_idx = np.nonzero(in_indptr[1:] != seg_starts)[0]
         nonempty_starts = seg_starts[nonempty_idx]
-        for lo in range(0, len(sources), 64):
-            chunk_rows = min(64, len(sources) - lo)
+        for lo in range(0, len(sources), BITSET_LANE_ROWS):
+            chunk_rows = min(BITSET_LANE_ROWS, len(sources) - lo)
             row_bits = np.uint64(1) << np.arange(chunk_rows, dtype=np.uint64)
             # ``label_bits[l]``: rows of this chunk whose mask allows ``l``.
             label_bits = (allowed[lo : lo + chunk_rows].astype(np.uint64)

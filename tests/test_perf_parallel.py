@@ -160,6 +160,35 @@ class TestChromLandParallel:
             assert np.array_equal(serial.bi, par.bi)
             assert_same_answers(serial, par, graph)
 
+    @pytest.mark.parametrize("parallel", WORKERS)
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize(
+        ("num_landmarks", "threads"),
+        # 24 landmarks over 4 colours: 96 sweeps undirected, 120 directed,
+        # two bitset lanes, so two threads; 6 landmarks fit one lane.
+        [(24, 2), (6, 1)],
+    )
+    def test_one_thread_per_bitset_lane(
+        self, tracing, parallel, directed, num_landmarks, threads
+    ):
+        if directed:
+            graph = directed_random(n=120, m=420, labels=4, seed=19)
+        else:
+            graph = labeled_erdos_renyi(120, 300, num_labels=4, seed=19)
+        landmarks = list(range(0, 120, 120 // num_landmarks))
+        colors = [i % 4 for i in range(num_landmarks)]
+        serial = ChromLandIndex(graph, landmarks, colors).build()
+        reset_trace()
+        par = ChromLandIndex(graph, landmarks, colors).build(parallel=parallel)
+        (root,) = get_trace()
+        (run,) = root.children
+        assert run.name == "parallel.run_tasks"
+        assert run.tags["workers"] == str(threads)
+        assert root.counters["sweeps"] == num_landmarks * (5 if directed else 4)
+        for table in ("mono", "mono_in", "bi"):
+            assert np.array_equal(getattr(serial, table), getattr(par, table))
+        assert_same_answers(serial, par, graph)
+
     def test_workload_evaluation_unchanged(self):
         # End-to-end: identical indexes answer an identical workload.
         graph = labeled_erdos_renyi(60, 180, num_labels=3, seed=17)
