@@ -37,8 +37,8 @@ live in :mod:`repro.analysis.flow`):
     Public functions and methods in ``core/`` and ``engine/`` carry full
     annotations (every parameter and the return type).
 ``REPRO006``
-    No ``print`` in library code — the engine's instrumentation layer and
-    the eval renderers return strings; only the CLI entry point
+    No ``print`` in library code — the metrics registry and the eval
+    renderers return strings; only the CLI entry point
     (``eval/cli.py``) and ``if __name__ == "__main__"`` blocks print.
 ``REPRO007``
     No ``time.time()`` in library code: it is wall-clock epoch time, not
@@ -513,7 +513,7 @@ class _Visitor(ast.NodeVisitor):
                 node,
                 "REPRO006",
                 "print in library code; return a string or use "
-                "repro.engine.instrument",
+                "repro.obs.metrics",
             )
         # REPRO007: wall-clock epoch time in library code.
         if (

@@ -11,10 +11,9 @@ repeat heavily.  This package turns any oracle into a batch server:
   group once the mask has been asked ``k_usable`` queries; naive:
   stacked gathers;
   everything else: the trivial scalar-loop adapter);
-* :mod:`repro.engine.session` adds the LRU answer cache, the per-mask
-  plan cache, and batching over streams;
-* :mod:`repro.engine.instrument` provides the counters and stage timers
-  every session exposes.
+* :mod:`repro.engine.session` adds the LRU answer cache and the per-mask
+  plan cache, and counts each engine event once, in the session's
+  ``stats.counters`` and in the registry's ``engine.*`` counters.
 
 The engine's invariant — asserted by ``tests/test_engine.py`` — is that
 batch answers are **bit-identical** to the scalar loop for every oracle,
@@ -24,7 +23,7 @@ with caches on or off.  Quickstart::
 
     session = QuerySession(oracle, cache_size=8192)
     answers = session.run([(s1, t1, mask1), (s2, t2, mask2)])
-    print(session.format_stats())
+    print(session.stats.counters)
 """
 
 from __future__ import annotations
@@ -38,13 +37,6 @@ from .executors import (
     ScalarLoopExecutor,
     executor_for,
 )
-from .instrument import (
-    Instrumentation,
-    format_stats,
-    global_snapshot,
-    merge_global,
-    reset_global,
-)
 from .plan import ExecutionPlan, MaskGroup, plan_batch
 from .session import QuerySession, execute_batch
 
@@ -57,11 +49,6 @@ __all__ = [
     "ChromLandExecutor",
     "NaiveExecutor",
     "executor_for",
-    "Instrumentation",
-    "format_stats",
-    "global_snapshot",
-    "merge_global",
-    "reset_global",
     "ExecutionPlan",
     "MaskGroup",
     "plan_batch",

@@ -13,8 +13,11 @@ with
   oracle's executor precomputes per mask (PowCov: resolved per-vertex
   landmark rows; ChromLand: the usable filter + the masked landmark
   graph, closed once the mask has been asked enough queries);
-* an :class:`~repro.engine.instrument.Instrumentation` of counters and
-  stage timers, exposed as ``session.stats``.
+* event counters: each cache hit, miss, eviction, planned mask and
+  executed group is counted once, when it happens, in the session's
+  ``stats.counters`` and in the registry's ``engine.<name>`` counter, so
+  a live server's ``GET /metrics`` shows every session's traffic.  The
+  ``engine.run`` span times each batch.
 
 ``run()`` takes a batch (``Query`` objects, ``(s, t, mask)`` triples or
 an ``(n, 3)`` int array), serves what it can from the answer cache,
@@ -36,9 +39,10 @@ sessions are a pure serving-layer optimization.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from itertools import repeat
 from time import perf_counter
+from types import SimpleNamespace
 from typing import Any
 
 import numpy as np
@@ -49,7 +53,6 @@ from ..obs.metrics import metrics_enabled
 from ..obs.metrics import registry as _metrics_registry
 from ..obs.trace import span
 from .executors import OracleExecutor, executor_for
-from .instrument import Instrumentation, format_stats, merge_global
 from .plan import as_triple, plan_batch, to_triple_array
 
 __all__ = ["QuerySession", "execute_batch"]
@@ -60,10 +63,8 @@ def _count_logical_queries(n: int) -> None:
 
     ``engine.queries_total`` counts queries *submitted for serving* — the
     number the user asked, independent of how a batch later splits into
-    mask groups, how many land in the answer cache, or how often a
-    session's cumulative stats are (re-)published.  It is the counter the
-    serving layer's throughput accounting and the CLI stats footer report,
-    and the regression tests pin it against known streams.
+    mask groups or how many land in the answer cache.  Unlike
+    ``engine.queries`` it also counts the session-free ``execute_batch``.
     """
     if n:
         _metrics_registry().counter("engine.queries_total").inc(n)
@@ -110,16 +111,24 @@ class QuerySession:
         self.executor: OracleExecutor[Any, Any] = executor_for(oracle)
         self.cache_size = cache_size
         self.plan_cache_size = plan_cache_size
-        self.stats = Instrumentation()
+        # This session's own share of the engine.* registry counters.
+        self.stats = SimpleNamespace(counters={})
         self._fingerprint = self._oracle_fingerprint(oracle)
         self._check_stored_fingerprint(oracle)
         self._answers: OrderedDict[tuple[int, int, int, int], float] = OrderedDict()
         self._plans: OrderedDict[int, Any] = OrderedDict()
-        # Snapshot of what publish_stats() already folded into the global
-        # aggregate, so repeated publishes contribute deltas, never the
-        # whole cumulative counters again.
-        self._published_counters: dict[str, int] = {}
-        self._published_seconds: dict[str, float] = {}
+
+    def _count(self, name: str, by: int = 1) -> None:
+        """Count an engine event here and in the registry's ``engine.<name>``.
+
+        The registry counter is looked up on every write rather than bound
+        once, so after a ``registry().reset(prefix="engine.")`` this
+        session counts from zero in a fresh counter instead of writing
+        into the orphaned one.
+        """
+        counters = self.stats.counters
+        counters[name] = counters.get(name, 0) + by
+        _metrics_registry().counter("engine." + name).inc(by)
 
     @staticmethod
     def _oracle_fingerprint(oracle: DistanceOracle) -> int:
@@ -191,9 +200,7 @@ class QuerySession:
             value = self._answers.pop(key)
             self._answers[(self._fingerprint, source, target, mask)] = value
             migrated += 1
-        self.stats.count("rebind_answers_migrated", migrated)
-        if metrics_enabled():
-            _metrics_registry().counter("engine.rebind_migrated").inc(migrated)
+        self._count("rebind_answers_migrated", migrated)
 
     # ------------------------------------------------------------------
     # Caches
@@ -205,14 +212,12 @@ class QuerySession:
         return value
 
     def _cache_put(self, key: tuple[int, int, int, int], value: float) -> None:
-        if self.cache_size == 0:
-            return
         if key in self._answers:
             self._answers.move_to_end(key)
         self._answers[key] = value
         while len(self._answers) > self.cache_size:
             self._answers.popitem(last=False)
-            self.stats.count("cache_evictions")
+            self._count("cache_evictions")
 
     def _cache_put_many(
         self, keys: list[tuple[int, int, int, int]], values: list[float]
@@ -238,16 +243,16 @@ class QuerySession:
         excess = len(answers) - self.cache_size
         if excess > 0:
             deque(map(answers.popitem, repeat(False, excess)), maxlen=0)
-            self.stats.count("cache_evictions", excess)
+            self._count("cache_evictions", excess)
 
     def _plan_for(self, label_mask: int) -> Any:
         plan = self._plans.get(label_mask)
         if plan is not None or label_mask in self._plans:
             self._plans.move_to_end(label_mask)
-            self.stats.count("plan_cache_hits")
+            self._count("plan_cache_hits")
             return plan
         plan = self.executor.prepare_mask(label_mask)
-        self.stats.count("masks_planned")
+        self._count("masks_planned")
         self._plans[label_mask] = plan
         while len(self._plans) > self.plan_cache_size:
             self._plans.popitem(last=False)
@@ -256,14 +261,16 @@ class QuerySession:
     def cache_info(self) -> dict[str, int | float]:
         """Answer/plan cache occupancy and hit statistics."""
         counters = self.stats.counters
+        hits = counters.get("cache_hits", 0)
+        misses = counters.get("cache_misses", 0)
         return {
             "cache_size": self.cache_size,
             "cached_answers": len(self._answers),
             "cached_plans": len(self._plans),
-            "hits": counters.get("cache_hits", 0),
-            "misses": counters.get("cache_misses", 0),
+            "hits": hits,
+            "misses": misses,
             "evictions": counters.get("cache_evictions", 0),
-            "hit_rate": self.stats.hit_rate,
+            "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
         }
 
     def clear_cache(self) -> None:
@@ -273,30 +280,6 @@ class QuerySession:
     # ------------------------------------------------------------------
     # Serving
     # ------------------------------------------------------------------
-    def query(self, source: int, target: int, label_mask: int) -> float:
-        """Single cached query (scalar path on miss).
-
-        Checks the query domain like :meth:`run` before the cache probe,
-        so an out-of-domain query raises ``ValueError`` and is never
-        cached.
-        """
-        graph = self.oracle.graph
-        to_triple_array(
-            [(source, target, label_mask)], graph.num_labels, graph.num_vertices
-        )
-        self.stats.count("queries")
-        _count_logical_queries(1)
-        key = (self._fingerprint, source, target, label_mask)
-        cached = self._cache_get(key)
-        if cached is not None:
-            self.stats.count("cache_hits")
-            return cached
-        self.stats.count("cache_misses")
-        self.stats.count("executed")
-        value = self.oracle.query(source, target, label_mask)
-        self._cache_put(key, value)
-        return value
-
     def run(self, queries: Sequence[Any] | np.ndarray) -> list[float]:
         """Answer a batch through the planned, vectorized path.
 
@@ -306,20 +289,18 @@ class QuerySession:
         loop.  A mask outside the graph's label domain, or a vertex
         outside ``[0, num_vertices)``, raises ``ValueError``.
         """
-        with self.stats.timed("total_seconds"), span(
-            "engine.run", oracle=self.oracle.name
-        ) as run_span:
+        with span("engine.run", oracle=self.oracle.name) as run_span:
             graph = self.oracle.graph
             num_labels, num_vertices = graph.num_labels, graph.num_vertices
             if not self.cache_size:
                 arr = to_triple_array(queries, num_labels, num_vertices)
-                self.stats.count("queries", len(arr))
+                self._count("queries", len(arr))
                 _count_logical_queries(len(arr))
-                self.stats.count("batches")
+                self._count("batches")
                 run_span.count("queries", len(arr))
                 if len(arr) == 0:
                     return []
-                self.stats.count("cache_misses", len(arr))
+                self._count("cache_misses", len(arr))
                 return self._execute(arr).tolist()
             # Cached path.  The whole batch is probed before any answer
             # lands, so a triple repeated within a batch misses every time
@@ -364,14 +345,14 @@ class QuerySession:
                         answers[i] = cached
                 misses = len(miss_positions)
             n = len(keys)
-            self.stats.count("queries", n)
+            self._count("queries", n)
             _count_logical_queries(n)
-            self.stats.count("batches")
+            self._count("batches")
             run_span.count("queries", n)
             if n == 0:
                 return []
-            self.stats.count("cache_hits", n - misses)
-            self.stats.count("cache_misses", misses)
+            self._count("cache_hits", n - misses)
+            self._count("cache_misses", misses)
             run_span.count("cache_hits", n - misses)
             run_span.count("cache_misses", misses)
             if not misses:
@@ -398,9 +379,9 @@ class QuerySession:
 
     def _execute(self, arr: np.ndarray) -> np.ndarray:
         """Plan + execute an ``(n, 3)`` miss array; answers by position."""
-        self.stats.count("executed", len(arr))
-        with self.stats.timed("plan_seconds"):
-            plan = plan_batch(arr)
+        self._count("executed", len(arr))
+        plan = plan_batch(arr)
+        self._count("groups", len(plan.groups))
         out = np.empty(len(arr), dtype=np.float64)
         record_latency = metrics_enabled()
         latency = (
@@ -408,74 +389,18 @@ class QuerySession:
             if record_latency
             else None
         )
-        with self.stats.timed("execute_seconds"):
-            for group in plan.groups:
-                self.stats.count("groups")
-                mask_plan = self._plan_for(group.label_mask)
-                if latency is not None:
-                    started = perf_counter()
-                    out[group.positions] = self.executor.execute_group(
-                        mask_plan, group
-                    )
-                    # One observation per mask group (per-query mean weighted
-                    # by group size) keeps the hot loop allocation-free.
-                    size = len(group.positions)
-                    latency.observe((perf_counter() - started) / size, count=size)
-                else:
-                    out[group.positions] = self.executor.execute_group(
-                        mask_plan, group
-                    )
+        for group in plan.groups:
+            mask_plan = self._plan_for(group.label_mask)
+            if latency is not None:
+                started = perf_counter()
+                out[group.positions] = self.executor.execute_group(mask_plan, group)
+                # One observation per mask group (per-query mean weighted by
+                # group size) keeps the hot loop allocation-free.
+                size = len(group.positions)
+                latency.observe((perf_counter() - started) / size, count=size)
+            else:
+                out[group.positions] = self.executor.execute_group(mask_plan, group)
         return out
-
-    def run_stream(
-        self, stream: Iterable[Any], batch_size: int = 1024
-    ) -> list[float]:
-        """Drain an iterable of triples through ``run`` in batches."""
-        if batch_size < 1:
-            raise ValueError("batch_size must be positive")
-        answers: list[float] = []
-        batch: list[Any] = []
-        for item in stream:
-            batch.append(item)
-            if len(batch) >= batch_size:
-                answers.extend(self.run(batch))
-                batch = []
-        if batch:
-            answers.extend(self.run(batch))
-        return answers
-
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-    def format_stats(self) -> str:
-        return format_stats(
-            self.stats, title=f"engine session stats ({self.oracle.name})"
-        )
-
-    def publish_stats(self) -> None:
-        """Fold this session's stats into the process-wide aggregate.
-
-        Publishes the *delta* since the previous publish, so a long-lived
-        session (the serving layer publishes periodically, and the stream
-        harness publishes at the end of every run) can call this any
-        number of times without double-counting: the aggregate always
-        reflects each query exactly once.  Historically this merged the
-        full cumulative counters every call, so a session published twice
-        — e.g. once by ``run_stream_throughput`` and once by the CLI
-        footer — inflated the footer's ``queries`` line 2x.
-        """
-        delta = Instrumentation()
-        for name, value in self.stats.counters.items():
-            published = self._published_counters.get(name, 0)
-            if value != published:
-                delta.count(name, value - published)
-        for name, seconds in self.stats.seconds.items():
-            published_s = self._published_seconds.get(name, 0.0)
-            if seconds != published_s:
-                delta.add_seconds(name, seconds - published_s)
-        merge_global(delta)
-        self._published_counters = dict(self.stats.counters)
-        self._published_seconds = dict(self.stats.seconds)
 
     def __repr__(self) -> str:
         return (

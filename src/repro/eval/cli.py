@@ -27,7 +27,8 @@ import os
 import sys
 import time
 
-from ..engine import EngineConfig, reset_global
+from ..engine import EngineConfig
+from ..obs.metrics import registry
 from ..store.cache import IndexStore
 from .export import write_csv
 from .figures import figure6, render_figure6
@@ -56,6 +57,25 @@ __all__ = ["main"]
 
 def _parse_ks(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(",") if part)
+
+
+def render_engine_stats() -> str:
+    """The registry's ``engine.*`` counters and the answer-cache hit rate.
+
+    Histograms such as ``engine.query_seconds.<oracle>`` are left to the
+    ``--metrics-out`` footer.
+    """
+    counts = {
+        name[len("engine."):]: int(value)
+        for name, value in registry().snapshot().items()
+        if name.startswith("engine.") and not isinstance(value, dict)
+    }
+    hits, misses = counts.get("cache_hits", 0), counts.get("cache_misses", 0)
+    hit_rate = hits / (hits + misses) if hits + misses else 0.0
+    lines = ["engine stats (all sessions)"]
+    lines += [f"  {name:<22} {value:>12}" for name, value in counts.items()]
+    lines.append(f"  {'cache_hit_rate':<22} {hit_rate:>12.1%}")
+    return "\n".join(lines)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -177,7 +197,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.engine:
         engine = EngineConfig(enabled=True, cache_size=args.cache_size,
                               audit=args.audit)
-        reset_global()
+        registry().reset(prefix="engine.")
     if args.selfcheck:
         from ..analysis.audit import format_report, run_selfcheck
 
@@ -278,10 +298,7 @@ def main(argv: list[str] | None = None) -> int:
             ])
         emit("Dataset structural profiles\n" + render_rows(headers, body))
     if args.engine:
-        from ..engine import format_stats, global_snapshot
-
-        stats = global_snapshot()
-        emit(format_stats(stats, title="engine stats (all sessions)"))
+        emit(render_engine_stats())
     if tracing:
         from ..obs.trace import render_trace, write_jsonl
 
@@ -290,8 +307,6 @@ def main(argv: list[str] | None = None) -> int:
             write_jsonl(args.trace_out)
             print(f"[repro.eval.cli] trace JSONL written to {args.trace_out}")
     if args.metrics_out is not None:
-        from ..obs.metrics import registry
-
         emit(registry().render(title="metrics"))
         with open(args.metrics_out, "w", encoding="utf-8") as handle:
             handle.write(registry().to_json() + "\n")

@@ -11,15 +11,18 @@ signatures.  Three metric kinds:
   inside the winning bucket — no sample retention and no numpy percentile
   on the hot path; ``observe`` is one ``bisect`` plus two adds.
 
-The engine's process-wide aggregate (:mod:`repro.engine.instrument`)
-stores its counters here under ``engine.*``; the build kernels record
-per-wave widths/pruning under ``powcov.*`` and sessions record per-oracle
-query-latency histograms under ``engine.query_seconds.*``.
+Every :class:`~repro.engine.session.QuerySession` counts its engine
+events (queries, cache hits and misses, planned masks, ...) here under
+``engine.*`` as they happen, so a live server's ``GET /metrics`` shows
+them; the build kernels record per-wave widths/pruning under
+``powcov.*`` and sessions record per-oracle query-latency histograms
+under ``engine.query_seconds.*``.
 
-Always-on metrics (the engine aggregate) write unconditionally — they are
-end-of-batch folds, not per-query work.  *Optional* metrics on build hot
-paths are guarded by :func:`metrics_enabled` (the CLI's ``--metrics-out``
-flag flips it), so the default build pays nothing.
+The engine counters write unconditionally — a few counter increments per
+batch or mask group, never per query.  *Optional* metrics on build hot
+paths and the latency histograms are guarded by :func:`metrics_enabled`
+(the CLI's ``--metrics-out`` flag flips it), so the default build pays
+nothing.
 """
 
 from __future__ import annotations
@@ -277,8 +280,10 @@ class MetricsRegistry:
         return metric
 
     def counter(self, name: str) -> Counter:
-        metric = self._get(name, Counter, "counter")
-        assert isinstance(metric, Counter)
+        metric = self._metrics.get(name)
+        if not isinstance(metric, Counter):
+            metric = self._get(name, Counter, "counter")
+            assert isinstance(metric, Counter)
         return metric
 
     def gauge(self, name: str) -> Gauge:

@@ -18,8 +18,9 @@ with one or more oracle families, served through warm
   (:class:`~repro.store.format.FormatError`), never silently served.
 
 Sessions are cached per ``(graph, oracle)`` key with LRU eviction under
-``max_sessions``; evicted sessions publish their stats so no engine
-accounting is lost.  :meth:`apply_delta` is the hot-reload path: it
+``max_sessions``; sessions count into the registry's ``engine.*``
+counters as they run, so eviction loses no engine accounting.
+:meth:`apply_delta` is the hot-reload path: it
 applies a :class:`~repro.graph.delta.GraphDelta`, incrementally repairs
 every loaded oracle (:func:`repro.core.dynamic.repair_index`), and
 rebinds the live sessions — in-flight caches migrate or invalidate per
@@ -280,8 +281,7 @@ class GraphRegistry:
                 )
             self._sessions.move_to_end(key)
             while len(self._sessions) > self.max_sessions:
-                _evicted_key, evicted = self._sessions.popitem(last=False)
-                evicted.publish_stats()
+                self._sessions.popitem(last=False)
                 self.session_evictions += 1
                 _metrics_registry().counter("serve.session_evictions").inc()
                 _metrics_registry().gauge("serve.sessions").set(
@@ -295,7 +295,7 @@ class GraphRegistry:
 
     def _drop_sessions(self, name: str) -> None:
         for key in [k for k in self._sessions if k[0] == name]:
-            self._sessions.pop(key).publish_stats()
+            del self._sessions[key]
 
     # ------------------------------------------------------------------
     # Hot reload: dynamic-graph deltas

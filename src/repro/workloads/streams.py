@@ -247,10 +247,6 @@ def run_stream_throughput(
     if batch:
         answers.extend(session.run(batch))
     elapsed = time.perf_counter() - started
-    # Fold this run into the process-wide engine aggregate; publishing is
-    # delta-based, so a session measured repeatedly (or published again by
-    # the caller) still counts every query exactly once in the footer.
-    session.publish_stats()
 
     def delta(name: str) -> int:
         return session.stats.counters.get(name, 0) - before.get(name, 0)

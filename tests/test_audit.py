@@ -340,7 +340,7 @@ def test_session_audit_flag(powcov):
     session = QuerySession(powcov, audit=True)
     x = int(powcov.landmarks[0])
     mask = full_mask(powcov.graph.num_labels)
-    assert session.query(x, x, mask) == 0.0
+    assert session.run([(x, x, mask)])[0] == 0.0
 
     i, u, end = entry_site(powcov)
     insert_entry(

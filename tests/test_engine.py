@@ -300,8 +300,9 @@ class TestMaskDomain:
     )
     @pytest.mark.parametrize("bad", ["vertex n", "vertex -1", "mask 2**L", "mask -1"])
     def test_session_query_checks_domain(self, oracles, kind, bad):
-        """``QuerySession.query`` applies ``run``'s domain check before
-        the cache probe, so a bad query raises and is never cached."""
+        """A session checks the query domain before anything is cached:
+        a bad query raises, alone or beside a good one, and leaves the
+        answer cache empty."""
         oracle = oracles[kind]
         n = oracle.graph.num_vertices
         query = {
@@ -312,20 +313,22 @@ class TestMaskDomain:
         }[bad]
         session = QuerySession(oracle, cache_size=64)
         with pytest.raises(ValueError, match="vertex|domain"):
-            session.query(*query)
-        assert session.cache_info()["cached_answers"] == 0
-        with pytest.raises(ValueError, match="vertex|domain"):
             session.run([query])
+        with pytest.raises(ValueError, match="vertex|domain"):
+            session.run([(1, 7, 3), query])
+        assert session.cache_info()["cached_answers"] == 0
 
     def test_session_query_does_not_poison_run(self):
         graph = labeled_erdos_renyi(30, 90, num_labels=3, seed=1)
         session = QuerySession(PowCovIndex(graph, [0, 1, 2, 3]).build())
         for bad in [(0, 30, 1), (0, 1, -1), (0, 1, 8)]:
             with pytest.raises(ValueError, match="vertex|domain"):
-                session.query(*bad)
-            with pytest.raises(ValueError, match="vertex|domain"):
                 session.run([bad])
-        assert session.query(0, 29, 7) == session.run([(0, 29, 7)])[0]
+            with pytest.raises(ValueError, match="vertex|domain"):
+                session.run([(0, 29, 7), bad])
+        assert session.run([(0, 29, 7)]) == execute_batch(
+            session.oracle, [(0, 29, 7)]
+        )
 
     def test_vertex_range_edges_accepted(self, oracles):
         for oracle in oracles.values():
@@ -401,8 +404,8 @@ class TestQuerySession:
 
     def test_scalar_query_path_cached(self, index):
         session = QuerySession(index)
-        first = session.query(0, 5, 7)
-        assert session.query(0, 5, 7) == first == index.query(0, 5, 7)
+        first = session.run([(0, 5, 7)])[0]
+        assert session.run([(0, 5, 7)])[0] == first == index.query(0, 5, 7)
         assert session.stats.counters["cache_hits"] == 1
 
     def test_clear_cache(self, index):
@@ -411,22 +414,9 @@ class TestQuerySession:
         session.clear_cache()
         assert session.cache_info()["cached_answers"] == 0
 
-    def test_run_stream_matches_run(self, index, undirected):
-        batch = mixed_batch(undirected, 90)
-        streamed = QuerySession(index).run_stream(iter(batch), batch_size=16)
-        assert streamed == QuerySession(index).run(batch)
-        with pytest.raises(ValueError):
-            QuerySession(index).run_stream(iter(batch), batch_size=0)
-
     def test_empty_batch(self, index):
         assert QuerySession(index).run([]) == []
         assert execute_batch(index, []) == []
-
-    def test_format_stats_mentions_counters(self, index):
-        session = QuerySession(index)
-        session.run([(0, 1, 3)])
-        text = session.format_stats()
-        assert "cache" in text and "queries" in text
 
 
 class _PerItemLRU:
@@ -554,7 +544,7 @@ class TestCacheGraphIdentity:
         session.rebind(oracle_far)
         # The old graph's entries must not match: fresh, correct answers.
         assert session.run(batch) == scalar_answers(oracle_far, batch)
-        assert session.query(0, 3, 1) == oracle_far.query(0, 3, 1)
+        assert session.run([(0, 3, 1)])[0] == oracle_far.query(0, 3, 1)
 
     def test_rebind_back_revalidates_cached_answers(self):
         oracle_close, oracle_far = self._disagreeing_oracles()

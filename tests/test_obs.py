@@ -10,12 +10,10 @@ import threading
 import numpy as np
 import pytest
 
-from repro.engine.instrument import (
-    Instrumentation,
-    global_snapshot,
-    merge_global,
-    reset_global,
-)
+from repro.core.powcov import PowCovIndex
+from repro.engine import QuerySession
+from repro.eval.cli import render_engine_stats
+from repro.graph.generators import labeled_erdos_renyi
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -308,31 +306,51 @@ class TestMetrics:
 # Engine aggregate backed by the registry
 # ----------------------------------------------------------------------
 class TestEngineAggregate:
-    def test_merge_snapshot_round_trip(self):
-        reset_global()
-        instr = Instrumentation()
-        instr.count("queries", 5)
-        instr.count("cache_hits", 2)
-        instr.add_seconds("total_seconds", 0.5)
-        merge_global(instr)
-        merge_global(instr)
-        snap = global_snapshot()
-        assert snap.counters["queries"] == 10
-        assert snap.counters["cache_hits"] == 4
-        assert snap.seconds["total_seconds"] == pytest.approx(1.0)
-        # The aggregate is visible in the shared registry under engine.*.
-        assert registry().counter("engine.queries").value == 10
-        reset_global()
-        fresh = global_snapshot()
-        assert fresh.counters == {} and fresh.seconds == {}
+    @pytest.fixture
+    def oracle(self):
+        graph = labeled_erdos_renyi(30, 90, num_labels=3, seed=1)
+        return PowCovIndex(graph, [0, 1, 2, 3]).build()
 
-    def test_snapshot_skips_structured_engine_metrics(self):
-        reset_global()
+    def test_merge_snapshot_round_trip(self, oracle):
+        """Sessions count into ``engine.*`` as they run: two sessions'
+        counters sum to the registry's, with nothing published."""
+        registry().reset(prefix="engine.")
+        first, second = QuerySession(oracle), QuerySession(oracle)
+        first.run([(0, 5, 1), (0, 5, 1), (2, 7, 3)])
+        second.run([(0, 5, 1)])
+        second.run([(0, 5, 1), (4, 9, 6)])
+        for name in ("queries", "cache_hits", "cache_misses", "masks_planned"):
+            total = first.stats.counters[name] + second.stats.counters[name]
+            assert registry().counter(f"engine.{name}").value == total, name
+        assert registry().counter("engine.queries").value == 6
+        assert registry().counter("engine.cache_hits").value == 1
+
+        # A reset starts the registry's counts from zero; the session
+        # writes into the fresh counters, and keeps its own running totals.
+        registry().reset(prefix="engine.")
+        first.run([(0, 5, 1), (8, 1, 2)])
+        assert registry().counter("engine.queries").value == 2
+        assert registry().counter("engine.cache_hits").value == 1
+        assert registry().counter("engine.cache_misses").value == 1
+        assert first.stats.counters["queries"] == 5
+        assert first.stats.counters["cache_misses"] == 4
+        registry().reset(prefix="engine.")
+
+    def test_snapshot_skips_structured_engine_metrics(self, oracle):
+        """The CLI's engine footer renders the ``engine.*`` counters and the
+        hit rate, and leaves the latency histograms out."""
+        registry().reset(prefix="engine.")
+        session = QuerySession(oracle)
+        session.run([(0, 5, 1), (0, 5, 1)])
+        session.run([(0, 5, 1)])
         registry().histogram("engine.query_seconds.powcov").observe(0.001)
-        snap = global_snapshot()
-        assert "query_seconds.powcov" not in snap.counters
-        assert "query_seconds.powcov" not in snap.seconds
-        reset_global()
+        text = render_engine_stats()
+        assert "query_seconds" not in text
+        rows = dict(line.split() for line in text.splitlines()[1:])
+        assert rows["queries"] == "3" and rows["queries_total"] == "3"
+        assert rows["cache_hits"] == "1" and rows["cache_misses"] == "2"
+        assert rows["cache_hit_rate"] == "33.3%"
+        registry().reset(prefix="engine.")
 
 
 # ----------------------------------------------------------------------

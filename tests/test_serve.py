@@ -31,6 +31,7 @@ from repro.core import (
 from repro.engine import execute_batch
 from repro.graph.generators import labeled_erdos_renyi
 from repro.graph.labelsets import full_mask
+from repro.obs.metrics import registry as metrics_registry
 from repro.landmarks import select_landmarks
 from repro.serve import (
     GraphRegistry,
@@ -121,6 +122,39 @@ class TestEndpoints:
         assert isinstance(text, str)
         assert "# TYPE repro_serve_http_requests counter" in text
         assert "repro_serve_http_requests" in text
+
+    def test_live_metrics_match_the_sessions(self, graph, oracles):
+        """Engine counters reach ``GET /metrics`` as the sessions answer:
+        with both sessions still live, the exposition equals the sums of
+        their own counters."""
+        registry = GraphRegistry()
+        registry.register(
+            "g", graph,
+            {"powcov": oracles["powcov"], "chromland": oracles["chromland"]},
+        )
+        metrics_registry().reset(prefix="engine.")
+        with ServerThread(ServeApp(registry=registry)) as live:
+            for kind in ("powcov", "chromland"):
+                for payload in (
+                    {"queries": [[1, 7, 3], [2, 9, 5], [1, 7, 3]], "oracle": kind},
+                    {"source": 1, "target": 7, "mask": 3, "oracle": kind},
+                    {"source": 4, "target": 8, "mask": 6, "oracle": kind},
+                ):
+                    status, body = request_json(
+                        live, "POST", "/graphs/g/query", payload
+                    )
+                    assert status == 200, body
+            status, text = request_json(live, "GET", "/metrics")
+            sessions = [registry.session("g", k) for k in ("powcov", "chromland")]
+            assert registry.session_keys() == [("g", "powcov"), ("g", "chromland")]
+        assert status == 200
+        exposed = dict(
+            line.split() for line in text.splitlines() if not line.startswith("#")
+        )
+        for name in ("queries", "cache_misses", "masks_planned"):
+            want = sum(session.stats.counters[name] for session in sessions)
+            assert want > 0, name
+            assert float(exposed.get(f"repro_engine_{name}", "nan")) == want, name
 
     def test_single_query_each_family(self, server, oracles):
         mask = 0b11

@@ -205,7 +205,7 @@ class TestDeltaRebind:
         assert info["repaired"] == ["powcov"]
         assert registry.session("g", "powcov") is session  # same warm session
         assert session.run([(0, 5, 1)]) == [1.0]  # shortcut, not the stale 5.0
-        assert session.query(0, 5, 1) == 1.0
+        assert session.run([(0, 5, 1)])[0] == 1.0  # now a cache hit
 
     def test_delta_bumps_listed_version(self, graph):
         registry = GraphRegistry()

@@ -141,32 +141,26 @@ class TestStreamThroughput:
 
     def test_queries_total_counts_each_logical_query_once(self, graph, index):
         """Regression: the global ``engine.queries_total`` aggregate used to
-        double-count stream queries — ``run_stream_throughput`` merged the
-        session's cumulative counters on every publish, so draining a
-        100-query stream and publishing twice reported 200.  The counter is
-        now bumped once at submission time and ``publish_stats`` publishes
-        deltas, so the footer pins exactly the stream length."""
+        double-count stream queries, when a session's cumulative counters
+        were merged into the registry on every publish.  Sessions now count
+        into the registry as they run, so it holds exactly the stream
+        length, and a warm replay adds exactly one more."""
         from repro.engine import QuerySession
-        from repro.engine.instrument import global_snapshot, reset_global
+        from repro.obs.metrics import registry
 
         stream = size_skewed_stream(graph, 100, seed=6)
-        reset_global()
+        registry().reset(prefix="engine.")
         session = QuerySession(index, cache_size=4096)
         run_stream_throughput(index, stream, session=session)
-        # Re-publishing an already-published session must change nothing.
-        session.publish_stats()
-        session.publish_stats()
-        snapshot = global_snapshot()
-        assert snapshot.counters["queries_total"] == len(stream)
-        assert snapshot.counters["queries"] == len(stream)
+        assert registry().counter("engine.queries_total").value == len(stream)
+        assert registry().counter("engine.queries").value == len(stream)
 
         # A warm replay through the same session: every query still counts
         # (cache hits are logical queries too), exactly once.
         run_stream_throughput(index, stream, session=session)
-        snapshot = global_snapshot()
-        assert snapshot.counters["queries_total"] == 2 * len(stream)
-        assert snapshot.counters["queries"] == 2 * len(stream)
-        reset_global()
+        assert registry().counter("engine.queries_total").value == 2 * len(stream)
+        assert registry().counter("engine.queries").value == 2 * len(stream)
+        registry().reset(prefix="engine.")
 
 
 class TestMixedUpdateStream:
