@@ -21,6 +21,7 @@ Run with ``pytest benchmarks/bench_observability.py --benchmark-only``.
 from __future__ import annotations
 
 import gc
+import math
 import time
 
 import numpy as np
@@ -39,9 +40,12 @@ ENABLED_ALLOWANCE = 1.05  # the <=5% acceptance bar
 #: cushion that still guarantees "~0%" against sites doing >=1ms of work.
 DISABLED_SPAN_BUDGET_SECONDS = 2e-6
 
-# Workloads are sized so one round runs >=100ms: comparing two
-# configurations at a 5% resolution needs timings well above scheduler
-# jitter (a few ms per round on shared runners).
+# One round runs >=100ms: comparing two configurations at a 5%
+# resolution needs timings well above scheduler jitter (a few ms per
+# round on shared runners).  A round repeats the workload as often as it
+# takes (``_rounds_of``), and ``_record_overhead`` fails a guard whose
+# off rounds came in shorter.
+MIN_ROUND_SECONDS = 0.1
 BUILD_GRAPH = labeled_erdos_renyi(700, 2400, num_labels=4, seed=13)
 BUILD_K = 6
 
@@ -79,9 +83,30 @@ def _interleaved_min(work, rounds=ROUNDS):
     return best
 
 
+def _rounds_of(work):
+    """``work`` repeated often enough that a round passes
+    ``MIN_ROUND_SECONDS``, with 1.5x headroom over the fastest of three
+    timed calls."""
+    _observability(False)
+    fastest = float("inf")
+    for _ in range(3):
+        started = time.perf_counter()
+        work()
+        fastest = min(fastest, time.perf_counter() - started)
+    repeats = max(1, math.ceil(1.5 * MIN_ROUND_SECONDS / fastest))
+
+    def round_of_work():
+        for _ in range(repeats):
+            work()
+
+    return round_of_work, repeats
+
+
 def _record_overhead(benchmark, work):
     """Measure, retrying on environment spikes: the guard fails only when
     the overhead exceeds the budget on every attempt."""
+    work, repeats = _rounds_of(work)
+    benchmark.extra_info["repeats_per_round"] = repeats
     best = _interleaved_min(work)
     overhead = best["enabled"] / best["off"] - 1
     for _ in range(2):
@@ -92,6 +117,9 @@ def _record_overhead(benchmark, work):
     benchmark.extra_info["off_seconds"] = best["off"]
     benchmark.extra_info["enabled_seconds"] = best["enabled"]
     benchmark.extra_info["enabled_overhead"] = overhead
+    assert best["off"] >= MIN_ROUND_SECONDS, (
+        f"off round {best['off'] * 1e3:.1f}ms is too short to resolve 5%"
+    )
     assert overhead <= ENABLED_ALLOWANCE - 1, (
         f"tracing+metrics overhead {overhead:.1%} exceeds the 5% budget"
     )

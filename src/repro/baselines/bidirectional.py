@@ -24,13 +24,6 @@ class BidirectionalBFSBaseline(DistanceOracle):
     def _query(self, source: int, target: int, label_mask: int) -> float:
         return bidirectional_constrained_bfs(self.graph, source, target, label_mask)
 
-    def make_batch_executor(self):
-        """Trivial engine adapter: a traversal has no per-mask plan to
-        amortize, so batches run through the scalar loop."""
-        from ..engine.executors import ScalarLoopExecutor
-
-        return ScalarLoopExecutor(self)
-
 
 class UnidirectionalBFSBaseline(DistanceOracle):
     """Exact single-direction BFS (runs the full SSSP; used in ablations)."""
@@ -43,9 +36,3 @@ class UnidirectionalBFSBaseline(DistanceOracle):
         dist = constrained_bfs(self.graph, source, label_mask)
         value = int(dist[target])
         return float(value) if value != UNREACHABLE else float("inf")
-
-    def make_batch_executor(self):
-        """Trivial engine adapter (see :class:`BidirectionalBFSBaseline`)."""
-        from ..engine.executors import ScalarLoopExecutor
-
-        return ScalarLoopExecutor(self)

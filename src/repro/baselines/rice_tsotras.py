@@ -200,13 +200,6 @@ class LabelConstrainedCH(DistanceOracle):
                     heapq.heappush(heaps[side], (nd, v))
         return best
 
-    def make_batch_executor(self):
-        """Trivial engine adapter: bidirectional Dijkstra state is per-query,
-        so batches run through the scalar loop."""
-        from ..engine.executors import ScalarLoopExecutor
-
-        return ScalarLoopExecutor(self)
-
     def describe(self) -> str:
         return (
             f"{self.name}(core={self.core_size}, shortcuts={self.num_shortcuts}) "

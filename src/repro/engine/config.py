@@ -27,7 +27,6 @@ class EngineConfig:
 
     enabled: bool = False
     cache_size: int = 4096
-    plan_cache_size: int = 128
     audit: bool = False
 
 

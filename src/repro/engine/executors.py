@@ -27,8 +27,7 @@ query loop:
   and any unknown oracle run through it, so engine-vs-engine comparisons
   stay apples-to-apples even when one side has no batchable structure.
 
-``executor_for`` picks the executor; oracles can override the choice by
-defining ``make_batch_executor()``.
+``executor_for`` picks the executor by oracle type.
 """
 
 from __future__ import annotations
@@ -109,7 +108,7 @@ class _RowCache:
     vertex is not resolved, and turns the vertex-to-row lookup into one
     more fancy index.  It costs ``4n`` bytes per cache however few
     vertices a mask resolves (two caches per plan on directed graphs, up
-    to ``plan_cache_size`` plans, again after every ``rebind``); only
+    to ``PLAN_CACHE_SIZE`` plans, again after every ``rebind``); only
     once every vertex is resolved is that under ``1/(2k)`` of the rows.
     """
 
@@ -363,9 +362,6 @@ def executor_for(oracle: DistanceOracle) -> OracleExecutor[Any, Any]:
     Every executor reads the oracle's tables live, so constructing one is
     cheap and a repaired index needs no invalidation.
     """
-    maker = getattr(oracle, "make_batch_executor", None)
-    if maker is not None:
-        return maker()
     if isinstance(oracle, PowCovIndex):
         return PowCovExecutor(oracle)
     if isinstance(oracle, ChromLandIndex):

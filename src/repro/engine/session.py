@@ -9,10 +9,11 @@ with
   rebound (:meth:`QuerySession.rebind`) to an oracle over a *different*
   graph can never serve a stale distance, and rebinding back revalidates
   the surviving entries instead of recomputing them;
-* a **plan cache** — an LRU over constraint masks holding whatever the
-  oracle's executor precomputes per mask (PowCov: resolved per-vertex
-  landmark rows; ChromLand: the usable filter + the masked landmark
-  graph, closed once the mask has been asked enough queries);
+* a **plan cache** — an LRU over ``PLAN_CACHE_SIZE`` constraint masks
+  holding whatever the oracle's executor precomputes per mask (PowCov:
+  resolved per-vertex landmark rows; ChromLand: the usable filter + the
+  masked landmark graph, closed once the mask has been asked enough
+  queries);
 * event counters: each cache hit, miss, eviction, planned mask and
   executed group is counted once, when it happens, in the session's
   ``stats.counters`` and in the registry's ``engine.<name>`` counter, so
@@ -57,17 +58,8 @@ from .plan import as_triple, plan_batch, to_triple_array
 
 __all__ = ["QuerySession", "execute_batch"]
 
-
-def _count_logical_queries(n: int) -> None:
-    """Bump the process-wide logical-query counter exactly once per query.
-
-    ``engine.queries_total`` counts queries *submitted for serving* — the
-    number the user asked, independent of how a batch later splits into
-    mask groups or how many land in the answer cache.  Unlike
-    ``engine.queries`` it also counts the session-free ``execute_batch``.
-    """
-    if n:
-        _metrics_registry().counter("engine.queries_total").inc(n)
+#: Distinct masks whose prepared plans a session retains.
+PLAN_CACHE_SIZE = 128
 
 
 class QuerySession:
@@ -80,8 +72,6 @@ class QuerySession:
     cache_size:
         Answer-cache capacity in ``(s, t, mask)`` entries; 0 disables
         answer caching (batches are still executed vectorized).
-    plan_cache_size:
-        Number of distinct masks whose prepared plans are retained.
     audit:
         Debug flag (``EngineConfig.audit``): run the
         :mod:`repro.analysis.audit` invariant auditors against the oracle
@@ -94,13 +84,10 @@ class QuerySession:
         self,
         oracle: DistanceOracle,
         cache_size: int = 4096,
-        plan_cache_size: int = 128,
         audit: bool = False,
     ) -> None:
         if cache_size < 0:
             raise ValueError("cache_size must be >= 0")
-        if plan_cache_size < 1:
-            raise ValueError("plan_cache_size must be >= 1")
         if audit:
             # Local import: the auditors pull in the index packages, which
             # the engine otherwise only needs lazily.
@@ -110,7 +97,6 @@ class QuerySession:
         self.oracle = oracle
         self.executor: OracleExecutor[Any, Any] = executor_for(oracle)
         self.cache_size = cache_size
-        self.plan_cache_size = plan_cache_size
         # This session's own share of the engine.* registry counters.
         self.stats = SimpleNamespace(counters={})
         self._fingerprint = self._oracle_fingerprint(oracle)
@@ -153,7 +139,7 @@ class QuerySession:
                 "graph (stored fingerprint does not match the bound graph)"
             )
 
-    def rebind(self, oracle: DistanceOracle, repair: bool = True) -> None:
+    def rebind(self, oracle: DistanceOracle) -> None:
         """Point this session at another oracle, keeping the answer cache.
 
         The plan cache is dropped (plans hold oracle-internal arrays), but
@@ -163,15 +149,13 @@ class QuerySession:
 
         When the new oracle's graph is the *direct child version* of the
         currently bound graph (it carries ``applied_delta`` and its
-        ``parent_fingerprint`` matches), ``repair=True`` additionally
-        migrates every cached answer whose constraint mask avoids the
+        ``parent_fingerprint`` matches), it additionally migrates every
+        cached answer whose constraint mask avoids the
         delta's touched labels: such a mask sees the identical
         label-restricted subgraph on both versions, so the answer is
         bit-identical on the new graph and is re-keyed instead of going
         cold.  Answers whose mask intersects the touched labels keep their
         old-fingerprint keys (they stop matching — the invalidate path).
-        ``repair=False`` forces the historical invalidate-everything
-        behavior.
         """
         previous_fingerprint = self._fingerprint
         self.oracle = oracle
@@ -179,7 +163,7 @@ class QuerySession:
         self._fingerprint = self._oracle_fingerprint(oracle)
         self._check_stored_fingerprint(oracle)
         self._plans.clear()
-        if repair and self._fingerprint != previous_fingerprint:
+        if self._fingerprint != previous_fingerprint:
             self._migrate_answers(oracle, previous_fingerprint)
 
     def _migrate_answers(
@@ -254,7 +238,7 @@ class QuerySession:
         plan = self.executor.prepare_mask(label_mask)
         self._count("masks_planned")
         self._plans[label_mask] = plan
-        while len(self._plans) > self.plan_cache_size:
+        while len(self._plans) > PLAN_CACHE_SIZE:
             self._plans.popitem(last=False)
         return plan
 
@@ -295,7 +279,6 @@ class QuerySession:
             if not self.cache_size:
                 arr = to_triple_array(queries, num_labels, num_vertices)
                 self._count("queries", len(arr))
-                _count_logical_queries(len(arr))
                 self._count("batches")
                 run_span.count("queries", len(arr))
                 if len(arr) == 0:
@@ -346,7 +329,6 @@ class QuerySession:
                 misses = len(miss_positions)
             n = len(keys)
             self._count("queries", n)
-            _count_logical_queries(n)
             self._count("batches")
             run_span.count("queries", n)
             if n == 0:
@@ -417,14 +399,16 @@ def execute_batch(
     This is what ``DistanceOracle.batch_query`` delegates to; results are
     bit-identical to ``[oracle.query(s, t, m) for s, t, m in queries]``.
     A mask outside the graph's label domain, or a vertex outside
-    ``[0, num_vertices)``, raises ``ValueError``.
+    ``[0, num_vertices)``, raises ``ValueError``.  The queries count into
+    the registry's ``engine.queries``, as a session's do.
     """
     executor = executor_for(oracle)
     graph = oracle.graph
     plan = plan_batch(
         to_triple_array(queries, graph.num_labels, graph.num_vertices)
     )
-    _count_logical_queries(plan.num_queries)
+    if plan.num_queries:
+        _metrics_registry().counter("engine.queries").inc(plan.num_queries)
     out = np.empty(plan.num_queries, dtype=np.float64)
     for group in plan.groups:
         mask_plan = executor.prepare_mask(group.label_mask)

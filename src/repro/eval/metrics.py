@@ -66,7 +66,6 @@ def _answer_workload(
     session = QuerySession(
         oracle,
         cache_size=config.cache_size,
-        plan_cache_size=config.plan_cache_size,
         audit=config.audit,
     )
     return session.run([(q.source, q.target, q.label_mask) for q in queries])
@@ -154,7 +153,6 @@ def time_oracle(
         session = QuerySession(
             oracle,
             cache_size=config.cache_size,
-            plan_cache_size=config.plan_cache_size,
             audit=config.audit,
         )
         triples = [(q.source, q.target, q.label_mask) for q in queries]

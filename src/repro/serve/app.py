@@ -10,8 +10,9 @@ Request flow for ``POST /graphs/{name}/query``::
                                              │  (idle: flush now; busy: coalesce / max_batch;
                                              │   a lone request passes through untouched)
                                              ▼
-                              ThreadPoolExecutor: session.run(batch)
-                                             │  (numpy work off the loop)
+                              ThreadPoolExecutor: registry.run(batch)
+                                             │  (numpy work off the loop, under the
+                                             │   session's lock)
                                              ▼
                               answers scattered back per request
 
@@ -19,8 +20,11 @@ One :class:`~repro.serve.batching.MicroBatcher` exists per
 ``(graph, oracle)`` key, feeding the warm
 :class:`~repro.engine.QuerySession` the :class:`GraphRegistry` holds for
 that key; engine execution runs on a small thread pool so the event loop
-never blocks on numpy, and a per-key mutex keeps each session
-single-threaded.  Answers ride the wire as JSON numbers produced by
+never blocks on numpy, and :meth:`GraphRegistry.run` holds the session's
+lock around each batch, so a session runs one batch at a time.  A delta
+runs :meth:`GraphRegistry.apply_delta` on the same pool; the registry
+publishes the graph's next version and rebinds each session under that
+session's lock.  Answers ride the wire as JSON numbers produced by
 Python ``repr`` — float64 round-trips exactly, so HTTP answers are
 bit-identical to in-process ``execute_batch`` (asserted across every
 oracle family in ``tests/test_serve.py`` and the differential harness's
@@ -137,13 +141,8 @@ class ServeApp:
             max_workers=max(1, self.config.workers),
             thread_name_prefix="repro-serve",
         )
+        # Touched only on the event loop, so it needs no lock.
         self._batchers: dict[tuple[str, str], MicroBatcher] = {}
-        # One mutex per (graph, oracle): QuerySession is not thread-safe,
-        # so even with many pool workers each session runs one batch at a
-        # time; the delta handler grabs every lock of a graph to quiesce
-        # it during rebind.
-        self._key_locks: dict[tuple[str, str], threading.Lock] = {}
-        self._state_lock = threading.Lock()
         self._started = perf_counter()
         # Live connection-handler tasks; cancelled on server stop so
         # keep-alive connections never outlive the loop.
@@ -152,37 +151,22 @@ class ServeApp:
     # ------------------------------------------------------------------
     # Execution plumbing
     # ------------------------------------------------------------------
-    def _key_lock(self, key: tuple[str, str]) -> threading.Lock:
-        with self._state_lock:
-            lock = self._key_locks.get(key)
-            if lock is None:
-                lock = self._key_locks[key] = threading.Lock()
-            return lock
-
-    def _execute_sync(
-        self, name: str, kind: str, triples: Queries
-    ) -> list[float]:
-        session = self.registry.session(name, kind)
-        with self._key_lock((name, kind)):
-            return session.run(triples)
-
     def batcher(self, name: str, kind: str) -> MicroBatcher:
         key = (name, kind)
-        with self._state_lock:
-            batcher = self._batchers.get(key)
-            if batcher is None:
+        batcher = self._batchers.get(key)
+        if batcher is None:
 
-                def execute(
-                    triples: Queries, _name: str = name, _kind: str = kind
-                ) -> "asyncio.Future[list[float]]":
-                    loop = asyncio.get_running_loop()
-                    return loop.run_in_executor(
-                        self.executor, self._execute_sync, _name, _kind, triples
-                    )
+            def execute(
+                triples: Queries, _name: str = name, _kind: str = kind
+            ) -> "asyncio.Future[list[float]]":
+                loop = asyncio.get_running_loop()
+                return loop.run_in_executor(
+                    self.executor, self.registry.run, _name, _kind, triples
+                )
 
-                batcher = MicroBatcher(execute, max_batch=self.config.batch_max)
-                self._batchers[key] = batcher
-            return batcher
+            batcher = MicroBatcher(execute, max_batch=self.config.batch_max)
+            self._batchers[key] = batcher
+        return batcher
 
     def close(self) -> None:
         self.executor.shutdown(wait=False, cancel_futures=True)
@@ -370,23 +354,11 @@ class ServeApp:
             relabels=ops("relabels", 4),  # type: ignore[arg-type]
         )
 
-        def apply_locked() -> dict[str, Any]:
-            # Quiesce every session of this graph before mutating it.
-            kinds = sorted(
-                {k for (n, k) in self.registry.session_keys() if n == name}
-            )
-            locks = [self._key_lock((name, kind)) for kind in kinds]
-            for lock in locks:
-                lock.acquire()
-            try:
-                return self.registry.apply_delta(name, delta)
-            finally:
-                for lock in reversed(locks):
-                    lock.release()
-
         loop = asyncio.get_running_loop()
         try:
-            result = await loop.run_in_executor(self.executor, apply_locked)
+            result = await loop.run_in_executor(
+                self.executor, self.registry.apply_delta, name, delta
+            )
         except UnknownGraphError:
             raise HttpError(404, f"unknown graph {name!r}") from None
         except (ValueError, KeyError) as exc:

@@ -1,4 +1,4 @@
-"""Multi-graph registry: warm query sessions over loaded indexes.
+"""Multi-graph registry: warm query sessions over published graph versions.
 
 The registry is the serving layer's state: a set of named graphs, each
 with one or more oracle families, served through warm
@@ -17,26 +17,36 @@ with one or more oracle families, served through warm
   every load: an index file built for a different graph is rejected
   (:class:`~repro.store.format.FormatError`), never silently served.
 
+Each name maps to one immutable *version*: a graph with the oracles
+loaded for it and the loaders still able to serve it.  A register, a
+load or a delta builds the next version and publishes it with one swap
+under the registry lock; nothing changes a version in place.
+:meth:`apply_delta` is the hot-reload path: it applies a
+:class:`~repro.graph.delta.GraphDelta`, repairs a shallow copy of every
+loaded oracle (:func:`repro.core.dynamic.repair_index`, which publishes
+new tables and never writes the old ones), swaps in the new version, and
+rebinds the live sessions to the copies — cached answers migrate or
+invalidate per :meth:`QuerySession.rebind`, so no stale answer survives.
+A repair that raises publishes nothing: the old version keeps serving
+and keeps taking deltas.  A load that finishes after a delta replaced
+its graph is dropped, never installed over the new version.
+
 Sessions are cached per ``(graph, oracle)`` key with LRU eviction under
 ``max_sessions``; sessions count into the registry's ``engine.*``
-counters as they run, so eviction loses no engine accounting.
-:meth:`apply_delta` is the hot-reload path: it
-applies a :class:`~repro.graph.delta.GraphDelta`, incrementally repairs
-every loaded oracle (:func:`repro.core.dynamic.repair_index`), and
-rebinds the live sessions — in-flight caches migrate or invalidate per
-:meth:`QuerySession.rebind` semantics, so no stale answer survives.
-
-The registry is thread-safe: the asyncio server executes engine work on
-a thread pool, and loads/rebinds synchronize on internal locks.
+counters as they run, so eviction loses no engine accounting.  Each
+session has a lock: :meth:`run` holds it around a batch and
+:meth:`apply_delta` around the rebind, so a session runs one batch at a
+time and is never rebound under a running batch.
 """
 
 from __future__ import annotations
 
+import copy
 import threading
 from collections import OrderedDict
-from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from collections.abc import Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from ..core.types import DistanceOracle
 from ..engine import QuerySession
@@ -45,6 +55,8 @@ from ..graph.labeled_graph import EdgeLabeledGraph
 from ..obs.metrics import registry as _metrics_registry
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from ..store.cache import IndexStore
 
 __all__ = ["GraphRegistry", "UnknownGraphError", "UnknownOracleError"]
@@ -58,11 +70,13 @@ class UnknownOracleError(KeyError):
     """Query for an oracle family the graph does not provide."""
 
 
-@dataclass
-class _GraphEntry:
+@dataclass(frozen=True)
+class _Version:
+    """One published state of a graph; replaced, never mutated."""
+
     graph: EdgeLabeledGraph
-    oracles: dict[str, DistanceOracle] = field(default_factory=dict)
-    loaders: dict[str, Callable[[], DistanceOracle]] = field(
+    oracles: Mapping[str, DistanceOracle] = field(default_factory=dict)
+    loaders: Mapping[str, Callable[[], DistanceOracle]] = field(
         default_factory=dict
     )
 
@@ -70,24 +84,23 @@ class _GraphEntry:
         return sorted(set(self.oracles) | set(self.loaders))
 
 
-class GraphRegistry:
-    """Named graphs + lazily loaded oracles + warm LRU'd sessions."""
+class _Slot(NamedTuple):
+    """A warm session and the lock that keeps it single-threaded."""
 
-    def __init__(
-        self,
-        max_sessions: int = 32,
-        cache_size: int = 4096,
-        plan_cache_size: int = 128,
-    ) -> None:
+    session: QuerySession
+    lock: threading.Lock
+
+
+class GraphRegistry:
+    """Named graph versions + lazily loaded oracles + warm LRU'd sessions."""
+
+    def __init__(self, max_sessions: int = 32, cache_size: int = 4096) -> None:
         if max_sessions < 1:
             raise ValueError("max_sessions must be >= 1")
         self.max_sessions = max_sessions
         self.cache_size = cache_size
-        self.plan_cache_size = plan_cache_size
-        self._entries: dict[str, _GraphEntry] = {}
-        self._sessions: OrderedDict[tuple[str, str], QuerySession] = (
-            OrderedDict()
-        )
+        self._entries: dict[str, _Version] = {}
+        self._sessions: OrderedDict[tuple[str, str], _Slot] = OrderedDict()
         self._lock = threading.RLock()
         self._inflight: dict[tuple[str, str], threading.Event] = {}
         #: (graph, kind) -> number of times the loader actually ran;
@@ -109,7 +122,7 @@ class GraphRegistry:
 
         ``graph`` may be omitted when ``oracles`` is given (it is taken
         from the first oracle).  Registering an existing name replaces
-        its entry and drops its sessions.
+        its version and drops its sessions.
         """
         oracles = dict(oracles or {})
         if graph is None:
@@ -117,7 +130,7 @@ class GraphRegistry:
                 raise ValueError("register() needs a graph or oracles")
             graph = next(iter(oracles.values())).graph
         with self._lock:
-            self._entries[name] = _GraphEntry(graph=graph, oracles=oracles)
+            self._entries[name] = _Version(graph=graph, oracles=oracles)
             self._drop_sessions(name)
 
     def register_loader(
@@ -125,7 +138,10 @@ class GraphRegistry:
     ) -> None:
         """Attach a lazy oracle loader to an already-registered graph."""
         with self._lock:
-            self._entry(name).loaders[kind] = loader
+            version = self._version(name)
+            self._entries[name] = replace(
+                version, loaders={**version.loaders, kind: loader}
+            )
 
     def register_store(
         self,
@@ -167,15 +183,10 @@ class GraphRegistry:
 
         return load
 
-    def unregister(self, name: str) -> None:
-        with self._lock:
-            self._entries.pop(name, None)
-            self._drop_sessions(name)
-
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-    def _entry(self, name: str) -> _GraphEntry:
+    def _version(self, name: str) -> _Version:
         try:
             return self._entries[name]
         except KeyError:
@@ -187,20 +198,20 @@ class GraphRegistry:
 
     def graph(self, name: str) -> EdgeLabeledGraph:
         with self._lock:
-            return self._entry(name).graph
+            return self._version(name).graph
 
     def oracle_kinds(self, name: str) -> list[str]:
         """Every oracle family ``name`` can serve (loaded or lazy)."""
         with self._lock:
-            return self._entry(name).oracle_kinds()
+            return self._version(name).oracle_kinds()
 
     def describe(self) -> list[dict[str, Any]]:
         """One JSON-clean info dict per registered graph (``GET /graphs``)."""
         with self._lock:
             out = []
             for name in sorted(self._entries):
-                entry = self._entries[name]
-                graph = entry.graph
+                version = self._entries[name]
+                graph = version.graph
                 out.append({
                     "name": name,
                     "num_vertices": int(graph.num_vertices),
@@ -208,8 +219,8 @@ class GraphRegistry:
                     "num_labels": int(graph.num_labels),
                     "directed": bool(graph.directed),
                     "version": int(getattr(graph, "version", 0)),
-                    "oracles": entry.oracle_kinds(),
-                    "loaded": sorted(entry.oracles),
+                    "oracles": version.oracle_kinds(),
+                    "loaded": sorted(version.oracles),
                     "sessions": [
                         kind for (n, kind) in self._sessions if n == name
                     ],
@@ -220,74 +231,109 @@ class GraphRegistry:
     # Single-flight oracle loading
     # ------------------------------------------------------------------
     def oracle(self, name: str, kind: str) -> DistanceOracle:
-        """The named oracle, loading it on first touch (single-flight)."""
+        """The named oracle, loading it on first touch (single-flight).
+
+        A load runs outside the lock and installs its result only while
+        the graph it loaded for, and its loader, are still the current
+        version's.  Otherwise a delta or a re-registration replaced the
+        version mid-load: the result is dropped and the kind looked up
+        again on the current version (a delta drops unloaded loaders, so
+        that lookup raises :class:`UnknownOracleError`).
+        """
         key = (name, kind)
         while True:
             with self._lock:
-                entry = self._entry(name)
-                oracle = entry.oracles.get(kind)
+                version = self._version(name)
+                oracle = version.oracles.get(kind)
                 if oracle is not None:
                     return oracle
-                loader = entry.loaders.get(kind)
+                loader = version.loaders.get(kind)
                 if loader is None:
                     raise UnknownOracleError(
                         f"graph {name!r} has no {kind!r} oracle "
-                        f"(available: {entry.oracle_kinds()})"
+                        f"(available: {version.oracle_kinds()})"
                     )
                 waiter = self._inflight.get(key)
                 if waiter is None:
                     # We are the loading leader for this key.
-                    waiter = threading.Event()
-                    self._inflight[key] = waiter
-                    break
-            # Another thread is loading this key: wait, then re-check
-            # (re-raising through a fresh load attempt if theirs failed).
-            waiter.wait()
-        try:
-            loaded = loader()
-            with self._lock:
-                self.load_counts[key] = self.load_counts.get(key, 0) + 1
-                entry.oracles[kind] = loaded
-            _metrics_registry().counter("serve.oracles_loaded").inc()
-            return loaded
-        finally:
-            with self._lock:
-                self._inflight.pop(key, None)
-            waiter.set()
+                    waiter = self._inflight[key] = threading.Event()
+                    leader = True
+                else:
+                    leader = False
+            if not leader:
+                # Another thread is loading this key: wait, then re-check
+                # (re-raising through a fresh load attempt if theirs failed).
+                waiter.wait()
+                continue
+            try:
+                loaded = loader()
+                installed = False
+                with self._lock:
+                    self.load_counts[key] = self.load_counts.get(key, 0) + 1
+                    current = self._entries.get(name)
+                    if (
+                        current is not None
+                        and current.graph is version.graph
+                        and current.loaders.get(kind) is loader
+                    ):
+                        self._entries[name] = replace(
+                            current, oracles={**current.oracles, kind: loaded}
+                        )
+                        installed = True
+            finally:
+                with self._lock:
+                    self._inflight.pop(key, None)
+                waiter.set()
+            if installed:
+                _metrics_registry().counter("serve.oracles_loaded").inc()
+                return loaded
 
     # ------------------------------------------------------------------
     # Warm sessions (LRU)
     # ------------------------------------------------------------------
     def session(self, name: str, kind: str) -> QuerySession:
         """The warm session for ``(name, kind)``, creating it on demand."""
+        return self._slot(name, kind).session
+
+    def run(
+        self, name: str, kind: str, queries: Sequence[Any] | np.ndarray
+    ) -> list[float]:
+        """Answer ``queries`` on the warm session, under its lock."""
+        slot = self._slot(name, kind)
+        with slot.lock:
+            return slot.session.run(queries)
+
+    def _slot(self, name: str, kind: str) -> _Slot:
         key = (name, kind)
-        with self._lock:
-            session = self._sessions.get(key)
-            if session is not None:
+        while True:
+            with self._lock:
+                slot = self._sessions.get(key)
+                if slot is not None:
+                    self._sessions.move_to_end(key)
+                    return slot
+            oracle = self.oracle(name, kind)  # may load outside the lock
+            with self._lock:
+                slot = self._sessions.get(key)
+                if slot is None:
+                    if self._version(name).oracles.get(kind) is not oracle:
+                        continue  # a delta replaced the oracle meanwhile
+                    slot = _Slot(
+                        QuerySession(oracle, cache_size=self.cache_size),
+                        threading.Lock(),
+                    )
+                    self._sessions[key] = slot
+                    _metrics_registry().gauge("serve.sessions").set(
+                        len(self._sessions)
+                    )
                 self._sessions.move_to_end(key)
-                return session
-        oracle = self.oracle(name, kind)  # may load outside the lock
-        with self._lock:
-            session = self._sessions.get(key)
-            if session is None:
-                session = QuerySession(
-                    oracle,
-                    cache_size=self.cache_size,
-                    plan_cache_size=self.plan_cache_size,
-                )
-                self._sessions[key] = session
-                _metrics_registry().gauge("serve.sessions").set(
-                    len(self._sessions)
-                )
-            self._sessions.move_to_end(key)
-            while len(self._sessions) > self.max_sessions:
-                self._sessions.popitem(last=False)
-                self.session_evictions += 1
-                _metrics_registry().counter("serve.session_evictions").inc()
-                _metrics_registry().gauge("serve.sessions").set(
-                    len(self._sessions)
-                )
-            return session
+                while len(self._sessions) > self.max_sessions:
+                    self._sessions.popitem(last=False)
+                    self.session_evictions += 1
+                    _metrics_registry().counter("serve.session_evictions").inc()
+                    _metrics_registry().gauge("serve.sessions").set(
+                        len(self._sessions)
+                    )
+                return slot
 
     def session_keys(self) -> list[tuple[str, str]]:
         with self._lock:
@@ -301,38 +347,44 @@ class GraphRegistry:
     # Hot reload: dynamic-graph deltas
     # ------------------------------------------------------------------
     def apply_delta(self, name: str, delta: GraphDelta) -> dict[str, Any]:
-        """Mutate a graph in place: repair loaded oracles, rebind sessions.
+        """Publish the graph's next version: repaired copies, one swap.
 
-        Every *loaded* oracle of the graph is incrementally repaired onto
-        the new version (:func:`repro.core.dynamic.repair_index`); lazy
-        loaders that never fired stay lazy — their store files describe
-        the old fingerprint and would be rejected, so they are dropped.
-        Live sessions rebind, migrating still-valid cached answers and
-        invalidating the rest (no stale answers, tested in
-        ``tests/test_serve_registry.py``).
+        Every *loaded* oracle is repaired onto the new graph as a shallow
+        copy (:func:`repro.core.dynamic.repair_index`); if any repair
+        raises, nothing is published.  Lazy loaders that never fired are
+        dropped — their store files describe the old fingerprint and
+        would be rejected.  After the swap each live session of the
+        graph rebinds to its repaired copy under its own lock, migrating
+        still-valid cached answers and invalidating the rest (no stale
+        answers, tested in ``tests/test_serve_registry.py``).
         """
         from ..core.dynamic import repair_index  # local: heavy import
 
         with self._lock:
-            entry = self._entry(name)
-            new_graph = apply_delta(entry.graph, delta)
-            for kind, oracle in entry.oracles.items():
-                repair_index(oracle, new_graph)
-                session = self._sessions.get((name, kind))
-                if session is not None:
-                    session.rebind(oracle)
-            entry.graph = new_graph
-            # Unloaded store files target the pre-delta fingerprint; they
-            # can never serve the mutated graph, so forget the loaders.
-            entry.loaders = {
-                kind: loader
-                for kind, loader in entry.loaders.items()
-                if kind in entry.oracles
-            }
+            version = self._version(name)
+            new_graph = apply_delta(version.graph, delta)
+            oracles: dict[str, DistanceOracle] = {}
+            for kind, oracle in version.oracles.items():
+                repaired = copy.copy(oracle)
+                repair_index(repaired, new_graph)
+                oracles[kind] = repaired
+            self._entries[name] = _Version(
+                graph=new_graph,
+                oracles=oracles,
+                loaders={
+                    kind: loader
+                    for kind, loader in version.loaders.items()
+                    if kind in oracles
+                },
+            )
+            for (graph_name, kind), slot in self._sessions.items():
+                if graph_name == name:
+                    with slot.lock:
+                        slot.session.rebind(oracles[kind])
             _metrics_registry().counter("serve.deltas_applied").inc()
             return {
                 "graph": name,
                 "version": int(getattr(new_graph, "version", 0)),
-                "repaired": sorted(entry.oracles),
+                "repaired": sorted(oracles),
                 "num_edges": int(new_graph.num_edges),
             }
