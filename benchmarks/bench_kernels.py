@@ -117,12 +117,12 @@ def test_wave_build_end_to_end(benchmark, biogrid, backend_name):
     the Python per-mask bookkeeping outside the kernels caps this."""
     numpy_result, numpy_seconds = _timed(
         lambda: traverse_powerset_waves(graph=biogrid, landmark=3,
-                                        use_obs4=False, kernel="numpy"),
+                                        kernel="numpy"),
         rounds=3,
     )
     native_result, native_seconds = _timed(
         lambda: traverse_powerset_waves(graph=biogrid, landmark=3,
-                                        use_obs4=False, kernel=backend_name),
+                                        kernel=backend_name),
         rounds=3,
     )
     assert native_result.entries == numpy_result.entries
@@ -132,7 +132,7 @@ def test_wave_build_end_to_end(benchmark, biogrid, backend_name):
     benchmark.extra_info["speedup"] = numpy_seconds / native_seconds
     benchmark.pedantic(
         lambda: traverse_powerset_waves(graph=biogrid, landmark=3,
-                                        use_obs4=False, kernel=backend_name),
+                                        kernel=backend_name),
         rounds=2, iterations=1,
     )
 

@@ -66,7 +66,7 @@ from .core import (
     repair_index,
 )
 from .core.chromland import local_search_selection, random_selection
-from .engine import EngineConfig, QuerySession, execute_batch
+from .engine import QuerySession, execute_batch
 from .graph import (
     EdgeLabeledGraph,
     GraphBuilder,
@@ -113,7 +113,6 @@ __all__ = [
     "repair_index",
     "assert_repair_matches_rebuild",
     "random_selection",
-    "EngineConfig",
     "QuerySession",
     "execute_batch",
     "EdgeLabeledGraph",

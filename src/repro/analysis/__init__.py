@@ -10,12 +10,13 @@ and vectorized.  This package machine-checks those conventions:
   (REPRO000–REPRO008) with a CLI (``python -m repro.analysis lint``);
 * :mod:`repro.analysis.flow` — flow-sensitive abstract interpretation
   (REPRO009–REPRO011, REPRO013): dtype/width tracking, mask/vertex/distance
-  unit domains, and writes into read-only array views, with baseline,
-  per-file cache and SARIF output (``python -m repro.analysis flow``);
+  unit domains, and writes into read-only array views, with baseline
+  and SARIF output (``python -m repro.analysis flow``);
 * :mod:`repro.analysis.audit` — runtime invariant auditors for the graph
   substrate and both paper indexes (``audit_graph`` / ``audit_powcov`` /
   ``audit_chromland``), exposed through ``--selfcheck`` on the eval CLI
-  and the ``EngineConfig.audit`` debug flag.
+  and :func:`~repro.analysis.audit.assert_clean`, which raises on any
+  violation.
 
 See ``docs/DEVELOPING.md`` for the rule catalog and local usage.
 """

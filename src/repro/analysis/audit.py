@@ -26,7 +26,7 @@ Every auditor returns a list of :class:`AuditViolation` with a precise,
 human-readable location (`"landmark 2 (vertex 17), vertex 9, entry
 (3, {0,2})"`), never raising on violations — callers decide whether to
 report (``--selfcheck``) or abort (:class:`AuditError` via
-:func:`assert_clean`, used by the ``EngineConfig.audit`` debug flag).
+:func:`assert_clean`).
 
 Auditors are *diagnostic* tools: spot-checks cost one constrained BFS per
 sample and are meant for debug runs and post-build test hooks, not for

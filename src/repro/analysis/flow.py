@@ -31,15 +31,15 @@ statement that raised; the REPRO009–011 checks see those bodies only
 through these edges.
 
 Findings flow through the same :class:`~repro.analysis.lint.LintFinding` /
-``# noqa: REPRO0xx`` machinery as the AST rules.  On top of that sit three
+``# noqa: REPRO0xx`` machinery as the AST rules.  On top of that sit two
 CI conveniences:
 
 * a **baseline** file (``flow-baseline.txt``) of accepted pre-existing
   findings, keyed by content fingerprints that survive line renumbering;
-* a per-file **result cache** keyed on source hash + summary-table digest
-  + engine version, keeping the warm full-package pass well under the
-   10 s CI budget;
 * ``--sarif`` output (SARIF 2.1.0) for GitHub code-scanning upload.
+
+Every run analyzes every file from scratch; a full pass over ``src/repro``
+stays inside the 10 s budget ``benchmarks/bench_flow_analysis.py`` holds.
 
 Run it as ``python -m repro.analysis flow [paths...]`` (defaults to
 ``src/repro``); exits non-zero iff un-baselined findings remain.
@@ -75,7 +75,6 @@ from .summaries import (
     _annotation_value,
     classify_param_name,
     collect_summaries,
-    summaries_digest,
 )
 
 __all__ = [
@@ -91,15 +90,15 @@ __all__ = [
     "main",
 ]
 
-#: Bumped whenever the engine's semantics change; invalidates the cache.
+#: Bumped whenever the engine's semantics change; SARIF reports it as the
+#: tool version.
 ENGINE_VERSION = 3
 
 #: The rules this engine owns (catalog text lives in ``lint.RULES``).
 FLOW_RULES = ("REPRO009", "REPRO010", "REPRO011", "REPRO013")
 
-#: Default baseline / cache locations (repo-root relative).
+#: Default baseline location (repo-root relative).
 DEFAULT_BASELINE = Path("flow-baseline.txt")
-DEFAULT_CACHE = Path(".repro-flow-cache.json")
 
 #: Module exempt from domain-mixing checks: it *implements* mask algebra
 #: (Gosper's hack et al. legitimately does ``mask + lowest``).
@@ -1148,7 +1147,7 @@ def _fmt_dtypes(dtypes: frozenset[DType] | None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Per-file driver, fingerprints, baseline, cache, SARIF
+# Per-file driver, fingerprints, baseline, SARIF
 # ---------------------------------------------------------------------------
 
 
@@ -1226,41 +1225,14 @@ def load_baseline(path: Path) -> dict[str, str]:
     return accepted
 
 
-def _load_cache(path: Path, digest: str) -> dict[str, object]:
-    if not path.exists():
-        return {}
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return {}
-    if (
-        not isinstance(data, dict)
-        or data.get("engine") != ENGINE_VERSION
-        or data.get("summaries") != digest
-    ):
-        return {}
-    files = data.get("files")
-    return files if isinstance(files, dict) else {}
-
-
-def _save_cache(path: Path, digest: str, files: dict[str, object]) -> None:
-    payload = {"engine": ENGINE_VERSION, "summaries": digest, "files": files}
-    try:
-        path.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
-    except OSError:  # pragma: no cover - read-only checkout
-        pass
-
-
 def analyze_paths(
     paths: Sequence[Path],
     select: Iterable[str] | None = None,
-    cache_path: Path | None = None,
 ) -> list[tuple[LintFinding, str]]:
     """Analyze every ``.py`` file under ``paths``; returns (finding, fp).
 
     The summary table is collected over *all* files first so that calls
-    into other modules resolve; the per-file cache key is the source hash
-    plus the summary digest plus the engine version.
+    into other modules resolve.
     """
     files = list(_iter_python_files(paths))
     sources: dict[Path, str] = {}
@@ -1273,38 +1245,15 @@ def analyze_paths(
         except SyntaxError:
             continue
     summaries = collect_summaries(trees)
-    digest = summaries_digest(summaries)
-    cached = _load_cache(cache_path, digest) if cache_path is not None else {}
-    next_cache: dict[str, object] = {}
     results: list[tuple[LintFinding, str]] = []
     for file in files:
         source = sources[file]
-        sha = hashlib.sha256(source.encode()).hexdigest()
-        key = file.as_posix()
-        entry = cached.get(key)
-        if isinstance(entry, dict) and entry.get("sha") == sha:
-            rows = entry.get("findings", [])
-            file_results = [
-                (LintFinding(str(file), r[0], r[1], r[2], r[3]), r[4])
-                for r in rows  # type: ignore[index, misc]
-            ]
-        else:
-            module = _module_key(file, source)
-            try:
-                findings = analyze_source(source, file, summaries=summaries)
-            except SyntaxError:
-                findings = []
-            fingerprints = finding_fingerprints(findings, source, module)
-            file_results = list(zip(findings, fingerprints))
-        next_cache[key] = {
-            "sha": sha,
-            "findings": [
-                [f.line, f.col, f.rule, f.message, fp] for f, fp in file_results
-            ],
-        }
-        results.extend(file_results)
-    if cache_path is not None:
-        _save_cache(cache_path, digest, next_cache)
+        try:
+            findings = analyze_source(source, file, summaries=summaries)
+        except SyntaxError:
+            findings = []
+        module = _module_key(file, source)
+        results.extend(zip(findings, finding_fingerprints(findings, source, module)))
     if select is not None:
         selected = frozenset(select)
         results = [(f, fp) for f, fp in results if f.rule in selected]
@@ -1395,15 +1344,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         action="store_true",
         help="rewrite the baseline to accept every current finding",
     )
-    parser.add_argument(
-        "--cache",
-        type=Path,
-        default=DEFAULT_CACHE,
-        help=f"per-file result cache (default: {DEFAULT_CACHE})",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true", help="disable the result cache"
-    )
     args = parser.parse_args(argv)
 
     if args.list_rules:
@@ -1420,8 +1360,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if unknown:
             parser.error(f"unknown flow rule id(s): {', '.join(unknown)}")
 
-    cache_path = None if args.no_cache else args.cache
-    results = analyze_paths(paths, select=args.select, cache_path=cache_path)
+    results = analyze_paths(paths, select=args.select)
     baseline = load_baseline(args.baseline)
 
     if args.write_baseline:

@@ -17,15 +17,12 @@ through two layers:
 Derived summaries are keyed by bare function name; a name bound to
 conflicting signatures across modules keeps only the pieces the
 signatures agree on (conflicting parameter lists drop positional
-checking rather than guess).  The combined table is content-hashed
-(:func:`summaries_digest`) so the per-file result cache invalidates when
-any signature anywhere changes.
+checking rather than guess).
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 from dataclasses import dataclass
 from collections.abc import Iterable
 
@@ -42,7 +39,6 @@ __all__ = [
     "BUILTIN_SUMMARIES",
     "classify_param_name",
     "collect_summaries",
-    "summaries_digest",
     "MASK_PARAM_NAMES",
     "VERTEX_PARAM_NAMES",
     "DIST_PARAM_NAMES",
@@ -249,14 +245,3 @@ def collect_summaries(trees: Iterable[ast.Module]) -> dict[str, Summary]:
     combined = dict(derived)
     combined.update(BUILTIN_SUMMARIES)
     return combined
-
-
-def summaries_digest(summaries: dict[str, Summary]) -> str:
-    """Stable content hash of a summary table (cache-invalidation key)."""
-    hasher = hashlib.sha256()
-    for name in sorted(summaries):
-        summary = summaries[name]
-        hasher.update(name.encode())
-        hasher.update(repr(summary.params).encode())
-        hasher.update(repr(summary.returns).encode())
-    return hasher.hexdigest()

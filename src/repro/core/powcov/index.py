@@ -65,9 +65,8 @@ class PowCovIndex(DistanceOracle):
         ``"traverse"`` — the scalar reference, one BFS per mask;
         ``"brute"`` — Algorithm 1.
         All builders produce identical indexes.  The paper's Observation
-        4 variants are the ``use_obs4=True`` flags of
-        :func:`~repro.core.powcov.spminimal.traverse_powerset` and
-        :func:`~repro.core.powcov.waves.traverse_powerset_waves`.
+        4 variant is the ``use_obs4=True`` flag of the scalar
+        :func:`~repro.core.powcov.spminimal.traverse_powerset`.
     estimator:
         ``"upper"`` — the paper's estimate, ``min_x d_C(x,s) + d_C(x,t)``;
         ``"median"`` — the median of the per-landmark upper bounds
@@ -360,7 +359,7 @@ def _build_landmark_inner(
         return brute_force_sp_minimal(graph, landmark)
     if builder == "traverse":
         return traverse_powerset(graph, landmark, use_obs4=False)
-    return traverse_powerset_waves(graph, landmark, use_obs4=False)
+    return traverse_powerset_waves(graph, landmark)
 
 
 def _landmark_chunk_task(

@@ -20,16 +20,16 @@ per-landmark sweep itself around the batched multi-source kernel:
 * **Cardinality ring cache** — only the previous wave's rows are retained
   for those lookups, so build memory is ``O(max_k C(|L|, k) * n)`` instead
   of the all-masks ``O(2^|L| * n)`` dictionary the scalar builder keeps.
-* **Wave-wide Observation 4** — the auto-minimality test is re-derived
-  directly from the CSR arrays: a candidate vertex ``u`` at BFS level
-  ``t`` is auto-minimal iff every C-allowed in-arc ``(v, u)`` with
-  ``d_C(x, v) = t - 1`` leaves an SP-minimal predecessor ``v``.  In-arcs
-  come from the graph itself (its reverse for directed graphs), so no
-  per-mask BFS trees are ever materialized.
+
+The builder always prunes with Observations 1-3 and tests every surviving
+candidate with Theorem 2: Observation 4's per-level bookkeeping costs more
+than the one-removed tests it skips, which here are one vectorized pass
+per wave.  The per-rule ablation lives in the scalar ``traverse_powerset``.
 
 The produced :class:`~repro.core.powcov.spminimal.LandmarkSPMinimal`
-entries are bit-for-bit identical to both the scalar ``traverse_powerset``
-and ``brute_force_sp_minimal`` (property-tested in
+entries and counters are bit-for-bit identical to the scalar
+``traverse_powerset(..., use_obs4=False)``, and the entries to
+``brute_force_sp_minimal`` (property-tested in
 ``tests/test_powerset_waves.py``); only wall-clock time and memory differ,
 which is what ``benchmarks/bench_powerset_build.py`` measures.
 """
@@ -39,12 +39,8 @@ from __future__ import annotations
 import numpy as np
 
 from ...graph.labeled_graph import EdgeLabeledGraph
-from ...graph.labelsets import full_mask, iter_one_removed, popcount
-from ...graph.traversal import (
-    UNREACHABLE,
-    label_filter,
-    monochromatic_sp_labels,
-)
+from ...graph.labelsets import iter_one_removed, popcount
+from ...graph.traversal import UNREACHABLE, monochromatic_sp_labels
 from ...kernels import KernelBackend, resolve_kernel
 from ...obs.metrics import metrics_enabled
 from ...obs.metrics import registry as _metrics_registry
@@ -70,85 +66,16 @@ def wave_schedule(candidates: list[int]) -> list[list[int]]:
     return [sorted(by_size[size]) for size in sorted(by_size)]
 
 
-def _obs4_row(
-    in_graph: EdgeLabeledGraph,
-    allowed: np.ndarray,
-    dist_row: np.ndarray,
-    candidate_row: np.ndarray,
-    passes_theorem2: np.ndarray,
-    flagged: np.ndarray,
-    result: LandmarkSPMinimal,
-) -> np.ndarray:
-    """Observation 4 level sweep for one mask, straight from CSR arrays.
-
-    ``in_graph`` supplies in-arcs (the graph itself when undirected, its
-    reverse otherwise); ``passes_theorem2`` is the precomputed vectorized
-    Theorem 2 verdict used for the vertices that are not auto-minimal.
-    ``flagged`` is a caller-owned scratch buffer, reset before returning.
-    Returns the per-vertex SP-minimality verdict for this mask.
-    """
-    n = len(dist_row)
-    is_min = np.zeros(n, dtype=bool)
-    cand_idx = np.nonzero(candidate_row)[0]
-    if cand_idx.size == 0:
-        return is_min
-    order = np.argsort(dist_row[cand_idx], kind="stable")
-    cand_idx = cand_idx[order]
-    cand_dist = dist_row[cand_idx]
-    indptr, neighbors, edge_labels = (
-        in_graph.indptr,
-        in_graph.neighbors,
-        in_graph.edge_labels,
-    )
-    for t in np.unique(cand_dist):
-        t = int(t)
-        lo = int(np.searchsorted(cand_dist, t, side="left"))
-        hi = int(np.searchsorted(cand_dist, t, side="right"))
-        level_vertices = cand_idx[lo:hi]
-        # Gather every in-arc of the level's vertices in one CSR sweep and
-        # keep the shortest-path DAG arcs: allowed label, predecessor one
-        # level closer to the landmark.
-        starts = indptr[level_vertices]
-        counts = indptr[level_vertices + 1] - starts
-        total = int(counts.sum())
-        if total:
-            ends = np.cumsum(counts)
-            offsets = np.arange(total, dtype=np.int64) - np.repeat(
-                ends - counts, counts
-            )
-            arc_idx = np.repeat(starts, counts) + offsets
-            owners = np.repeat(level_vertices, counts)
-            preds = neighbors[arc_idx].astype(np.int64)
-            on_dag = allowed[edge_labels[arc_idx]] & (dist_row[preds] == t - 1)
-            bad = owners[on_dag & ~is_min[preds]]
-        else:  # pragma: no cover - candidates are reachable, so have in-arcs
-            bad = np.empty(0, dtype=np.int64)
-        flagged[bad] = True
-        auto = level_vertices[~flagged[level_vertices]]
-        needs_test = level_vertices[flagged[level_vertices]]
-        flagged[bad] = False  # reset the shared buffer
-        is_min[auto] = True
-        result.num_auto_minimal += len(auto)
-        result.num_full_tests += len(needs_test)
-        is_min[needs_test[passes_theorem2[needs_test]]] = True
-    return is_min
-
-
 def traverse_powerset_waves(
     graph: EdgeLabeledGraph,
     landmark: int,
-    use_obs1: bool = True,
-    use_obs2: bool = True,
-    use_obs3: bool = True,
-    use_obs4: bool = True,
     batch_rows: int = 1024,
     kernel: "str | KernelBackend | None" = None,
 ) -> LandmarkSPMinimal:
     """Algorithm 2 restructured into batched cardinality waves.
 
     Produces exactly the same entries as ``traverse_powerset`` and
-    ``brute_force_sp_minimal``; the four Observation flags drive the
-    pruning-ablation benchmark, mirroring the scalar builder.
+    ``brute_force_sp_minimal``, pruning with Observations 1-3.
     ``batch_rows`` caps the rows per batched-BFS call so very wide waves
     (large ``C(|L|, k)``) are chunked without changing the result.
     ``kernel`` selects the :mod:`repro.kernels` backend that runs the
@@ -160,22 +87,13 @@ def traverse_powerset_waves(
         raise ValueError("batch_rows must be >= 1")
     backend = resolve_kernel(kernel)
     result = LandmarkSPMinimal(landmark=landmark)
-    universe = full_mask(graph.num_labels)
-    if use_obs1:
-        candidates = generate_candidates(graph, landmark)
-    else:
-        candidates = list(range(1, universe + 1))
+    candidates = generate_candidates(graph, landmark)
     if not candidates:
         return result
 
-    mono: np.ndarray | None = None
-    if use_obs3:
-        mono = monochromatic_sp_labels(graph, landmark)
-    in_graph = graph.reversed() if (use_obs4 and graph.directed) else graph
-
+    mono = monochromatic_sp_labels(graph, landmark)
     n = graph.num_vertices
     parts = EntryParts()
-    flagged = np.zeros(n, dtype=bool)  # Obs-4 scratch, reused across masks
     # Ring cache: only the previous wave's distance rows stay alive, with a
     # trailing all-BIG pad row standing in for Obs-1-pruned subsets.
     pad_row = np.full((1, n), BIG, dtype=np.int32)
@@ -207,9 +125,8 @@ def traverse_powerset_waves(
             candidate = dist < BIG
             candidate[:, landmark] = False
             visited = int(np.count_nonzero(candidate)) if observing else 0
-            if use_obs2:
-                candidate &= dist >= size
-            if use_obs3 and size >= 2 and mono is not None:
+            candidate &= dist >= size
+            if size >= 2:
                 # A monochromatic SP label inside C makes C ⊋ {l_u} non-minimal.
                 candidate &= (mono[None, :] & wave_masks[:, None]) == 0
             pruned = visited - int(np.count_nonzero(candidate)) if observing else 0
@@ -231,26 +148,10 @@ def traverse_powerset_waves(
                 # singletons have no nonzero subsets: every candidate passes
                 passes_theorem2 = candidate
 
-            if not use_obs4:
-                result.num_full_tests += int(candidate.sum())
-                rows, vertices = np.nonzero(candidate & passes_theorem2)
-                parts.add(vertices, dist[rows, vertices], wave_masks[rows])
-                emitted = len(vertices)
-            else:
-                emitted = 0
-                for i, mask in enumerate(wave):
-                    is_min = _obs4_row(
-                        in_graph,
-                        label_filter(graph, mask),
-                        dist[i],
-                        candidate[i],
-                        passes_theorem2[i],
-                        flagged,
-                        result,
-                    )
-                    vertices = np.flatnonzero(is_min)
-                    parts.add(vertices, dist[i, vertices], mask)
-                    emitted += len(vertices)
+            result.num_full_tests += int(candidate.sum())
+            rows, vertices = np.nonzero(candidate & passes_theorem2)
+            parts.add(vertices, dist[rows, vertices], wave_masks[rows])
+            emitted = len(vertices)
 
             wave_span.count("masks", len(wave))
             wave_span.count("emitted", emitted)

@@ -28,7 +28,6 @@ with caches on or off.  Quickstart::
 
 from __future__ import annotations
 
-from .config import EngineConfig, resolve_engine
 from .executors import (
     ChromLandExecutor,
     NaiveExecutor,
@@ -41,8 +40,6 @@ from .plan import ExecutionPlan, MaskGroup, plan_batch
 from .session import QuerySession, execute_batch
 
 __all__ = [
-    "EngineConfig",
-    "resolve_engine",
     "OracleExecutor",
     "ScalarLoopExecutor",
     "PowCovExecutor",

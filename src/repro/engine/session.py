@@ -72,28 +72,15 @@ class QuerySession:
     cache_size:
         Answer-cache capacity in ``(s, t, mask)`` entries; 0 disables
         answer caching (batches are still executed vectorized).
-    audit:
-        Debug flag (``EngineConfig.audit``): run the
-        :mod:`repro.analysis.audit` invariant auditors against the oracle
-        before serving anything, raising
-        :class:`~repro.analysis.audit.AuditError` on a violation.  Slow —
-        the auditors re-derive distances with constrained BFS.
     """
 
     def __init__(
         self,
         oracle: DistanceOracle,
         cache_size: int = 4096,
-        audit: bool = False,
     ) -> None:
         if cache_size < 0:
             raise ValueError("cache_size must be >= 0")
-        if audit:
-            # Local import: the auditors pull in the index packages, which
-            # the engine otherwise only needs lazily.
-            from ..analysis.audit import assert_clean, audit_oracle
-
-            assert_clean(audit_oracle(oracle))
         self.oracle = oracle
         self.executor: OracleExecutor[Any, Any] = executor_for(oracle)
         self.cache_size = cache_size

@@ -27,7 +27,6 @@ import os
 import sys
 import time
 
-from ..engine import EngineConfig
 from ..obs.metrics import registry
 from ..store.cache import IndexStore
 from .export import write_csv
@@ -59,25 +58,6 @@ def _parse_ks(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(",") if part)
 
 
-def render_engine_stats() -> str:
-    """The registry's ``engine.*`` counters and the answer-cache hit rate.
-
-    Histograms such as ``engine.query_seconds.<oracle>`` are left to the
-    ``--metrics-out`` footer.
-    """
-    counts = {
-        name[len("engine."):]: int(value)
-        for name, value in registry().snapshot().items()
-        if name.startswith("engine.") and not isinstance(value, dict)
-    }
-    hits, misses = counts.get("cache_hits", 0), counts.get("cache_misses", 0)
-    hit_rate = hits / (hits + misses) if hits + misses else 0.0
-    lines = ["engine stats (all sessions)"]
-    lines += [f"  {name:<22} {value:>12}" for name, value in counts.items()]
-    lines.append(f"  {'cache_hit_rate':<22} {hit_rate:>12.1%}")
-    return "\n".join(lines)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.eval.cli",
@@ -102,15 +82,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="worker threads for index construction "
                         "(1 = serial, 0 = all cores); output is identical "
                         "for every worker count")
-    parser.add_argument("--engine", action="store_true",
-                        help="answer queries through the batch engine "
-                        "(vectorized, cached QuerySession); answers are "
-                        "bit-identical to the scalar path, only timings "
-                        "and the engine-counter summary change")
-    parser.add_argument("--cache-size", type=int, default=4096,
-                        help="engine answer-cache entries per session "
-                        "(0 disables answer caching; only meaningful "
-                        "with --engine)")
     parser.add_argument("--save-index", metavar="DIR", default=None,
                         help="persist every index built during the run into "
                         "DIR (fingerprint-addressed files) and reuse any "
@@ -128,9 +99,6 @@ def main(argv: list[str] | None = None) -> int:
                         "instances of both indexes and run the invariant "
                         "auditors (repro.analysis.audit) against them; "
                         "exits non-zero on any violation")
-    parser.add_argument("--audit", action="store_true",
-                        help="with --engine: audit every oracle a session "
-                        "wraps before serving queries (slow; debug only)")
     parser.add_argument("--trace", action="store_true",
                         help="record structured spans (build waves, engine "
                         "batches, table rows) and print the rendered span "
@@ -189,15 +157,6 @@ def main(argv: list[str] | None = None) -> int:
             compress=args.index_compress,
             writable=args.save_index is not None,
         )
-    if args.cache_size < 0:
-        parser.error("argument --cache-size: must be >= 0")
-    if args.audit and not args.engine:
-        parser.error("argument --audit: requires --engine")
-    engine: EngineConfig | None = None
-    if args.engine:
-        engine = EngineConfig(enabled=True, cache_size=args.cache_size,
-                              audit=args.audit)
-        registry().reset(prefix="engine.")
     if args.selfcheck:
         from ..analysis.audit import format_report, run_selfcheck
 
@@ -240,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
         claims.extend(check_table3(rows))
     if args.what in ("table4", "all"):
         cells = table4(scale=args.scale, ks=args.ks, num_pairs=args.pairs,
-                       seed=args.seed, engine=engine, parallel=args.workers,
+                       seed=args.seed, parallel=args.workers,
                        index_store=index_store)
         emit(render_table4(cells))
         export("table4", cells)
@@ -248,8 +207,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.what in ("fig6", "all"):
         panels = figure6(scale=min(args.scale, 0.4), ks=args.ks[:4],
                          num_pairs=args.pairs // 2 + 50, seed=args.seed,
-                         parallel=args.workers, engine=engine,
-                         index_store=index_store)
+                         parallel=args.workers, index_store=index_store)
         emit(render_figure6(panels))
         export("figure6", panels)
         claims.extend(check_figure6(panels))
@@ -260,7 +218,7 @@ def main(argv: list[str] | None = None) -> int:
                                k=args.ks[0] if args.ks else 20,
                                num_pairs=max(60, args.pairs // 3),
                                seed=args.seed, parallel=args.workers,
-                               engine=engine, index_store=index_store)
+                               index_store=index_store)
         emit(render_scaling(points))
         export("scaling", points)
     if args.what == "temporal":
@@ -297,8 +255,6 @@ def main(argv: list[str] | None = None) -> int:
                 f"{profile.degree_gini:.2f}",
             ])
         emit("Dataset structural profiles\n" + render_rows(headers, body))
-    if args.engine:
-        emit(render_engine_stats())
     if tracing:
         from ..obs.trace import render_trace, write_jsonl
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 
-from ..engine import EngineConfig
 from ..graph.datasets import dataset_names, load_dataset
 from ..store.cache import IndexStore
 from ..workloads.queries import generate_workload
@@ -54,28 +53,25 @@ def figure6(
     datasets: tuple[str, ...] | None = None,
     chromland_iterations: int = 4000,
     parallel: int | None = None,
-    engine: "EngineConfig | bool | None" = None,
     index_store: "IndexStore | None" = None,
 ) -> list[Figure6Series]:
     """Compute the Figure 6 panels for every dataset.
 
-    ``parallel``, ``engine`` and ``index_store`` are passed to every
+    ``parallel`` and ``index_store`` are passed to every
     :func:`~repro.eval.runner.run_powcov` / ``run_chromland`` call.
     """
     panels = []
     for name in datasets if datasets is not None else dataset_names():
         graph, _spec = load_dataset(name, scale=scale, seed=seed)
         workload = generate_workload(graph, num_pairs=num_pairs, seed=seed)
-        base = baseline_query_seconds(
-            graph, workload, include_ch=False, engine=engine
-        )
+        base = baseline_query_seconds(graph, workload, include_ch=False)
         powcov_run = partial(
             run_powcov, graph, workload, seed=seed, baseline_seconds=base,
-            parallel=parallel, engine=engine, index_store=index_store,
+            parallel=parallel, index_store=index_store,
         )
         chromland_run = partial(
             run_chromland, graph, workload, seed=seed, baseline_seconds=base,
-            parallel=parallel, engine=engine, index_store=index_store,
+            parallel=parallel, index_store=index_store,
         )
 
         powcov = Figure6Series(dataset=name, index="PowCov", ks=list(ks))

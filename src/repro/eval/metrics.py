@@ -16,23 +16,21 @@ carries error/exactness bookkeeping whose overhead would pollute a timing
 measured around it, so ``mean_query_seconds`` comes from a dedicated
 bookkeeping-free pass (skipped entirely when ``time_queries=False``).
 
-Both passes can run through the batch engine (``engine=True``, or the
-:class:`~repro.engine.EngineConfig` the CLI's ``--engine`` flag passes
-down); engine answers are bit-identical to the scalar path, so only the timing — and
-the engine-counter aggregate reported by the CLI — changes.
+Both passes call the scalar ``oracle.query`` once per query, the way the
+paper times each index and the exact baselines alike.  The batch engine
+(:mod:`repro.engine`) answers bit-identically; its speed is measured by
+``benchmarks/bench_query_engine.py`` and perfbench, not here.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from ..core.types import DistanceOracle
-from ..engine import EngineConfig, QuerySession, resolve_engine
 from ..obs.trace import span
-from ..workloads.queries import LabeledQuery, Workload
+from ..workloads.queries import Workload
 
 __all__ = ["OracleMetrics", "evaluate_oracle", "time_oracle"]
 
@@ -57,25 +55,10 @@ class OracleMetrics:
         return 100.0 * self.false_negative_fraction
 
 
-def _answer_workload(
-    oracle: DistanceOracle, queries: Sequence[LabeledQuery], config: EngineConfig
-) -> list[float]:
-    """One estimate per query, scalar or batched per ``config``."""
-    if not config.enabled:
-        return [oracle.query(q.source, q.target, q.label_mask) for q in queries]
-    session = QuerySession(
-        oracle,
-        cache_size=config.cache_size,
-        audit=config.audit,
-    )
-    return session.run([(q.source, q.target, q.label_mask) for q in queries])
-
-
 def evaluate_oracle(
     oracle: DistanceOracle,
     workload: Workload,
     time_queries: bool = True,
-    engine: "EngineConfig | bool | None" = None,
 ) -> OracleMetrics:
     """Run every workload query through ``oracle`` and aggregate.
 
@@ -85,19 +68,18 @@ def evaluate_oracle(
     oracle in this package returns upper bounds, so that would be a bug,
     not a measurement.
 
-    ``engine`` selects the execution path: ``None`` is the scalar loop,
-    a bool forces scalar/batched, an :class:`~repro.engine.EngineConfig`
-    gives full control.  ``mean_query_seconds`` is measured in a dedicated
-    pass via :func:`time_oracle` when ``time_queries`` is true, so error
+    ``mean_query_seconds`` is measured in a dedicated pass via
+    :func:`time_oracle` when ``time_queries`` is true, so error
     bookkeeping never inflates it; with ``time_queries=False`` no timing
     pass runs and the field is 0.
     """
     if len(workload) == 0:
         raise ValueError("workload is empty")
-    config = resolve_engine(engine)
     with span("eval.evaluate_oracle", oracle=oracle.name) as eval_span:
         eval_span.count("queries", len(workload))
-        estimates = _answer_workload(oracle, workload.queries, config)
+        estimates = [
+            oracle.query(q.source, q.target, q.label_mask) for q in workload.queries
+        ]
 
     abs_errors: list[float] = []
     rel_errors: list[float] = []
@@ -118,9 +100,7 @@ def evaluate_oracle(
         if error == 0:
             exact_hits += 1
 
-    mean_seconds = (
-        time_oracle(oracle, workload, engine=config) if time_queries else 0.0
-    )
+    mean_seconds = time_oracle(oracle, workload) if time_queries else 0.0
     finite = len(abs_errors)
     return OracleMetrics(
         num_queries=len(workload),
@@ -136,29 +116,14 @@ def time_oracle(
     oracle: DistanceOracle,
     workload: Workload,
     limit: int | None = None,
-    engine: "EngineConfig | bool | None" = None,
 ) -> float:
     """Mean seconds per query over (a prefix of) the workload.
 
-    A pure timing pass — no bookkeeping inside the measured region.  With
-    the engine enabled, the measurement covers a fresh session's batched
-    run (cold caches: the steady-state serving cost, not a warm-cache
-    replay).
+    A pure timing pass — no bookkeeping inside the measured region.
     """
     queries = workload.queries[:limit] if limit else workload.queries
     if not queries:
         raise ValueError("no queries to time")
-    config = resolve_engine(engine)
-    if config.enabled:
-        session = QuerySession(
-            oracle,
-            cache_size=config.cache_size,
-            audit=config.audit,
-        )
-        triples = [(q.source, q.target, q.label_mask) for q in queries]
-        started = time.perf_counter()
-        session.run(triples)
-        return (time.perf_counter() - started) / len(queries)
     query = oracle.query
     started = time.perf_counter()
     for q in queries:

@@ -15,7 +15,6 @@ from ..baselines import BidirectionalBFSBaseline, LabelConstrainedCH
 from ..core.chromland import ChromLandIndex, local_search_selection, majority_colors, random_selection
 from ..core.naive import NaivePowersetIndex
 from ..core.powcov import PowCovIndex
-from ..engine import EngineConfig
 from ..graph.labeled_graph import EdgeLabeledGraph
 from ..landmarks import select_landmarks
 from ..obs.profiling import profile_phase
@@ -57,26 +56,19 @@ def baseline_query_seconds(
     limit: int = 100,
     include_ch: bool = True,
     ch_degree_limit: int = 16,
-    engine: "EngineConfig | bool | None" = None,
 ) -> float:
     """Per-query seconds of the *fastest* exact baseline (paper's choice).
 
     Runs bidirectional BFS and (optionally) the Rice–Tsotras-style CH over
     a workload prefix and returns the better mean.  On every non-road graph
     in this reproduction bidirectional BFS wins, mirroring the paper.
-
-    ``engine`` matches :func:`evaluate_oracle`'s parameter: with the batch
-    engine on, the baselines are timed through their (trivial, scalar-loop)
-    engine adapters so speed-up factors compare like with like.
     """
-    bidi = time_oracle(
-        BidirectionalBFSBaseline(graph), workload, limit=limit, engine=engine
-    )
+    bidi = time_oracle(BidirectionalBFSBaseline(graph), workload, limit=limit)
     if not include_ch:
         return bidi
     try:
         ch = LabelConstrainedCH(graph, degree_limit=ch_degree_limit).build()
-        ch_time = time_oracle(ch, workload, limit=min(limit, 30), engine=engine)
+        ch_time = time_oracle(ch, workload, limit=min(limit, 30))
     except Exception:  # CH build can be impractical on dense graphs
         return bidi
     return min(bidi, ch_time)
@@ -98,7 +90,6 @@ def run_powcov(
     baseline_seconds: float | None = None,
     builder: str | None = None,
     parallel: int | None = None,
-    engine: "EngineConfig | bool | None" = None,
     index_store: "IndexStore | None" = None,
 ) -> IndexRun:
     """Build a PowCov index with ``k`` landmarks and evaluate it.
@@ -107,9 +98,7 @@ def run_powcov(
     serial; the CLI passes its ``--workers`` choice), keeping the built
     index bit-for-bit identical either way.  ``builder=None`` runs
     the production wave builder; ``"traverse"`` and ``"brute"`` build the
-    same index more slowly.  ``engine`` selects the query-execution path
-    (scalar vs. batched, see :func:`repro.eval.metrics.evaluate_oracle`);
-    answers are identical, only timing and engine counters change.
+    same index more slowly.
 
     ``index_store`` (the CLI passes the store its ``--save-index`` /
     ``--load-index`` flags open; ``None`` always rebuilds) short-circuits
@@ -135,9 +124,9 @@ def run_powcov(
             index_store.save(index, tag=tag)
     build_seconds = time.perf_counter() - started
     with profile_phase(f"powcov-query-k{k}"):
-        metrics = evaluate_oracle(index, workload, engine=engine)
+        metrics = evaluate_oracle(index, workload)
     if baseline_seconds is None:
-        baseline_seconds = baseline_query_seconds(graph, workload, engine=engine)
+        baseline_seconds = baseline_query_seconds(graph, workload)
     return IndexRun(
         index_name=f"powcov[{strategy}]",
         num_landmarks=k,
@@ -158,7 +147,6 @@ def run_chromland(
     baseline_seconds: float | None = None,
     query_mode: str = "auxiliary",
     parallel: int | None = None,
-    engine: "EngineConfig | bool | None" = None,
     index_store: "IndexStore | None" = None,
 ) -> IndexRun:
     """Build a ChromLand index with ``k`` landmarks and evaluate it.
@@ -179,51 +167,39 @@ def run_chromland(
 
     tag = f"k{k}-{selection}-i{iterations}-s{seed}-{query_mode}"
     started = time.perf_counter()
-    cached = index_store.load("chromland", graph, tag=tag) if index_store is not None else None
-    if cached is not None:
-        build_seconds = time.perf_counter() - started
-        with profile_phase(f"chromland-query-k{k}"):
-            metrics = evaluate_oracle(cached, workload, engine=engine)
-        if baseline_seconds is None:
-            baseline_seconds = baseline_query_seconds(graph, workload, engine=engine)
-        return IndexRun(
-            index_name=f"chromland[{selection}]",
-            num_landmarks=k,
-            build_seconds=build_seconds,
-            metrics=metrics,
-            speedup=speedup_factor(baseline_seconds, metrics),
-        )
-    if selection == "local-search":
-        result = local_search_selection(graph, k, iterations=iterations, seed=seed)
-        landmarks, colors = result.landmarks, result.colors
-    elif selection == "random":
-        result = random_selection(graph, k, seed=seed, color_mode="random")
-        landmarks, colors = result.landmarks, result.colors
-    elif selection == "random-majority":
-        result = random_selection(graph, k, seed=seed, color_mode="majority")
-        landmarks, colors = result.landmarks, result.colors
-    elif selection in ("degree-majority", "degree-random"):
-        landmarks = select_landmarks(graph, k, strategy="degree", seed=seed)
-        if selection == "degree-majority":
-            colors = majority_colors(graph, landmarks)
+    index = index_store.load("chromland", graph, tag=tag) if index_store is not None else None
+    if index is None:
+        if selection == "local-search":
+            result = local_search_selection(graph, k, iterations=iterations, seed=seed)
+            landmarks, colors = result.landmarks, result.colors
+        elif selection == "random":
+            result = random_selection(graph, k, seed=seed, color_mode="random")
+            landmarks, colors = result.landmarks, result.colors
+        elif selection == "random-majority":
+            result = random_selection(graph, k, seed=seed, color_mode="majority")
+            landmarks, colors = result.landmarks, result.colors
+        elif selection in ("degree-majority", "degree-random"):
+            landmarks = select_landmarks(graph, k, strategy="degree", seed=seed)
+            if selection == "degree-majority":
+                colors = majority_colors(graph, landmarks)
+            else:
+                rng = np.random.default_rng(seed)
+                colors = [int(c) for c in rng.integers(0, graph.num_labels, size=k)]
         else:
-            rng = np.random.default_rng(seed)
-            colors = [int(c) for c in rng.integers(0, graph.num_labels, size=k)]
-    else:
-        raise ValueError(f"unknown ChromLand selection {selection!r}")
-    with span("eval.chromland_build", k=k, selection=selection), profile_phase(
-        f"chromland-build-k{k}"
-    ):
-        index = ChromLandIndex(graph, landmarks, colors, query_mode=query_mode).build(
-            parallel=parallel
-        )
-    if index_store is not None:
-        index_store.save(index, tag=tag)
+            raise ValueError(f"unknown ChromLand selection {selection!r}")
+        with span("eval.chromland_build", k=k, selection=selection), profile_phase(
+            f"chromland-build-k{k}"
+        ):
+            index = ChromLandIndex(
+                graph, landmarks, colors, query_mode=query_mode
+            ).build(parallel=parallel)
+        if index_store is not None:
+            index_store.save(index, tag=tag)
     build_seconds = time.perf_counter() - started
     with profile_phase(f"chromland-query-k{k}"):
-        metrics = evaluate_oracle(index, workload, engine=engine)
+        metrics = evaluate_oracle(index, workload)
     if baseline_seconds is None:
-        baseline_seconds = baseline_query_seconds(graph, workload, engine=engine)
+        baseline_seconds = baseline_query_seconds(graph, workload)
     return IndexRun(
         index_name=f"chromland[{selection}]",
         num_landmarks=k,
@@ -240,7 +216,6 @@ def run_naive(
     strategy: str = "greedy-mvc",
     seed: int | None = 0,
     baseline_seconds: float | None = None,
-    engine: "EngineConfig | bool | None" = None,
 ) -> IndexRun:
     """Build the naive powerset index (Table 2's straw man) and evaluate."""
     landmarks = select_landmarks(graph, k, strategy=strategy, seed=seed)
@@ -248,9 +223,9 @@ def run_naive(
     with span("eval.naive_build", k=k):
         index = NaivePowersetIndex(graph, landmarks).build()
     build_seconds = time.perf_counter() - started
-    metrics = evaluate_oracle(index, workload, engine=engine)
+    metrics = evaluate_oracle(index, workload)
     if baseline_seconds is None:
-        baseline_seconds = baseline_query_seconds(graph, workload, engine=engine)
+        baseline_seconds = baseline_query_seconds(graph, workload)
     return IndexRun(
         index_name="naive-powerset",
         num_landmarks=k,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..engine import EngineConfig
 from ..graph.datasets import load_dataset
 from ..store.cache import IndexStore
 from ..workloads.queries import generate_workload
@@ -49,7 +48,6 @@ def scaling_sweep(
     seed: int = 7,
     chromland_iterations: int = 200,
     parallel: int | None = None,
-    engine: "EngineConfig | bool | None" = None,
     index_store: "IndexStore | None" = None,
 ) -> list[ScalingPoint]:
     """Measure exact cost and index speed-ups across dataset scales."""
@@ -57,17 +55,14 @@ def scaling_sweep(
     for scale in scales:
         graph, _spec = load_dataset(dataset, scale=scale, seed=seed)
         workload = generate_workload(graph, num_pairs=num_pairs, seed=seed)
-        base = baseline_query_seconds(
-            graph, workload, include_ch=False, engine=engine
-        )
+        base = baseline_query_seconds(graph, workload, include_ch=False)
         powcov = run_powcov(
             graph, workload, k, seed=seed, baseline_seconds=base,
-            parallel=parallel, engine=engine, index_store=index_store,
+            parallel=parallel, index_store=index_store,
         )
         chroml = run_chromland(
             graph, workload, k, iterations=chromland_iterations, seed=seed,
-            baseline_seconds=base, parallel=parallel, engine=engine,
-            index_store=index_store,
+            baseline_seconds=base, parallel=parallel, index_store=index_store,
         )
         points.append(
             ScalingPoint(

@@ -6,9 +6,8 @@ reproduction's datasets and returns structured results; the matching
 functions take ``scale`` / ``num_pairs`` knobs so that the benchmark suite
 can exercise them quickly while ``python -m repro.eval.cli`` runs the full
 reproduction.  Functions that build indexes take ``parallel=`` (serial by
-default), and Table 4 also takes ``engine=`` and ``index_store=``; the
-CLI passes its ``--workers`` / ``--engine`` / ``--save-index`` choices
-through them.
+default), and Table 4 also takes ``index_store=``; the CLI passes its
+``--workers`` / ``--save-index`` choices through them.
 
 Paper reference values are attached where the paper reports them, so the
 rendered output doubles as the paper-vs-measured record used by
@@ -28,7 +27,6 @@ from ..core.powcov import (
     traverse_powerset,
     traverse_powerset_waves,
 )
-from ..engine import EngineConfig
 from ..graph.datasets import dataset_names, load_dataset, paper_synthetic
 from ..graph.traversal import estimate_diameter
 from ..landmarks import select_landmarks
@@ -282,7 +280,7 @@ def _time_row_inner(
         traverse_powerset(graph, landmark, use_obs4=False)
         traverse_fast_seconds += time.perf_counter() - started
         started = time.perf_counter()
-        traverse_powerset_waves(graph, landmark, use_obs4=False)
+        traverse_powerset_waves(graph, landmark)
         wave_seconds += time.perf_counter() - started
         started = time.perf_counter()
         bf = brute_force_sp_minimal(graph, landmark)
@@ -401,33 +399,27 @@ def table4(
     seed: int = 7,
     datasets: tuple[str, ...] | None = None,
     chromland_iterations: int = 4000,
-    engine: "EngineConfig | bool | None" = None,
     parallel: int | None = None,
     index_store: "IndexStore | None" = None,
 ) -> list[Table4Cell]:
-    """Full query evaluation of PowCov and ChromLand across ``ks``.
-
-    ``engine`` selects the query-execution path (scalar vs. batched) for
-    every index *and* baseline timing; answers — and thus every accuracy
-    column — are identical either way.
-    """
+    """Full query evaluation of PowCov and ChromLand across ``ks``."""
     cells = []
     for name in datasets if datasets is not None else dataset_names():
         graph, _spec = load_dataset(name, scale=scale, seed=seed)
         workload = generate_workload(graph, num_pairs=num_pairs, seed=seed)
-        base = baseline_query_seconds(graph, workload, engine=engine)
+        base = baseline_query_seconds(graph, workload)
         for k in ks:
             with span("table4.row", dataset=name, index="PowCov", k=k):
                 powcov = run_powcov(
                     graph, workload, k, seed=seed, baseline_seconds=base,
-                    parallel=parallel, engine=engine, index_store=index_store,
+                    parallel=parallel, index_store=index_store,
                 )
             cells.append(Table4Cell(name, "PowCov", k, powcov))
             with span("table4.row", dataset=name, index="ChromLand", k=k):
                 chroml = run_chromland(
                     graph, workload, k, iterations=chromland_iterations,
                     seed=seed, baseline_seconds=base, parallel=parallel,
-                    engine=engine, index_store=index_store,
+                    index_store=index_store,
                 )
             cells.append(Table4Cell(name, "ChromLand", k, chroml))
     return cells

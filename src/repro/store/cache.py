@@ -43,13 +43,6 @@ class IndexStore:
         ``False`` makes :meth:`save` a no-op — the CLI's pure
         ``--load-index`` mode, where a read-only cache directory (e.g. a
         shared artifact volume) must never be written to.
-    capacity:
-        Maximum number of index files retained (``None`` = unbounded, the
-        historical behavior).  When a save pushes the directory past the
-        cap, the least-recently-*used* files are deleted — :meth:`load`
-        hits refresh a file's timestamp, so hot indexes survive.
-        Evictions are counted on :attr:`evictions` (and the
-        ``store.cache_evictions`` metric when metrics are enabled).
     """
 
     def __init__(
@@ -57,16 +50,10 @@ class IndexStore:
         directory: str | os.PathLike[str],
         compress: bool = False,
         writable: bool = True,
-        capacity: int | None = None,
     ) -> None:
-        if capacity is not None and capacity < 1:
-            raise ValueError("capacity must be >= 1 (or None for unbounded)")
         self.directory = os.fspath(directory)
         self.compress = compress
         self.writable = writable
-        self.capacity = capacity
-        #: index files deleted by the LRU cap over this store's lifetime.
-        self.evictions = 0
 
     def path_for(
         self, kind: str, graph: "EdgeLabeledGraph", tag: str = "default"
@@ -91,13 +78,7 @@ class IndexStore:
             return None
         from .index_store import open_index  # local: avoids cycle
 
-        index = open_index(path, graph)
-        if self.capacity is not None and self.writable:
-            try:
-                os.utime(path)  # refresh recency so the LRU cap spares it
-            except OSError:
-                pass
-        return index
+        return open_index(path, graph)
 
     def save(
         self, index: "PowCovIndex | ChromLandIndex", tag: str = "default"
@@ -113,50 +94,7 @@ class IndexStore:
         path = self.path_for(kind, index.graph, tag)
         save_index(index, path, compress=self.compress)
         self._record_lineage(index.graph)
-        self._enforce_capacity(keep=path)
         return path
-
-    # ------------------------------------------------------------------
-    # LRU capacity
-    # ------------------------------------------------------------------
-    def _index_files(self) -> list[str]:
-        try:
-            names = os.listdir(self.directory)
-        except FileNotFoundError:
-            return []
-        return [
-            os.path.join(self.directory, name)
-            for name in sorted(names)
-            if name.endswith(_SUFFIX)
-        ]
-
-    def _enforce_capacity(self, keep: str) -> None:
-        if self.capacity is None:
-            return
-        files = self._index_files()
-        if len(files) <= self.capacity:
-            return
-        def mtime(path: str) -> float:
-            try:
-                return os.path.getmtime(path)
-            except OSError:
-                return float("inf")  # vanished concurrently; never evict
-
-        # Oldest-access first; the file just written is always spared.
-        victims = sorted(
-            (f for f in files if f != keep), key=mtime
-        )[: len(files) - self.capacity]
-        for victim in victims:
-            try:
-                os.remove(victim)
-            except OSError:
-                continue
-            self.evictions += 1
-        if victims:
-            from ..obs.metrics import metrics_enabled, registry
-
-            if metrics_enabled():
-                registry().counter("store.cache_evictions").inc(len(victims))
 
     # ------------------------------------------------------------------
     # Fingerprint lineage
@@ -216,7 +154,6 @@ class IndexStore:
     def __repr__(self) -> str:
         return (
             f"IndexStore({self.directory!r}, "
-            f"compress={self.compress}, writable={self.writable}, "
-            f"capacity={self.capacity})"
+            f"compress={self.compress}, writable={self.writable})"
         )
 

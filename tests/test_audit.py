@@ -3,8 +3,7 @@
 Covers the clean path (freshly built graph + indexes audit clean — the
 post-build hook the auditors were designed for), targeted in-memory
 corruptions of every audited structure with precise-location assertions,
-and the two wire-ups: ``EngineConfig.audit``/``QuerySession(audit=True)``
-and the eval CLI's ``--selfcheck``.
+``assert_clean``, and the eval CLI's ``--selfcheck``.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from repro.core.chromland import ChromLandIndex
 from repro.core.chromland.selection import majority_colors
 from repro.core.powcov import PowCovIndex
 from repro.core.powcov.table import PowCovTable
-from repro.engine import QuerySession
 from repro.graph.labeled_graph import EdgeLabeledGraph
 from repro.graph.generators import chromatic_cluster_graph
 from repro.graph.labelsets import full_mask
@@ -333,23 +331,6 @@ def test_assert_clean_and_format_report(powcov):
         assert_clean(violations)
     assert excinfo.value.violations == violations
     assert "entry-duplicate" in str(excinfo.value)
-
-
-def test_session_audit_flag(powcov):
-    # Clean oracle: the audited session constructs and serves normally.
-    session = QuerySession(powcov, audit=True)
-    x = int(powcov.landmarks[0])
-    mask = full_mask(powcov.graph.num_labels)
-    assert session.run([(x, x, mask)])[0] == 0.0
-
-    i, u, end = entry_site(powcov)
-    insert_entry(
-        powcov, end, int(powcov.table.dist[end - 1]), int(powcov.table.mask[end - 1])
-    )
-    with pytest.raises(AuditError):
-        QuerySession(powcov, audit=True)
-    # The flag is opt-in: an unaudited session still constructs.
-    QuerySession(powcov, audit=False)
 
 
 def test_selfcheck_cli_flag(capsys):

@@ -23,7 +23,6 @@ from repro.core.naive import NaivePowersetIndex
 from repro.core.powcov import PowCovIndex, WeightedPowCovIndex
 from repro.core.types import Query
 from repro.engine import (
-    EngineConfig,
     ExecutionPlan,
     PowCovExecutor,
     QuerySession,
@@ -31,7 +30,6 @@ from repro.engine import (
     execute_batch,
     executor_for,
     plan_batch,
-    resolve_engine,
 )
 from repro.engine.plan import as_triple, to_triple_array
 from repro.graph.generators import labeled_erdos_renyi
@@ -503,16 +501,6 @@ class TestExecutorDispatch:
     def test_unbuilt_index_rejected(self, undirected, landmarks):
         with pytest.raises(RuntimeError):
             executor_for(PowCovIndex(undirected, landmarks))
-
-
-class TestEngineConfig:
-    def test_resolve_forms(self):
-        assert resolve_engine(None) == EngineConfig()
-        assert not resolve_engine(None).enabled
-        assert resolve_engine(True).enabled
-        assert not resolve_engine(False).enabled
-        config = EngineConfig(enabled=True, cache_size=7)
-        assert resolve_engine(config) is config
 
 
 class TestCacheGraphIdentity:

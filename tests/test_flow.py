@@ -3,7 +3,7 @@
 Covers four layers: the fixture corpus in ``tests/lint_fixtures/`` (one
 clean + one violation file per flow rule, mirroring test_lint.py), the CFG
 builder and fixpoint engine on synthetic programs (including
-hypothesis-generated control flow), the baseline/fingerprint/cache
+hypothesis-generated control flow), the baseline/fingerprint
 machinery, and the ``python -m repro.analysis flow`` CLI end to end.
 """
 
@@ -353,13 +353,13 @@ def test_src_tree_is_flow_clean_modulo_baseline():
 def test_cli_exit_codes_and_output(capsys, tmp_path):
     bad = str(FIXTURES / "repro009_violation.py")
     empty = str(tmp_path / "baseline.txt")
-    assert main([bad, "--no-cache", "--baseline", empty]) == 1
+    assert main([bad, "--baseline", empty]) == 1
     out = capsys.readouterr().out
     assert "REPRO009" in out
     assert "finding(s)" in out
 
     good = str(FIXTURES / "repro009_clean.py")
-    assert main([good, "--no-cache", "--baseline", empty]) == 0
+    assert main([good, "--baseline", empty]) == 0
     assert capsys.readouterr().out == ""
 
 
@@ -373,9 +373,9 @@ def test_cli_list_rules(capsys):
 def test_cli_select(capsys, tmp_path):
     bad = str(FIXTURES / "repro013_violation.py")
     empty = str(tmp_path / "baseline.txt")
-    assert main([bad, "--no-cache", "--baseline", empty, "--select", "repro009"]) == 0
+    assert main([bad, "--baseline", empty, "--select", "repro009"]) == 0
     capsys.readouterr()
-    assert main([bad, "--no-cache", "--baseline", empty, "--select", "REPRO013"]) == 1
+    assert main([bad, "--baseline", empty, "--select", "REPRO013"]) == 1
 
 
 def test_cli_rejects_unknown_rule():
@@ -392,7 +392,7 @@ def test_cli_sarif_output(capsys, tmp_path):
     bad = str(FIXTURES / "repro011_violation.py")
     sarif_path = tmp_path / "out.sarif"
     empty = str(tmp_path / "baseline.txt")
-    assert main([bad, "--no-cache", "--baseline", empty, "--sarif", str(sarif_path)]) == 1
+    assert main([bad, "--baseline", empty, "--sarif", str(sarif_path)]) == 1
     capsys.readouterr()
     sarif = json.loads(sarif_path.read_text(encoding="utf-8"))
     assert sarif["version"] == "2.1.0"
@@ -410,34 +410,18 @@ def test_cli_sarif_output(capsys, tmp_path):
 def test_cli_write_baseline_roundtrip(capsys, tmp_path):
     bad = str(FIXTURES / "repro013_violation.py")
     baseline = tmp_path / "baseline.txt"
-    assert main([bad, "--no-cache", "--baseline", str(baseline), "--write-baseline"]) == 0
+    assert main([bad, "--baseline", str(baseline), "--write-baseline"]) == 0
     capsys.readouterr()
     text = baseline.read_text(encoding="utf-8")
     assert "TODO justify:" in text
     # With every finding baselined the same invocation now passes...
-    assert main([bad, "--no-cache", "--baseline", str(baseline)]) == 0
+    assert main([bad, "--baseline", str(baseline)]) == 0
     assert "baselined finding(s)" in capsys.readouterr().out
     # ...and hand-written justifications survive a rewrite.
     fingerprint = next(
         line.split()[0] for line in text.splitlines() if not line.startswith("#")
     )
     baseline.write_text(f"{fingerprint}  reviewed: intentional fixture\n", "utf-8")
-    assert main([bad, "--no-cache", "--baseline", str(baseline), "--write-baseline"]) == 0
+    assert main([bad, "--baseline", str(baseline), "--write-baseline"]) == 0
     capsys.readouterr()
     assert "reviewed: intentional fixture" in baseline.read_text(encoding="utf-8")
-
-
-def test_cli_cache_reuses_results(capsys, tmp_path):
-    bad = str(FIXTURES / "repro010_violation.py")
-    cache = tmp_path / "cache.json"
-    empty = str(tmp_path / "baseline.txt")
-    assert main([bad, "--cache", str(cache), "--baseline", empty]) == 1
-    first = capsys.readouterr().out
-    payload = json.loads(cache.read_text(encoding="utf-8"))
-    assert payload["files"]
-    # Second run hits the cache and reports identical findings.
-    assert main([bad, "--cache", str(cache), "--baseline", empty]) == 1
-    assert capsys.readouterr().out == first
-    # A corrupt cache is discarded, not fatal.
-    cache.write_text("{not json", encoding="utf-8")
-    assert main([bad, "--cache", str(cache), "--baseline", empty]) == 1

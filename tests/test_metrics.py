@@ -91,29 +91,6 @@ class TestEvaluateOracle:
         # one accounting pass only — no hidden timing pass ran
         assert oracle._count == len(workload)
 
-    def test_engine_mode_matches_scalar_accuracy(self, setup):
-        from repro.core.powcov import PowCovIndex
-        from repro.engine import EngineConfig
-
-        graph, workload = setup
-        index = PowCovIndex(graph, [0, 10, 20, 30]).build()
-        scalar = evaluate_oracle(index, workload, time_queries=False)
-        engine = evaluate_oracle(
-            index, workload, time_queries=False, engine=True
-        )
-        assert engine == scalar  # identical answers -> identical metrics
-        timed = evaluate_oracle(
-            index, workload, engine=EngineConfig(enabled=True, cache_size=64)
-        )
-        assert timed.mean_query_seconds > 0
-
-    def test_time_oracle_engine_path(self, setup):
-        graph, workload = setup
-        per_query = time_oracle(
-            ExactOracle(graph), workload, limit=10, engine=True
-        )
-        assert per_query > 0
-
 
 class TestTypes:
     def test_query_of_with_label_names(self, setup):

@@ -12,7 +12,6 @@ import pytest
 
 from repro.core.powcov import PowCovIndex
 from repro.engine import QuerySession
-from repro.eval.cli import render_engine_stats
 from repro.graph.generators import labeled_erdos_renyi
 from repro.obs.metrics import (
     Counter,
@@ -334,22 +333,6 @@ class TestEngineAggregate:
         assert registry().counter("engine.cache_misses").value == 1
         assert first.stats.counters["queries"] == 5
         assert first.stats.counters["cache_misses"] == 4
-        registry().reset(prefix="engine.")
-
-    def test_snapshot_skips_structured_engine_metrics(self, oracle):
-        """The CLI's engine footer renders the ``engine.*`` counters and the
-        hit rate, and leaves the latency histograms out."""
-        registry().reset(prefix="engine.")
-        session = QuerySession(oracle)
-        session.run([(0, 5, 1), (0, 5, 1)])
-        session.run([(0, 5, 1)])
-        registry().histogram("engine.query_seconds.powcov").observe(0.001)
-        text = render_engine_stats()
-        assert "query_seconds" not in text
-        rows = dict(line.split() for line in text.splitlines()[1:])
-        assert rows["queries"] == "3" and "queries_total" not in rows
-        assert rows["cache_hits"] == "1" and rows["cache_misses"] == "2"
-        assert rows["cache_hit_rate"] == "33.3%"
         registry().reset(prefix="engine.")
 
 

@@ -1,10 +1,10 @@
 """Tests for the wave-batched TraversePowerset builder.
 
 The contract under test is *bit-identity*: the wave builder must produce
-exactly the entries (and pruning counters) of the scalar
-``traverse_powerset`` and of ``brute_force_sp_minimal``, on undirected and
-directed graphs, under every Observation-flag combination, and through
-``PowCovIndex`` serially and on worker threads.
+exactly the entries of the scalar ``traverse_powerset`` and of
+``brute_force_sp_minimal``, and the pruning counters of
+``traverse_powerset(..., use_obs4=False)``, on undirected and directed
+graphs, and through ``PowCovIndex`` serially and on worker threads.
 """
 
 from __future__ import annotations
@@ -82,38 +82,23 @@ class TestBitIdentity:
         wave = traverse_powerset_waves(g, landmark)
         assert wave.entries == traverse_powerset(g, landmark).entries
 
-    @pytest.mark.parametrize(
-        "flags",
-        [
-            dict(use_obs1=False),
-            dict(use_obs2=False),
-            dict(use_obs3=False),
-            dict(use_obs4=False),
-            dict(use_obs1=False, use_obs2=False, use_obs3=False, use_obs4=False),
-            dict(use_obs2=False, use_obs4=False),
-        ],
-    )
-    def test_every_pruning_combination_is_equivalent(self, flags):
-        g = labeled_erdos_renyi(30, 70, num_labels=4, seed=11)
-        expected = brute_force_sp_minimal(g, 3).entries
-        assert traverse_powerset_waves(g, 3, **flags).entries == expected
-
     @pytest.mark.parametrize("seed", range(3))
     def test_counters_match_scalar(self, seed):
         # Not just the entries: the pruning statistics (Table 3's columns)
-        # must agree, so the wave builder reports the same SSSP count,
-        # one-removed test count, and Observation-4 hit count.
+        # must agree with the scalar builder run as the index runs it,
+        # Observations 1-3: the same SSSP and one-removed test counts, and
+        # no Observation-4 hits.
         g = labeled_erdos_renyi(32, 85, num_labels=4, seed=seed)
-        scalar = traverse_powerset(g, 1)
+        scalar = traverse_powerset(g, 1, use_obs4=False)
         wave = traverse_powerset_waves(g, 1)
         assert wave.num_sssp == scalar.num_sssp
         assert wave.num_full_tests == scalar.num_full_tests
-        assert wave.num_auto_minimal == scalar.num_auto_minimal
+        assert wave.num_auto_minimal == scalar.num_auto_minimal == 0
 
     def test_counters_match_scalar_without_obs4(self):
         g = labeled_erdos_renyi(32, 85, num_labels=4, seed=5)
         scalar = traverse_powerset(g, 2, use_obs4=False)
-        wave = traverse_powerset_waves(g, 2, use_obs4=False)
+        wave = traverse_powerset_waves(g, 2)
         assert wave.num_sssp == scalar.num_sssp
         assert wave.num_full_tests == scalar.num_full_tests
         assert wave.num_auto_minimal == scalar.num_auto_minimal == 0
@@ -173,7 +158,7 @@ class TestDefaultBuilder:
 
     def test_paper_builder_names_removed(self):
         # Observation 4 is reachable only as the ``use_obs4`` flag of the
-        # two sweep functions, not as a builder name.
+        # scalar sweep function, not as a builder name.
         graph = labeled_erdos_renyi(24, 55, num_labels=3, seed=3)
         for name in ("traverse-paper", "wave-paper"):
             with pytest.raises(ValueError, match="builder"):

@@ -418,66 +418,6 @@ class TestIndexStoreDirectory:
         assert loaded.batch_query(queries) == index.batch_query(queries)
 
 
-class TestIndexStoreCapacity:
-    """The LRU capacity bound and eviction counter."""
-
-    def _graphs(self, count):
-        return [
-            labeled_erdos_renyi(25, 60, num_labels=3, seed=100 + i)
-            for i in range(count)
-        ]
-
-    def test_capacity_validation(self, tmp_path):
-        with pytest.raises(ValueError, match="capacity"):
-            IndexStore(tmp_path / "cache", capacity=0)
-        assert IndexStore(tmp_path / "cache", capacity=3).capacity == 3
-        assert "capacity=3" in repr(IndexStore(tmp_path / "cache", capacity=3))
-
-    def test_save_evicts_oldest_beyond_capacity(self, tmp_path):
-        import os
-        import time
-
-        store = IndexStore(tmp_path / "cache", capacity=2)
-        graphs = self._graphs(3)
-        paths = []
-        for g in graphs:
-            paths.append(store.save(PowCovIndex(g, [0]).build()))
-            time.sleep(0.02)  # distinct mtimes on coarse filesystems
-        assert store.evictions == 1
-        assert not os.path.exists(paths[0])  # oldest evicted
-        assert os.path.exists(paths[1]) and os.path.exists(paths[2])
-        assert store.load("powcov", graphs[0]) is None
-        assert store.load("powcov", graphs[1]) is not None
-
-    def test_load_refreshes_recency(self, tmp_path):
-        import os
-        import time
-
-        store = IndexStore(tmp_path / "cache", capacity=2)
-        graphs = self._graphs(3)
-        first = store.save(PowCovIndex(graphs[0], [0]).build())
-        time.sleep(0.02)
-        second = store.save(PowCovIndex(graphs[1], [0]).build())
-        time.sleep(0.02)
-        # Touch the first index: it becomes the most recently used...
-        assert store.load("powcov", graphs[0]) is not None
-        time.sleep(0.02)
-        store.save(PowCovIndex(graphs[2], [0]).build())
-        # ...so the cap evicts the second instead.
-        assert os.path.exists(first)
-        assert not os.path.exists(second)
-
-    def test_unbounded_store_never_evicts(self, tmp_path):
-        import os
-
-        store = IndexStore(tmp_path / "cache")  # capacity=None
-        paths = [
-            store.save(PowCovIndex(g, [0]).build()) for g in self._graphs(4)
-        ]
-        assert store.evictions == 0
-        assert all(os.path.exists(p) for p in paths)
-
-
 class TestIndexStoreLineage:
     """The fingerprint-lineage manifest for versioned graphs."""
 
