@@ -2,14 +2,15 @@
 
 The claims of the mmap store, measured:
 
-* **Cold start** (open file → first query answered), raw and compressed:
-  opening parses a small JSON header and maps the sections lazily.
-* **Size**: compressed (varint/delta) vs raw section bytes.
+* **Cold start** (open file → first query answered): opening parses a
+  small JSON header and maps the sections lazily.
+* **Size**: the file is the raw section bytes plus a header and 64-byte
+  alignment padding.
 * **Shared pages**: two processes mapping the same store file add almost
   no incremental RSS, because the page cache backs both mappings — far
   less than the private copy of the tables an eager load would make.
-* **Bit-identity**: opened (raw and compressed) and in-memory indexes
-  answer every workload query identically.
+* **Bit-identity**: opened and in-memory indexes answer every workload
+  query identically.
 """
 
 from __future__ import annotations
@@ -28,15 +29,10 @@ from conftest import BENCH_SCALE, BENCH_SEED, run_queries
 
 
 @pytest.fixture(scope="module")
-def store_paths(tmp_path_factory, biogrid_powcov):
-    root = tmp_path_factory.mktemp("index-store")
-    paths = {
-        "mmap": str(root / "index.repro"),
-        "mmap-compressed": str(root / "index-small.repro"),
-    }
-    save_index(biogrid_powcov, paths["mmap"])
-    save_index(biogrid_powcov, paths["mmap-compressed"], compress=True)
-    return paths
+def store_path(tmp_path_factory, biogrid_powcov):
+    path = str(tmp_path_factory.mktemp("index-store") / "index.repro")
+    save_index(biogrid_powcov, path)
+    return path
 
 
 def cold_start(path, graph, query):
@@ -47,20 +43,14 @@ def cold_start(path, graph, query):
         return oracle.query(query.source, query.target, query.label_mask)
 
 
-def test_cold_start_mmap(benchmark, store_paths, biogrid, biogrid_workload):
+def test_cold_start_mmap(benchmark, store_path, biogrid, biogrid_workload):
     query = biogrid_workload.queries[0]
-    benchmark(cold_start, store_paths["mmap"], biogrid, query)
+    benchmark(cold_start, store_path, biogrid, query)
 
 
-def test_cold_start_mmap_compressed(benchmark, store_paths, biogrid,
-                                    biogrid_workload):
-    query = biogrid_workload.queries[0]
-    benchmark(cold_start, store_paths["mmap-compressed"], biogrid, query)
-
-
-def test_warm_queries_mapped(benchmark, store_paths, biogrid,
+def test_warm_queries_mapped(benchmark, store_path, biogrid,
                              biogrid_workload):
-    oracle = load_index(store_paths["mmap"], biogrid)
+    oracle = load_index(store_path, biogrid)
     with span("bench.warm_query"):
         benchmark(run_queries, oracle, biogrid_workload)
 
@@ -69,24 +59,24 @@ def test_warm_queries_in_memory(benchmark, biogrid_powcov, biogrid_workload):
     benchmark(run_queries, biogrid_powcov, biogrid_workload)
 
 
-def test_size_ratios(store_paths):
-    sizes = {name: os.path.getsize(path) for name, path in store_paths.items()}
-    ratio_vs_raw = sizes["mmap-compressed"] / sizes["mmap"]
-    print(f"\nsizes: mmap raw {sizes['mmap']}B, "
-          f"mmap compressed {sizes['mmap-compressed']}B "
-          f"({ratio_vs_raw:.2f}x of raw)")
-    assert sizes["mmap-compressed"] < sizes["mmap"]
+def test_size_ratios(store_path, biogrid_powcov):
+    size = os.path.getsize(store_path)
+    columns = sum(getattr(table, name).nbytes
+                  for table in biogrid_powcov.tables()
+                  for name in ("key", "dist", "mask"))
+    print(f"\nsizes: mmap {size}B for {columns}B of table columns "
+          f"({size / columns:.3f}x)")
+    # Header, landmarks and alignment padding stay within a few kB.
+    assert columns <= size <= columns + 4096
 
 
-def test_answers_identical_across_backends(store_paths, biogrid,
+def test_answers_identical_across_backends(store_path, biogrid,
                                            biogrid_powcov, biogrid_workload):
-    oracles = {name: load_index(path, biogrid)
-               for name, path in store_paths.items()}
+    oracle = load_index(store_path, biogrid)
     for q in biogrid_workload.queries:
         reference = biogrid_powcov.query(q.source, q.target, q.label_mask)
-        for name, oracle in oracles.items():
-            got = oracle.query(q.source, q.target, q.label_mask)
-            assert got == reference, (name, q, got, reference)
+        got = oracle.query(q.source, q.target, q.label_mask)
+        assert got == reference, (q, got, reference)
 
 
 _CHILD = r"""
@@ -135,7 +125,7 @@ def _child_rss_delta_kb(path, mode="mapped"):
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                     reason="needs Linux procfs for RssAnon")
-def test_two_processes_share_pages(store_paths):
+def test_two_processes_share_pages(store_path):
     """Mapping the same store from two processes is nearly free in RSS.
 
     Each child measures the private (anonymous) RSS it gains from opening
@@ -144,8 +134,8 @@ def test_two_processes_share_pages(store_paths):
     that copies the columns, as an eager load would, holds every table
     privately, so the mapped gain must be far smaller.
     """
-    mapped = [_child_rss_delta_kb(store_paths["mmap"]) for _ in range(2)]
-    eager = _child_rss_delta_kb(store_paths["mmap"], mode="copy")
+    mapped = [_child_rss_delta_kb(store_path) for _ in range(2)]
+    eager = _child_rss_delta_kb(store_path, mode="copy")
     print(f"\nincremental private RSS: mapped {mapped} kB per process, "
           f"private copy {eager} kB")
     for delta in mapped:

@@ -90,10 +90,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--load-index", metavar="DIR", default=None,
                         help="like --save-index but read-only: reuse cached "
                         "indexes from DIR without ever writing to it")
-    parser.add_argument("--index-compress", action="store_true",
-                        help="with --save-index: varint/"
-                        "delta-compress the integer index sections (smaller "
-                        "files, eager decode on open)")
     parser.add_argument("--selfcheck", action="store_true",
                         help="before running the command, build small "
                         "instances of both indexes and run the invariant "
@@ -154,7 +150,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.save_index or args.load_index:
         index_store = IndexStore(
             args.save_index or args.load_index,
-            compress=args.index_compress,
             writable=args.save_index is not None,
         )
     if args.selfcheck:

@@ -54,7 +54,7 @@ from .datasets import (
     load_dataset,
     paper_synthetic,
 )
-from .io import load_edge_list, load_npz, save_edge_list, save_npz
+from .io import load_edge_list, save_edge_list
 
 __all__ = [
     "EdgeLabeledGraph",
@@ -104,7 +104,5 @@ __all__ = [
     "load_dataset",
     "paper_synthetic",
     "load_edge_list",
-    "load_npz",
     "save_edge_list",
-    "save_npz",
 ]

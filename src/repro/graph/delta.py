@@ -94,12 +94,6 @@ class GraphDelta:
             mask |= label_bit(old_label) | label_bit(new_label)
         return mask
 
-    def describe(self) -> str:
-        return (
-            f"delta(+{len(self.insertions)} -{len(self.deletions)} "
-            f"~{len(self.relabels)})"
-        )
-
 
 def _arc_index(graph: EdgeLabeledGraph, u: int, v: int, label: int) -> int | None:
     """Index of the stored arc ``u -> v`` with ``label``, or ``None``."""

@@ -1,32 +1,25 @@
-"""Loading and saving edge-labeled graphs.
+"""Loading and saving edge-labeled graphs as edge-list text.
 
-Two formats are supported:
+One edge per line, ``u v label`` separated by whitespace (or a custom
+delimiter).  Vertices and labels may be arbitrary strings; comment lines
+start with ``#``.  This matches how the public snapshots of the paper's
+datasets (BioGrid, String, YouTube, ...) are distributed, so the loaders
+work unchanged if a user supplies the real files.
 
-* **Edge-list text** — one edge per line, ``u v label`` separated by
-  whitespace (or a custom delimiter).  Vertices and labels may be arbitrary
-  strings; comment lines start with ``#``.  This matches how the public
-  snapshots of the paper's datasets (BioGrid, String, YouTube, ...) are
-  distributed, so the loaders work unchanged if a user supplies the real
-  files.
-* **NPZ binary** — the CSR arrays saved verbatim with numpy, for fast
-  round-tripping of generated graphs.
+The binary form of a graph is the mmap-able store file:
+:func:`repro.store.index_store.save_graph` / ``open_graph``.
 """
 
 from __future__ import annotations
 
 import os
 
-import numpy as np
-
 from .builder import GraphBuilder
 from .labeled_graph import EdgeLabeledGraph
-from .labelsets import LabelUniverse
 
 __all__ = [
     "load_edge_list",
     "save_edge_list",
-    "load_npz",
-    "save_npz",
 ]
 
 
@@ -67,39 +60,3 @@ def save_edge_list(graph: EdgeLabeledGraph, path: str | os.PathLike) -> None:
             name = universe.name(label) if universe is not None else str(label)
             handle.write(f"{u} {v} {name}\n")
 
-
-def save_npz(graph: EdgeLabeledGraph, path: str | os.PathLike) -> None:
-    """Save the CSR arrays (and label names, if any) to an ``.npz`` file."""
-    # Fixed-width unicode (never dtype=object): lets load_npz use
-    # allow_pickle=False, so untrusted .npz files cannot execute code.
-    names = (
-        np.array(graph.label_universe.names, dtype=np.str_)
-        if graph.label_universe is not None
-        else np.array([], dtype=np.str_)
-    )
-    np.savez_compressed(
-        path,
-        indptr=graph.indptr,
-        neighbors=graph.neighbors,
-        edge_labels=graph.edge_labels,
-        num_labels=np.int64(graph.num_labels),
-        directed=np.bool_(graph.directed),
-        num_edges=np.int64(graph.num_edges),
-        label_names=names,
-    )
-
-
-def load_npz(path: str | os.PathLike) -> EdgeLabeledGraph:
-    """Load a graph previously written by :func:`save_npz`."""
-    with np.load(path, allow_pickle=False) as data:
-        names = list(data["label_names"])
-        universe = LabelUniverse(str(n) for n in names) if names else None
-        return EdgeLabeledGraph(
-            indptr=data["indptr"],
-            neighbors=data["neighbors"],
-            edge_labels=data["edge_labels"],
-            num_labels=int(data["num_labels"]),
-            directed=bool(data["directed"]),
-            label_universe=universe,
-            num_edges=int(data["num_edges"]),
-        )

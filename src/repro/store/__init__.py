@@ -2,10 +2,10 @@
 
 Layered so that importing the package stays cheap and cycle-free:
 
-* :mod:`repro.store.format` (binary container) and
-  :mod:`repro.store.compress` (varint/delta codecs) depend on numpy and
-  the stdlib only and load eagerly, so the engine and the serve layer can
-  import :class:`FormatError` without pulling in the index packages.
+* :mod:`repro.store.format` (the binary container of raw, 64-byte-aligned
+  sections) depends on numpy and the stdlib only and loads eagerly, so
+  the engine and the serve layer can import :class:`FormatError` without
+  pulling in the index packages.
 * :mod:`repro.store.index_store` and :mod:`repro.store.cache` pull in
   the index packages; they load lazily through module ``__getattr__`` on
   first attribute access.
@@ -17,10 +17,10 @@ from .format import (
     ALIGNMENT,
     FORMAT_VERSION,
     MAGIC,
+    STORE_SUFFIX,
     FormatError,
     Section,
     Store,
-    is_store_file,
     write_store,
 )
 
@@ -28,17 +28,16 @@ __all__ = [
     "ALIGNMENT",
     "FORMAT_VERSION",
     "MAGIC",
+    "STORE_SUFFIX",
     "FormatError",
     "Section",
     "Store",
-    "is_store_file",
     "write_store",
     # lazy (module __getattr__):
     "save_index",
     "open_index",
     "save_graph",
     "open_graph",
-    "STORE_SUFFIX",
     "IndexStore",
 ]
 
@@ -47,7 +46,6 @@ _LAZY = {
     "open_index": "index_store",
     "save_graph": "index_store",
     "open_graph": "index_store",
-    "STORE_SUFFIX": "index_store",
     "IndexStore": "cache",
 }
 

@@ -10,18 +10,16 @@ sections**.  The fixed prefix is::
     bytes 16..    header table: UTF-8 JSON (kind, metadata, section table)
 
 Section payloads start at ``align64(16 + header_len)`` and each section is
-padded to a 64-byte boundary, so every raw numpy section can be handed to
+padded to a 64-byte boundary, so every section can be handed to
 ``np.memmap`` directly — opening a store touches the header pages only,
 and array pages fault in lazily on first access.  The section table
 records, per section: dtype (numpy string, always little-endian), shape,
-offset/length relative to the payload start, an optional compression codec
-(:mod:`repro.store.compress`), and the decoded byte count.
+and offset/length relative to the payload start.  Every section is the
+array's raw bytes, so its length is always ``prod(shape) * itemsize``.
 
-Raw sections are zero-copy: :meth:`Store.array` returns an ``np.memmap``
-view, so N processes opening the same file share one physical copy through
-the page cache.  Compressed sections trade that laziness for size — they
-are decoded eagerly on first access (and the decoded array is cached on
-the reader).
+Sections are zero-copy: :meth:`Store.array` returns an ``np.memmap`` view,
+so N processes opening the same file share one physical copy through the
+page cache.
 
 :class:`FormatError` is the single failure type for anything wrong with a
 persisted payload — bad magic, unknown version, truncated data.  It
@@ -32,8 +30,10 @@ subclasses ``ValueError`` so pre-existing callers that caught
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
+import uuid
 from dataclasses import dataclass
 from typing import Any
 
@@ -44,18 +44,20 @@ __all__ = [
     "MAGIC",
     "FORMAT_VERSION",
     "ALIGNMENT",
+    "STORE_SUFFIX",
     "Section",
     "Store",
     "write_store",
-    "is_store_file",
 ]
 
-#: File magic: the first bytes of every store file (see :func:`is_store_file`).
+#: File magic: the first bytes of every store file.
 MAGIC = b"REPROIDX"
 #: Current (and only) store format version.
 FORMAT_VERSION = 1
 #: Section payload alignment in bytes.
 ALIGNMENT = 64
+#: Conventional file suffix for store files (``write_store`` accepts any).
+STORE_SUFFIX = ".repro"
 
 _PREFIX = struct.Struct("<8sHHI")
 
@@ -84,10 +86,8 @@ class Section:
     shape: tuple[int, ...]
     #: byte offset relative to the payload start (64-byte aligned).
     offset: int
-    #: stored byte count (compressed size when ``codec`` is set).
+    #: byte count, always ``prod(shape) * itemsize``.
     nbytes: int
-    #: ``None`` (raw, mmap-able) or a :mod:`repro.store.compress` codec.
-    codec: str | None = None
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -96,95 +96,97 @@ class Section:
             "shape": list(self.shape),
             "offset": self.offset,
             "nbytes": self.nbytes,
-            "codec": self.codec,
         }
 
     @classmethod
     def from_json(cls, payload: dict[str, Any]) -> "Section":
         try:
-            return cls(
+            section = cls(
                 name=str(payload["name"]),
                 dtype=str(payload["dtype"]),
                 shape=tuple(int(d) for d in payload["shape"]),
                 offset=int(payload["offset"]),
                 nbytes=int(payload["nbytes"]),
-                codec=payload.get("codec"),
             )
         except KeyError as exc:  # pragma: no cover - header built by us
             raise FormatError(f"section table entry missing {exc}") from exc
+        # A section is mapped as its raw bytes: an encoded payload (a
+        # ``codec`` entry) or a length that disagrees with the shape would
+        # otherwise be read as an array running into the next section.
+        try:
+            itemsize = np.dtype(section.dtype).itemsize
+        except TypeError:
+            itemsize = -1
+        if (
+            payload.get("codec") is not None
+            or section.nbytes != math.prod(section.shape) * itemsize
+        ):
+            raise FormatError(
+                f"section {section.name!r} is not a raw {section.dtype} array"
+            )
+        return section
 
 
 def write_store(
     path: str | os.PathLike[str],
     kind: str,
     meta: dict[str, Any],
-    sections: list[tuple[str, np.ndarray, str | None]],
+    sections: list[tuple[str, np.ndarray]],
 ) -> None:
-    """Write a store file: ``sections`` is ``(name, array, codec)`` triples.
+    """Write a store file: ``sections`` is ``(name, array)`` pairs.
 
-    Raw sections (``codec=None``) are written as contiguous little-endian
-    bytes at 64-byte-aligned offsets; compressed sections are encoded
-    through :func:`repro.store.compress.encode_array`.  ``meta`` must be
-    JSON-serializable and is returned verbatim by :attr:`Store.meta`.
+    Each array is written as contiguous little-endian bytes at a 64-byte
+    aligned offset.  ``meta`` must be JSON-serializable and is returned
+    verbatim by :attr:`Store.meta`.  The file is written under a temporary
+    name in the same directory and renamed onto ``path`` only once
+    complete, so an interrupted write never leaves a partial file under
+    ``path`` (and never truncates a file another reader has mapped).
     """
-    from .compress import encode_array  # local: compress imports FormatError
-
     table: list[Section] = []
-    payloads: list[bytes | np.ndarray] = []
+    payloads: list[np.ndarray] = []
     offset = 0
-    for name, array, codec in sections:
+    for name, array in sections:
         array = np.ascontiguousarray(array)
         dtype = _little_endian_dtype(array.dtype)
-        if codec is None:
-            payload: bytes | np.ndarray = array.astype(dtype, copy=False)
-            nbytes = array.nbytes
-        else:
-            payload = encode_array(array, codec)
-            nbytes = len(payload)
         table.append(
             Section(
                 name=name, dtype=dtype, shape=tuple(array.shape),
-                offset=offset, nbytes=nbytes, codec=codec,
+                offset=offset, nbytes=array.nbytes,
             )
         )
-        payloads.append(payload)
-        offset = _align(offset + nbytes)
+        payloads.append(array.astype(dtype, copy=False))
+        offset = _align(offset + array.nbytes)
 
     header = json.dumps(
         {"kind": kind, "meta": meta, "sections": [s.to_json() for s in table]},
         separators=(",", ":"),
     ).encode("utf-8")
     data_start = _align(_PREFIX.size + len(header))
-    with open(path, "wb") as handle:
-        handle.write(_PREFIX.pack(MAGIC, FORMAT_VERSION, 0, len(header)))
-        handle.write(header)
-        handle.write(b"\0" * (data_start - _PREFIX.size - len(header)))
-        position = 0
-        for section, payload in zip(table, payloads):
-            handle.write(b"\0" * (section.offset - position))
-            if isinstance(payload, np.ndarray):
-                handle.write(memoryview(payload).cast("B"))
-            else:
-                handle.write(payload)
-            position = section.offset + section.nbytes
-
-
-def is_store_file(path: str | os.PathLike[str]) -> bool:
-    """True iff ``path`` starts with the store magic (format autodetect)."""
+    path = os.fspath(path)
+    partial = f"{path}.{uuid.uuid4().hex}.tmp"
     try:
-        with open(path, "rb") as handle:
-            return handle.read(len(MAGIC)) == MAGIC
-    except OSError:
-        return False
+        with open(partial, "xb") as handle:
+            handle.write(_PREFIX.pack(MAGIC, FORMAT_VERSION, 0, len(header)))
+            handle.write(header)
+            handle.write(b"\0" * (data_start - _PREFIX.size - len(header)))
+            position = 0
+            for section, payload in zip(table, payloads):
+                handle.write(b"\0" * (section.offset - position))
+                handle.write(memoryview(payload).cast("B"))
+                position = section.offset + section.nbytes
+        os.replace(partial, path)
+    except BaseException:
+        if os.path.exists(partial):
+            os.unlink(partial)
+        raise
 
 
 class Store:
     """Reader over one store file: header eagerly, sections lazily.
 
     Opening parses the fixed prefix and the JSON header table; no section
-    bytes are read.  :meth:`array` maps raw sections with ``np.memmap``
-    (page-fault-lazy, shared across processes through the page cache) and
-    decodes compressed ones on first access.
+    bytes are read.  :meth:`array` maps sections with ``np.memmap``
+    (page-fault-lazy, shared across processes through the page cache).
     """
 
     def __init__(self, path: str | os.PathLike[str]) -> None:
@@ -210,13 +212,13 @@ class Store:
             raise FormatError(f"{self.path}: corrupt store header table") from exc
         self.kind: str = str(parsed.get("kind", ""))
         self.meta: dict[str, Any] = dict(parsed.get("meta", {}))
-        self._sections: dict[str, Section] = {
-            section.name: section
-            for section in (Section.from_json(s) for s in parsed["sections"])
-        }
+        try:
+            sections = [Section.from_json(s) for s in parsed["sections"]]
+        except FormatError as exc:
+            raise FormatError(f"{self.path}: {exc}") from None
+        self._sections: dict[str, Section] = {s.name: s for s in sections}
         self._data_start = _align(_PREFIX.size + header_len)
         self._file_size = os.path.getsize(self.path)
-        self._cache: dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # Section access
@@ -238,10 +240,7 @@ class Store:
         return self._data_start + self.section(name).offset
 
     def array(self, name: str) -> np.ndarray:
-        """The section as an array: memmap view (raw) or decoded (codec)."""
-        cached = self._cache.get(name)
-        if cached is not None:
-            return cached
+        """The section as a read-only ``np.memmap`` view over the file."""
         section = self.section(name)
         start = self.file_offset(name)
         if start + section.nbytes > self._file_size:
@@ -249,23 +248,11 @@ class Store:
                 f"{self.path}: section {name!r} extends past end of file"
             )
         dtype = np.dtype(section.dtype)
-        if section.codec is None:
-            if section.nbytes == 0:
-                out: np.ndarray = np.empty(section.shape, dtype=dtype)
-            else:
-                out = np.memmap(
-                    self.path, mode="r", dtype=dtype,
-                    shape=section.shape, offset=start,
-                )
-        else:
-            from .compress import decode_array  # local: avoids import cycle
-
-            raw = np.fromfile(
-                self.path, dtype=np.uint8, count=section.nbytes, offset=start
-            )
-            out = decode_array(raw, section.codec, dtype, section.shape)
-        self._cache[name] = out
-        return out
+        if section.nbytes == 0:
+            return np.empty(section.shape, dtype=dtype)
+        return np.memmap(
+            self.path, mode="r", dtype=dtype, shape=section.shape, offset=start
+        )
 
     def __repr__(self) -> str:
         return (

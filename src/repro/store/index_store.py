@@ -18,13 +18,6 @@ the serving structures:
   matrices verbatim; a regular :class:`ChromLandIndex` serves directly off
   the mapped matrices.
 
-``compress=True`` runs the integer sections through
-:mod:`repro.store.compress` (delta-varint for the sorted key/``indptr``
-sections, plain varint elsewhere); compressed sections decode eagerly on
-open, trading the page-fault laziness for file size — the index-store
-benchmark reports the measured trade-off.  Float distance sections
-(weighted PowCov) always stay raw.
-
 Every file records the owning graph's fingerprint; the readers verify it
 against the supplied graph and the loaded index carries it as
 ``stored_fingerprint`` for the engine session's open-time re-check.
@@ -46,22 +39,11 @@ from ..graph.labelsets import LabelUniverse
 from .format import FormatError, Store, write_store
 
 __all__ = [
-    "STORE_SUFFIX",
     "save_index",
     "open_index",
     "save_graph",
     "open_graph",
 ]
-
-#: Conventional file suffix for store files (``save_index`` accepts any).
-STORE_SUFFIX = ".repro"
-
-
-def _codec(compress: bool, sorted_values: bool = False) -> str | None:
-    if not compress:
-        return None
-    return "delta-varint" if sorted_values else "varint"
-
 
 def _require_meta(store: Store, *names: str) -> list[Any]:
     values = []
@@ -82,23 +64,8 @@ def _check_fingerprint(store: Store, graph: EdgeLabeledGraph) -> int:
 # ----------------------------------------------------------------------
 # Indexes
 # ----------------------------------------------------------------------
-def _powcov_sections(
-    index: PowCovIndex, compress: bool
-) -> list[tuple[str, np.ndarray, str | None]]:
-    sections: list[tuple[str, np.ndarray, str | None]] = []
-    for prefix, table in zip(("fwd", "rev"), index.tables()):
-        sections.append((f"{prefix}_key", table.key, _codec(compress, sorted_values=True)))
-        # Float distances (weighted indexes) always stay raw.
-        integral = table.dist.dtype.kind == "i"
-        sections.append((f"{prefix}_dist", table.dist, _codec(compress and integral)))
-        sections.append((f"{prefix}_mask", table.mask, _codec(compress)))
-    return sections
-
-
 def save_index(
-    index: PowCovIndex | ChromLandIndex,
-    path: str | os.PathLike[str],
-    compress: bool = False,
+    index: PowCovIndex | ChromLandIndex, path: str | os.PathLike[str]
 ) -> None:
     """Write a built index as a store file (see the module docstring)."""
     fingerprint = int(graph_fingerprint(index.graph))
@@ -111,11 +78,11 @@ def save_index(
             "directed": index.graph.directed,
             "num_vertices": index.graph.num_vertices,
         }
-        sections = [
-            ("landmarks", np.asarray(index.landmarks, dtype=np.int64),
-             _codec(compress)),
-        ]
-        sections.extend(_powcov_sections(index, compress))
+        sections = [("landmarks", np.asarray(index.landmarks, dtype=np.int64))]
+        for prefix, table in zip(("fwd", "rev"), index.tables()):
+            sections.append((f"{prefix}_key", table.key))
+            sections.append((f"{prefix}_dist", table.dist))
+            sections.append((f"{prefix}_mask", table.mask))
         write_store(path, "powcov", meta, sections)
         return
     if isinstance(index, ChromLandIndex):
@@ -127,15 +94,13 @@ def save_index(
             "directed": index.graph.directed,
         }
         sections = [
-            ("landmarks", np.asarray(index.landmarks, dtype=np.int64),
-             _codec(compress)),
-            ("colors", np.asarray(index.colors, dtype=np.int64),
-             _codec(compress)),
-            ("mono", index.mono, _codec(compress)),
-            ("bi", index.bi, _codec(compress)),
+            ("landmarks", np.asarray(index.landmarks, dtype=np.int64)),
+            ("colors", np.asarray(index.colors, dtype=np.int64)),
+            ("mono", index.mono),
+            ("bi", index.bi),
         ]
         if index.mono_in is not None:
-            sections.append(("mono_in", index.mono_in, _codec(compress)))
+            sections.append(("mono_in", index.mono_in))
         write_store(path, "chromland", meta, sections)
         return
     raise TypeError(f"cannot save index of type {type(index).__name__}")
@@ -147,7 +112,7 @@ def open_index(
     """Open a store file for ``graph``: a PowCov or ChromLand index.
 
     Opening reads the header only; index sections fault in lazily as
-    queries touch them (compressed sections decode on first access).
+    queries touch them.
     """
     store = Store(path)
     if store.kind == "powcov":
@@ -193,11 +158,7 @@ def open_index(
 # ----------------------------------------------------------------------
 # Graphs
 # ----------------------------------------------------------------------
-def save_graph(
-    graph: EdgeLabeledGraph,
-    path: str | os.PathLike[str],
-    compress: bool = False,
-) -> None:
+def save_graph(graph: EdgeLabeledGraph, path: str | os.PathLike[str]) -> None:
     """Write a graph's CSR arrays as a ``kind="graph"`` store file."""
     label_names = None
     if graph.label_universe is not None:
@@ -210,9 +171,9 @@ def save_graph(
         "label_names": label_names,
     }
     sections = [
-        ("indptr", graph.indptr, _codec(compress, sorted_values=True)),
-        ("neighbors", graph.neighbors, _codec(compress)),
-        ("edge_labels", graph.edge_labels, _codec(compress)),
+        ("indptr", graph.indptr),
+        ("neighbors", graph.neighbors),
+        ("edge_labels", graph.edge_labels),
     ]
     write_store(path, "graph", meta, sections)
 

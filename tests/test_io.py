@@ -1,12 +1,11 @@
-"""Tests for edge-list and NPZ persistence."""
+"""Tests for edge-list persistence."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.graph.builder import GraphBuilder
-from repro.graph.generators import labeled_erdos_renyi
-from repro.graph.io import load_edge_list, load_npz, save_edge_list, save_npz
+from repro.graph.io import load_edge_list, save_edge_list
 
 
 def sample_graph():
@@ -59,52 +58,3 @@ class TestEdgeListRoundtrip:
         g = load_edge_list(path, directed=True)
         assert g.directed
         assert g.num_edges == 2
-
-
-class TestNpzRoundtrip:
-    def test_roundtrip_named_labels(self, tmp_path):
-        g = sample_graph()
-        path = tmp_path / "g.npz"
-        save_npz(g, path)
-        loaded = load_npz(path)
-        assert loaded == g
-        assert loaded.label_universe.names == g.label_universe.names
-
-    def test_roundtrip_generated(self, tmp_path):
-        g = labeled_erdos_renyi(80, 200, 5, seed=0)
-        path = tmp_path / "g.npz"
-        save_npz(g, path)
-        loaded = load_npz(path)
-        assert loaded == g
-        assert loaded.num_edges == g.num_edges
-        assert not loaded.directed
-
-    def test_archive_needs_no_pickle(self, tmp_path):
-        # label_names is stored as fixed-width unicode, never as a
-        # pickled object array, so an untrusted file cannot smuggle in
-        # arbitrary code through np.load.
-        import numpy as np
-
-        g = sample_graph()
-        path = tmp_path / "g.npz"
-        save_npz(g, path)
-        with np.load(path, allow_pickle=False) as data:
-            assert data["label_names"].dtype.kind == "U"
-            assert list(data["label_names"]) == g.label_universe.names
-
-    def test_roundtrip_without_label_universe(self, tmp_path):
-        import numpy as np
-
-        from repro.graph.labeled_graph import EdgeLabeledGraph
-
-        g = EdgeLabeledGraph.from_edges(
-            4, [(0, 1, 0), (1, 2, 1)], num_labels=2
-        )
-        assert g.label_universe is None
-        path = tmp_path / "g.npz"
-        save_npz(g, path)
-        loaded = load_npz(path)
-        assert loaded == g
-        assert loaded.label_universe is None
-        with np.load(path, allow_pickle=False) as data:
-            assert data["label_names"].size == 0

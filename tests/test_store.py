@@ -1,19 +1,23 @@
 """Tests for the mmap-able zero-copy store (``repro.store``).
 
-Covers the binary container, the varint/delta codecs, persistence
-round-trips across the full matrix (directed/undirected, weighted PowCov,
-empty and single-vertex graphs, raw and compressed sections),
+Covers the binary container, persistence round-trips across the full
+matrix (directed/undirected, weighted PowCov, empty and single-vertex
+graphs), files written by earlier builds of format version 1,
 fingerprint-mismatch rejection, the opened index's bit-identity with the
-in-memory index, and the engine-session fingerprint re-check.
+in-memory index, atomic saves, and the engine-session fingerprint
+re-check.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.chromland import ChromLandIndex
 from repro.core.powcov import PowCovIndex
 from repro.core.powcov.weighted import WeightedPowCovIndex
@@ -22,21 +26,15 @@ from repro.graph.fingerprint import graph_fingerprint
 from repro.graph.generators import labeled_erdos_renyi
 from repro.graph.labeled_graph import EdgeLabeledGraph
 from repro.graph.labelsets import LabelUniverse
-from repro.store import FormatError, Store, is_store_file, write_store
+from repro.store import FormatError, Section, Store, write_store
+from repro.store import format as store_format
 from repro.store.cache import IndexStore
-from repro.store.compress import (
-    decode_array,
-    encode_array,
-    varint_decode,
-    varint_encode,
-    zigzag_decode,
-    zigzag_encode,
-)
 from repro.store.index_store import open_graph, open_index, save_graph, save_index
 
 from conftest import all_pairs_all_masks
 
 INF = math.inf
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -67,82 +65,14 @@ def sample_queries(graph):
 
 
 # ----------------------------------------------------------------------
-# Codecs
-# ----------------------------------------------------------------------
-class TestCodecs:
-    @pytest.mark.parametrize("values", [
-        [],
-        [0],
-        [0, 1, -1, 63, -64, 64, 127, 128, -12345],
-        [2**62, -(2**62), 2**63 - 1, -(2**63)],
-    ])
-    def test_zigzag_roundtrip(self, values):
-        arr = np.asarray(values, dtype=np.int64)
-        assert np.array_equal(zigzag_decode(zigzag_encode(arr)), arr)
-
-    def test_zigzag_small_magnitudes_stay_small(self):
-        encoded = zigzag_encode(np.asarray([-1, 1, -2, 2], dtype=np.int64))
-        assert encoded.tolist() == [1, 2, 3, 4]
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_varint_roundtrip_random(self, seed):
-        rng = np.random.default_rng(seed)
-        exponents = rng.integers(0, 63, size=500)
-        values = (rng.integers(0, 2, size=500).astype(np.uint64)
-                  + (np.uint64(1) << exponents.astype(np.uint64)))
-        stream = varint_encode(values)
-        assert np.array_equal(varint_decode(stream, len(values)), values)
-
-    def test_varint_single_byte_values(self):
-        values = np.arange(128, dtype=np.uint64)
-        stream = varint_encode(values)
-        assert len(stream) == 128  # one byte each
-        assert np.array_equal(varint_decode(stream, 128), values)
-
-    def test_varint_truncated_rejected(self):
-        stream = varint_encode(np.asarray([300], dtype=np.uint64))
-        with pytest.raises(FormatError, match="truncated"):
-            varint_decode(stream[:-1], 1)
-
-    def test_varint_count_mismatch_rejected(self):
-        stream = varint_encode(np.asarray([1, 2, 3], dtype=np.uint64))
-        with pytest.raises(FormatError, match="expected 2"):
-            varint_decode(stream, 2)
-
-    @pytest.mark.parametrize("codec", ["varint", "delta-varint"])
-    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.int16])
-    def test_encode_decode_roundtrip(self, codec, dtype):
-        rng = np.random.default_rng(7)
-        arr = rng.integers(-1000, 1000, size=(13, 17)).astype(dtype)
-        buffer = np.frombuffer(encode_array(arr, codec), dtype=np.uint8)
-        out = decode_array(buffer, codec, np.dtype(dtype), arr.shape)
-        assert out.dtype == arr.dtype
-        assert np.array_equal(out, arr)
-
-    def test_delta_varint_compresses_sorted(self):
-        sorted_arr = np.cumsum(np.ones(10_000, dtype=np.int64)) * 3
-        delta = encode_array(sorted_arr, "delta-varint")
-        plain = encode_array(sorted_arr, "varint")
-        assert len(delta) < len(plain) < sorted_arr.nbytes
-
-    def test_float_rejected(self):
-        with pytest.raises(FormatError, match="integer"):
-            encode_array(np.ones(3, dtype=np.float64), "varint")
-
-    def test_unknown_codec_rejected(self):
-        with pytest.raises(FormatError, match="unknown section codec"):
-            encode_array(np.ones(3, dtype=np.int64), "gzip")
-
-
-# ----------------------------------------------------------------------
 # Container format
 # ----------------------------------------------------------------------
 class TestContainer:
     def test_sections_are_64_byte_aligned(self, tmp_path):
         path = tmp_path / "x.repro"
         write_store(path, "test", {}, [
-            ("a", np.arange(3, dtype=np.int64), None),
-            ("b", np.arange(100, dtype=np.int16), None),
+            ("a", np.arange(3, dtype=np.int64)),
+            ("b", np.arange(100, dtype=np.int16)),
         ])
         store = Store(path)
         for name in store.section_names():
@@ -158,14 +88,13 @@ class TestContainer:
 
     def test_zero_length_section(self, tmp_path):
         path = tmp_path / "x.repro"
-        write_store(path, "test", {}, [("empty", np.empty(0, np.int64), None)])
+        write_store(path, "test", {}, [("empty", np.empty(0, np.int64))])
         out = Store(path).array("empty")
         assert out.shape == (0,) and out.dtype == np.int64
 
     def test_not_a_store_file(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOTASTOREFILE---plus-some-padding")
-        assert not is_store_file(path)
         with pytest.raises(FormatError, match="not a repro store file"):
             Store(path)
 
@@ -180,7 +109,7 @@ class TestContainer:
 
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "x.repro"
-        write_store(path, "test", {}, [("a", np.arange(64, dtype=np.int64), None)])
+        write_store(path, "test", {}, [("a", np.arange(64, dtype=np.int64))])
         data = path.read_bytes()
         path.write_bytes(data[: len(data) - 100])
         with pytest.raises(FormatError, match="extends past end of file"):
@@ -192,21 +121,41 @@ class TestContainer:
         with pytest.raises(FormatError, match="no section"):
             Store(path).array("ghost")
 
+    @staticmethod
+    def _entry(**overrides):
+        entry = {"name": "a", "dtype": "<i8", "shape": [4], "offset": 0,
+                 "nbytes": 32}
+        entry.update(overrides)
+        return entry
+
+    def test_null_codec_entry_is_raw(self):
+        # Format-1 writers recorded ``"codec": null`` on every raw section.
+        section = Section.from_json(self._entry(codec=None))
+        assert section.nbytes == 32 and section.shape == (4,)
+
+    def test_encoded_section_rejected(self):
+        with pytest.raises(FormatError, match="section 'a' is not a raw <i8"):
+            Section.from_json(self._entry(codec="varint"))
+
+    @pytest.mark.parametrize("nbytes", [0, 31, 33, 64])
+    def test_length_must_match_shape(self, nbytes):
+        with pytest.raises(FormatError, match="section 'a' is not a raw <i8"):
+            Section.from_json(self._entry(nbytes=nbytes))
+
 
 # ----------------------------------------------------------------------
-# Round-trips: the full matrix, raw and compressed, bit-identity
+# Round-trips: the full matrix, bit-identity
 # ----------------------------------------------------------------------
-def _roundtrip(index, path, compress=False):
+def _roundtrip(index, path):
     path = path.with_suffix(".repro")
-    save_index(index, path, compress=compress)
+    save_index(index, path)
     return open_index(path, index.graph)
 
 
-@pytest.mark.parametrize("compress", [False, True], ids=["mmap-False", "mmap-True"])
 class TestRoundtripMatrix:
-    def test_undirected_powcov(self, graph, tmp_path, compress):
+    def test_undirected_powcov(self, graph, tmp_path):
         original = PowCovIndex(graph, [0, 13, 26]).build()
-        loaded = _roundtrip(original, tmp_path / "p", compress)
+        loaded = _roundtrip(original, tmp_path / "p")
         queries = sample_queries(graph)
         assert loaded.batch_query(queries) == original.batch_query(queries)
         assert [loaded.query(*q) for q in queries] == \
@@ -215,9 +164,9 @@ class TestRoundtripMatrix:
         assert loaded.reachable_pairs() == original.reachable_pairs()
         assert loaded.max_entries_per_pair() == original.max_entries_per_pair()
 
-    def test_directed_powcov(self, digraph, tmp_path, compress):
+    def test_directed_powcov(self, digraph, tmp_path):
         original = PowCovIndex(digraph, [0, 7, 14]).build()
-        loaded = _roundtrip(original, tmp_path / "d", compress)
+        loaded = _roundtrip(original, tmp_path / "d")
         queries = [
             (s, t, mask)
             for s in range(20) for t in range(20) for mask in range(8)
@@ -226,52 +175,52 @@ class TestRoundtripMatrix:
         assert [loaded.query(*q) for q in queries] == \
             [original.query(*q) for q in queries]
 
-    def test_weighted_powcov(self, tmp_path, compress):
+    def test_weighted_powcov(self, tmp_path):
         graph = labeled_erdos_renyi(30, 80, num_labels=3, seed=4)
         weights = np.random.default_rng(0).uniform(0.5, 2.0, graph.num_arcs)
         original = WeightedPowCovIndex(graph, [0, 10, 20], weights).build()
-        loaded = _roundtrip(original, tmp_path / "w", compress)
+        loaded = _roundtrip(original, tmp_path / "w")
         queries = sample_queries(graph)
         assert loaded.batch_query(queries) == original.batch_query(queries)
 
-    def test_chromland(self, graph, tmp_path, compress):
+    def test_chromland(self, graph, tmp_path):
         original = ChromLandIndex(graph, [0, 10, 20, 30], [0, 1, 2, 0]).build()
-        loaded = _roundtrip(original, tmp_path / "c", compress)
+        loaded = _roundtrip(original, tmp_path / "c")
         queries = sample_queries(graph)
         assert loaded.batch_query(queries) == original.batch_query(queries)
         assert loaded.query_mode == original.query_mode
 
-    def test_single_vertex_graph(self, tmp_path, compress):
+    def test_single_vertex_graph(self, tmp_path):
         graph = EdgeLabeledGraph.from_edges(1, [], num_labels=1)
         original = PowCovIndex(graph, [0]).build()
-        loaded = _roundtrip(original, tmp_path / "s", compress)
+        loaded = _roundtrip(original, tmp_path / "s")
         assert loaded.query(0, 0, 1) == 0.0
         assert loaded.query(0, 0, 0) == 0.0
         assert loaded.index_size_entries() == 0
 
-    def test_edgeless_graph(self, tmp_path, compress):
+    def test_edgeless_graph(self, tmp_path):
         graph = EdgeLabeledGraph.from_edges(3, [], num_labels=2)
         original = PowCovIndex(graph, [0, 2]).build()
-        loaded = _roundtrip(original, tmp_path / "e", compress)
+        loaded = _roundtrip(original, tmp_path / "e")
         for mask in range(4):
             assert loaded.query(0, 1, mask) == INF
             assert loaded.query(2, 2, mask) == 0.0
 
-    def test_fingerprint_mismatch_rejected(self, graph, tmp_path, compress):
+    def test_fingerprint_mismatch_rejected(self, graph, tmp_path):
         index = PowCovIndex(graph, [0, 10]).build()
         path = tmp_path / "p.repro"
-        save_index(index, path, compress=compress)
+        save_index(index, path)
         other = labeled_erdos_renyi(40, 110, num_labels=3, seed=99)
         with pytest.raises(FormatError, match="different graph"):
             open_index(path, other)
 
-    def test_exactness_against_differential_harness(self, tmp_path, compress):
+    def test_exactness_against_differential_harness(self, tmp_path):
         # The loaded oracle's estimate must match the original's for every
         # (s, t, mask); where the in-memory index is exact (landmark on
         # every shortest path or endpoints are landmarks), so is the load.
         graph = labeled_erdos_renyi(12, 26, num_labels=3, seed=3)
         original = PowCovIndex(graph, list(range(12))).build()
-        loaded = _roundtrip(original, tmp_path / "x", compress)
+        loaded = _roundtrip(original, tmp_path / "x")
         for s, t, mask, exact in all_pairs_all_masks(graph):
             got = loaded.query(s, t, mask)
             assert got == original.query(s, t, mask)
@@ -313,6 +262,58 @@ class TestMappedIndex:
         with pytest.raises(FormatError, match="does not hold an index"):
             open_index(tmp_path / "g.repro", graph)
 
+    def test_unbuilt_powcov_rejected(self, graph, tmp_path):
+        with pytest.raises(ValueError, match="build"):
+            save_index(PowCovIndex(graph, [0]), tmp_path / "x.repro")
+
+    def test_unbuilt_chromland_rejected(self, graph, tmp_path):
+        with pytest.raises(ValueError, match="build"):
+            save_index(ChromLandIndex(graph, [0], [0]), tmp_path / "x.repro")
+
+    def test_public_aliases(self):
+        assert repro.save_index is save_index
+        assert repro.load_index is open_index
+
+    def test_query_mode_preserved(self, graph, tmp_path):
+        original = ChromLandIndex(graph, [0, 10], [0, 1],
+                                  query_mode="simple").build()
+        repro.save_index(original, tmp_path / "c.repro")
+        loaded = repro.load_index(tmp_path / "c.repro", graph)
+        assert loaded.query_mode == "simple"
+        queries = sample_queries(graph)
+        assert loaded.batch_query(queries) == original.batch_query(queries)
+
+
+class TestFormatOneFiles:
+    """Files written by the format-1 writer that still had section codecs.
+
+    ``tests/data`` holds a PowCov index over the module's ``graph`` with
+    landmarks ``[0, 13, 26]``, saved once raw and once with every section
+    varint/delta-varint encoded.  The raw file must open and answer like
+    a fresh build; the encoded one must be refused before any section is
+    mapped, since its byte counts do not match its shapes.
+    """
+
+    def test_raw_file_answers_bit_identically(self, graph):
+        loaded = open_index(DATA / "powcov-format1-raw.repro", graph)
+        original = PowCovIndex(graph, [0, 13, 26]).build()
+        assert isinstance(loaded.table.key, np.memmap)
+        assert loaded.table == original.table
+        queries = sample_queries(graph)
+        assert loaded.batch_query(queries) == original.batch_query(queries)
+        assert [loaded.query(*q) for q in queries] == \
+            [original.query(*q) for q in queries]
+
+    def test_encoded_file_rejected_unmapped(self, graph, monkeypatch):
+        def no_mapping(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("an encoded section was memory-mapped")
+
+        monkeypatch.setattr(store_format.np, "memmap", no_mapping)
+        with pytest.raises(
+            FormatError, match="section 'landmarks' is not a raw <i8 array"
+        ):
+            open_index(DATA / "powcov-format1-varint.repro", graph)
+
 
 class TestGraphStore:
     def test_roundtrip_zero_copy(self, graph, tmp_path):
@@ -327,10 +328,6 @@ class TestGraphStore:
             while base is not None and not isinstance(base, np.memmap):
                 base = base.base
             assert isinstance(base, np.memmap)
-
-    def test_compressed_roundtrip(self, graph, tmp_path):
-        save_graph(graph, tmp_path / "g.repro", compress=True)
-        assert open_graph(tmp_path / "g.repro") == graph
 
     def test_label_universe_roundtrip(self, tmp_path):
         universe = LabelUniverse(["red", "green", "blue"])
@@ -388,7 +385,7 @@ class TestIndexStoreDirectory:
         store = IndexStore(tmp_path / "cache")
         index = PowCovIndex(graph, [0, 13]).build()
         path = store.save(index, tag="k2")
-        assert path is not None and is_store_file(path)
+        assert path is not None and Store(path).kind == "powcov"
         loaded = store.load("powcov", graph, tag="k2")
         assert isinstance(loaded.table.key, np.memmap)
         queries = sample_queries(graph)
@@ -418,49 +415,63 @@ class TestIndexStoreDirectory:
         assert loaded.batch_query(queries) == index.batch_query(queries)
 
 
-class TestIndexStoreLineage:
-    """The fingerprint-lineage manifest for versioned graphs."""
+class _FailingWrites:
+    """A binary write handle that raises ``KeyboardInterrupt`` after
+    ``writes`` successful ``write`` calls, like Ctrl-C mid-save."""
 
-    def test_lineage_chain_walks_child_to_ancestor(self, graph, tmp_path):
-        from repro.graph.delta import GraphDelta, apply_delta
+    def __init__(self, handle, writes):
+        self._handle = handle
+        self._writes = writes
 
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._handle.close()
+
+    def write(self, data):
+        if self._writes == 0:
+            raise KeyboardInterrupt
+        self._writes -= 1
+        return self._handle.write(data)
+
+
+def _interrupt_store_writes(patch, writes):
+    """Make every store file opened for writing fail part-way."""
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        handle = open(file, mode, *args, **kwargs)
+        return handle if "r" in mode else _FailingWrites(handle, writes)
+
+    patch.setattr(store_format, "open", failing_open, raising=False)
+
+
+class TestInterruptedSave:
+    def test_interrupted_save_leaves_no_file(self, graph, tmp_path,
+                                             monkeypatch):
         store = IndexStore(tmp_path / "cache")
-        store.save(PowCovIndex(graph, [0]).build())
-        # An original (version 0) build records no lineage.
-        assert store.lineage_of(graph) == []
+        index = PowCovIndex(graph, [0, 13]).build()
+        with monkeypatch.context() as patch:
+            _interrupt_store_writes(patch, writes=4)
+            with pytest.raises(KeyboardInterrupt):
+                store.save(index)
+        # No partial file under the canonical name, and no leftovers.
+        assert store.find("powcov", graph) is None
+        assert os.listdir(tmp_path / "cache") == []
+        store.save(index)
+        queries = sample_queries(graph)
+        loaded = store.load("powcov", graph)
+        assert loaded.batch_query(queries) == index.batch_query(queries)
 
-        edge = next(
-            (u, int(v), int(l))
-            for u in range(graph.num_vertices)
-            for v, l in zip(graph.neighbors_of(u), graph.labels_of(u))
-            if u < int(v)
-        )
-        v1 = apply_delta(graph, GraphDelta(deletions=(edge,)))
-        v2 = apply_delta(v1, GraphDelta(insertions=(edge,)))
-        store.save(PowCovIndex(v1, [0]).build())
-        store.save(PowCovIndex(v2, [0]).build())
-
-        chain = store.lineage_of(v2)
-        assert [e["version"] for e in chain] == [2, 1]
-        assert chain[0]["parent"] == chain[1]["fingerprint"]
-        assert chain[0]["delta"] == "delta(+1 -0 ~0)"
-        assert chain[1]["delta"] == "delta(+0 -1 ~0)"
-        # The middle version's chain is just its own link.
-        assert len(store.lineage_of(v1)) == 1
-
-    def test_lineage_records_deduplicate(self, graph, tmp_path):
-        from repro.graph.delta import GraphDelta, apply_delta
-
+    def test_interrupted_overwrite_keeps_previous_file(self, graph, tmp_path,
+                                                       monkeypatch):
         store = IndexStore(tmp_path / "cache")
-        edge = next(
-            (u, int(v), int(l))
-            for u in range(graph.num_vertices)
-            for v, l in zip(graph.neighbors_of(u), graph.labels_of(u))
-            if u < int(v)
-        )
-        v1 = apply_delta(graph, GraphDelta(deletions=(edge,)))
-        store.save(PowCovIndex(v1, [0]).build())
-        store.save(PowCovIndex(v1, [0, 13]).build(), tag="k2")
-        with open(store.lineage_path, encoding="utf-8") as handle:
-            lines = [line for line in handle if line.strip()]
-        assert len(lines) == 1
+        index = PowCovIndex(graph, [0, 13]).build()
+        path = store.save(index)
+        saved = Path(path).read_bytes()
+        with monkeypatch.context() as patch:
+            _interrupt_store_writes(patch, writes=4)
+            with pytest.raises(KeyboardInterrupt):
+                store.save(index)
+        assert Path(path).read_bytes() == saved
+        assert os.listdir(tmp_path / "cache") == [os.path.basename(path)]
